@@ -193,22 +193,11 @@ def traverse(
         # (or the sensitive itself when it sits directly in the callback)
         by_stmt = defaultdict(list)  # stmt index -> [(sensitive, paths)]
         for s in sorted(paths_by_sensitive):
-            paths = paths_by_sensitive[s]
-            if not paths:
-                continue
-            stmts = set()
-            for p in paths:
-                if len(p.nodes) > 1:
-                    stmts.add(p.nodes[1][1].stmt)
-                else:
-                    stmts.add(s.site.stmt)
-            for idx in sorted(stmts):
-                group = [
-                    p
-                    for p in paths
-                    if (p.nodes[1][1].stmt if len(p.nodes) > 1 else s.site.stmt) == idx
-                ]
-                by_stmt[idx].append((s, group))
+            groups = defaultdict(list)  # stmt index -> paths, in path order
+            for p in paths_by_sensitive[s]:
+                groups[p.nodes[1][1].stmt if len(p.nodes) > 1 else s.site.stmt].append(p)
+            for idx in sorted(groups):
+                by_stmt[idx].append((s, groups[idx]))
         insertion_points = []
         for idx in sorted(by_stmt):
             entries = by_stmt[idx]

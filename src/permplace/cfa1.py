@@ -11,11 +11,10 @@ receiver discriminate between otherwise-merged heap objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvalidContext
 from .hierarchy import ClassHierarchy
-from .intraflow import _param_index, defs_of
+from .intraflow import _param_index
 from .model import (
     Assign,
     ConstStr,
@@ -55,7 +54,6 @@ def refine_pts(
     method: str,
     var: str,
     ctx: Context,
-    _memo: Optional[dict] = None,
 ) -> frozenset:
     """Context-refined points-to set for a local of ``method`` under ``ctx``.
 
@@ -64,19 +62,16 @@ def refine_pts(
     arguments evaluated in the caller).
     """
     entry = _check_context(program, method, ctx)
-    memo = _memo if _memo is not None else {}
-    body = program.body_of(method) or ()
+    index = program.defs_index(method) or {}
     caller = ctx.entrySite.method
+    memo = {}
 
-    def pts0(v: str) -> frozenset:
-        return sol.pts(method, v)
-
-    def refine(v: str) -> frozenset:
-        if v in memo:
-            return memo[v]
-        memo[v] = pts0(v)  # cycle fallback: context-insensitive set
+    def refine(v: str):
+        # yields each local whose refined set it needs and is sent that set
+        pts0 = sol.pts(method, v)
+        memo[v] = pts0  # cycle fallback: context-insensitive set
         result = set()
-        defs = defs_of(body, v)
+        defs = index.get(v, ())
         if v == "this" and entry.receiver is not None:
             result |= sol.pts(caller, entry.receiver)
         else:
@@ -84,23 +79,39 @@ def refine_pts(
             if i is not None and i < len(entry.args):
                 result |= sol.pts(caller, entry.args[i])
             elif not defs and i is None and v != "this":
-                result |= pts0(v)
+                result |= pts0
         for idx, stmt in defs:
             if isinstance(stmt, (New, ConstStr)):
                 result.add(SiteId(method, idx))
             elif isinstance(stmt, Assign):
-                result |= refine(stmt.source)
+                result |= (yield stmt.source)
             elif isinstance(stmt, LoadField):
-                for a in refine(stmt.base):
+                for a in (yield stmt.base):
                     result |= sol.fpts(a, stmt.field)
             elif isinstance(stmt, LoadStatic):
                 result |= sol.spts0.get(stmt.field, frozenset())
             elif isinstance(stmt, Invoke):
-                result |= pts0(v)  # depth-1 cutoff on call returns
-        memo[v] = frozenset(result) & pts0(v)
+                result |= pts0  # depth-1 cutoff on call returns
+        memo[v] = frozenset(result) & pts0
         return memo[v]
 
-    return refine(var)
+    # post-order walk over an explicit stack of suspended refine() frames; a
+    # local already in memo, finished or still on the stack, is read from it
+    stack = [refine(var)]
+    value = None
+    while stack:
+        try:
+            dep = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+            continue
+        if dep in memo:
+            value = memo[dep]
+        else:
+            stack.append(refine(dep))
+            value = None
+    return value
 
 
 def filter_edges(

@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import analysis, collector, permspec, pipeline
+from . import collector, permspec, pipeline
 from .analysis import Limits, cha_reach_partition, detected_sensitives, write_report
 from .errors import PermplaceError
 from .hierarchy import build_hierarchy
@@ -124,17 +124,27 @@ def _corpus_apps(corpus_dir):
     return paths
 
 
-def _cmd_analyze(args) -> int:
-    config = _load_config(args)
-    spec = _load_specs(args)
-    prepared = pipeline.prepare_paths(
+def _corpus_programs(args, config: LinkConfig):
+    """Link each corpus app with the overlays; yields (program, hierarchy)."""
+    overlays = [load_app(p) for p in args.framework + args.overlay]
+    for path in _corpus_apps(args.corpus):
+        program = link_program(load_app(path), overlays, config)
+        yield program, build_hierarchy(program)
+
+
+def _prepare(args) -> pipeline.Prepared:
+    return pipeline.prepare_paths(
         args.app,
         overlay_paths=args.framework + args.overlay,
-        config=config,
-        spec=spec,
+        config=_load_config(args),
+        spec=_load_specs(args),
         augment=not args.no_augment,
         augment_passes=args.augment_passes,
     )
+
+
+def _cmd_analyze(args) -> int:
+    prepared = _prepare(args)
     report = pipeline.analyze(
         prepared,
         mode=f"cfa{args.cfa}",
@@ -158,13 +168,10 @@ def _cmd_collect(args) -> int:
     config = _load_config(args)
     spec = _load_specs(args)
     groups = permspec.load_groups(args.groups) if args.groups else None
-    overlays = [load_app(p) for p in args.framework + args.overlay]
-    corpus = []
-    for path in _corpus_apps(args.corpus):
-        app = load_app(path)
-        program = link_program(app, overlays, config)
-        hierarchy = build_hierarchy(program)
-        corpus.append(collector.collect_usage(program, spec, hierarchy, groups))
+    corpus = [
+        collector.collect_usage(program, spec, hierarchy, groups)
+        for program, hierarchy in _corpus_programs(args, config)
+    ]
     _emit(collector.usage_csv(corpus, groups).encode("utf-8"), args.output)
     if args.summary:
         summary = collector.corpus_summary(corpus, groups)
@@ -175,16 +182,7 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_cha_reach(args) -> int:
-    config = _load_config(args)
-    spec = _load_specs(args)
-    prepared = pipeline.prepare_paths(
-        args.app,
-        overlay_paths=args.framework + args.overlay,
-        config=config,
-        spec=spec,
-        augment=not args.no_augment,
-        augment_passes=args.augment_passes,
-    )
+    prepared = _prepare(args)
     report = pipeline.analyze(prepared, mode=f"cfa{args.cfa}", augment=not args.no_augment)
     partition = cha_reach_partition(
         prepared.program, prepared.hierarchy, prepared.sensitives, detected_sensitives(report)
@@ -205,11 +203,7 @@ def _cmd_compare_specs(args) -> int:
     spec_a = permspec.load_spec(args.spec_a)
     spec_b = permspec.load_spec(args.spec_b)
     groups = permspec.load_groups(args.groups) if args.groups else None
-    overlays = [load_app(p) for p in args.framework + args.overlay]
-    programs = []
-    for path in _corpus_apps(args.corpus):
-        program = link_program(load_app(path), overlays, config)
-        programs.append((program, build_hierarchy(program)))
+    programs = list(_corpus_programs(args, config))
     result = collector.compare_specs(programs, spec_a, spec_b, groups)
     _emit((json.dumps(result, indent=2, sort_keys=True) + "\n").encode("utf-8"), args.output)
     return 0

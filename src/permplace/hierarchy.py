@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CycleError, UnknownType
-from .model import Invoke, LinkedProgram, MethodDecl, parse_method_sig
+from .model import Invoke, LinkedProgram, parse_method_sig
 
 
 @dataclass
@@ -54,10 +54,6 @@ class ClassHierarchy:
                 break
         self._dispatch_cache[key] = result
         return result
-
-    def dispatch_sig(self, runtime_type: str, sig: str) -> Optional[tuple]:
-        _, name, params = parse_method_sig(sig)
-        return self.dispatch(runtime_type, name, params)
 
     def cha_targets(self, invoke: Invoke, include_stubs: bool = False):
         """CHA target signature set for a call site.
@@ -132,26 +128,30 @@ def build_hierarchy(program: LinkedProgram) -> ClassHierarchy:
         parents[name] = ps
 
     supertypes = {}
-    state = {}  # 0 = in progress, 1 = done
-
-    def close(name: str, stack):
-        if name in supertypes:
-            return supertypes[name]
-        if state.get(name) == 0:
-            cycle = stack[stack.index(name):] + [name]
-            raise CycleError(" -> ".join(cycle))
-        state[name] = 0
-        stack.append(name)
-        closure = {name}
-        for p in parents.get(name, ()):
-            closure |= close(p, stack)
-        stack.pop()
-        state[name] = 1
-        supertypes[name] = frozenset(closure)
-        return supertypes[name]
-
-    for name in sorted(parents):
-        close(name, [])
+    for root in sorted(parents):
+        if root in supertypes:
+            continue
+        # depth-first over parents along an explicit path; a name is closed
+        # once all its parents are
+        path, todo, on_path = [root], [iter(parents.get(root, ()))], {root}
+        while path:
+            for p in todo[-1]:
+                if p in supertypes:
+                    continue
+                if p in on_path:
+                    raise CycleError(" -> ".join(path[path.index(p):] + [p]))
+                path.append(p)
+                todo.append(iter(parents.get(p, ())))
+                on_path.add(p)
+                break
+            else:
+                name = path.pop()
+                todo.pop()
+                on_path.discard(name)
+                closure = {name}
+                for p in parents.get(name, ()):
+                    closure |= supertypes[p]
+                supertypes[name] = frozenset(closure)
 
     subtypes = {name: set() for name in parents}
     for name, sups in supertypes.items():

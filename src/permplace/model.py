@@ -462,8 +462,9 @@ class LinkConfig:
 class LinkedProgram:
     """One merged class table plus analysis configuration.
 
-    Immutable; the entry class / callback roots are filled in by the
-    entrypoints module via :func:`with_entry`.
+    Immutable apart from the :meth:`defs_index` cache; the entry class /
+    callback roots are filled in by the entrypoints module via
+    :func:`with_entry`, which starts a fresh cache.
     """
 
     name: str
@@ -473,6 +474,7 @@ class LinkedProgram:
     entry_class: Optional[str] = None
     entry_sites: tuple = ()  # SiteIds of callback invocations in the dummy main
     callbacks: tuple = ()  # CallbackRefs, parallel to nothing (sorted)
+    _defs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- lookups ------------------------------------------------------------
 
@@ -526,12 +528,24 @@ class LinkedProgram:
             for m in sorted(decl.methods, key=lambda m: (m.name, m.params)):
                 yield decl, m, m.sig(cname)
 
-    def iter_app_bodies(self, include_entry: bool = False):
+    def defs_index(self, sig: str) -> Optional[dict]:
+        """Local name -> [(stmt index, stmt), ...] in body order, for every
+        statement that assigns a local; None for a missing or stub method.
+        Built once per method and cached on this program."""
+        if sig not in self._defs:
+            body = self.body_of(sig)
+            index = None if body is None else {}
+            for i, stmt in enumerate(body or ()):
+                target = getattr(stmt, "target", None)
+                if target is not None:
+                    index.setdefault(target, []).append((i, stmt))
+            self._defs[sig] = index
+        return self._defs[sig]
+
+    def iter_app_bodies(self):
         """Bodied methods of app/library classes (the analyzed code)."""
         for decl, m, sig in self.iter_methods(origins=("app", "library")):
-            if decl.name == self.entry_class and not include_entry:
-                continue
-            if m.body is not None:
+            if decl.name != self.entry_class and m.body is not None:
                 yield decl, m, sig
 
     @property

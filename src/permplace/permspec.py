@@ -47,9 +47,6 @@ class PermissionSpec:
     def __len__(self):
         return len(self.entries)
 
-    def by_kind(self, kind: str):
-        return [e for k, e in sorted(self.entries.items()) if e.kind == kind]
-
     def method_entry(self, sig: str) -> Optional[SpecEntry]:
         return self.entries.get(("method", sig, None))
 

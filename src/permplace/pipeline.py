@@ -8,7 +8,7 @@ from typing import Optional
 from . import analysis, entrypoints, pointsto
 from .hierarchy import ClassHierarchy, build_hierarchy
 from .model import AppModel, LinkConfig, LinkedProgram, link_program, load_app
-from .permspec import GroupTable, PermissionSpec
+from .permspec import PermissionSpec
 
 
 @dataclass

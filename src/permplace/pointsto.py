@@ -10,7 +10,7 @@ zero edges — the incompleteness that augmentation repairs.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import UnknownType
 from .hierarchy import ClassHierarchy
@@ -39,7 +39,6 @@ class PointsToSolution:
     fpts0: dict  # (alloc SiteId, field name) -> frozenset[SiteId]
     spts0: dict  # static field id -> frozenset[SiteId]
     alloc_type: dict  # SiteId -> class name
-    alloc_literal: dict  # SiteId -> str (const_str sites only)
 
     def pts(self, method: str, var: str) -> frozenset:
         return self.pts0.get((method, var), frozenset())
@@ -56,12 +55,6 @@ class CallGraph:
     def edges_at(self, site: SiteId) -> frozenset:
         return self.edges.get(site, frozenset())
 
-    def sites_by_method(self) -> dict:
-        out = defaultdict(list)
-        for site in self.edges:
-            out[site.method].append(site)
-        return {m: sorted(v) for m, v in out.items()}
-
 
 class _Solver:
     def __init__(self, program: LinkedProgram, hierarchy: ClassHierarchy):
@@ -74,10 +67,9 @@ class _Solver:
         self.call_deps = defaultdict(list)  # receiver node -> [SiteId]
         self.edges = defaultdict(set)  # SiteId -> {(target, provenance)}
         self.reachable = set()
-        self.processed = set()
+        self.pending = []  # reachable methods whose bodies are not processed yet
         self.linked = set()  # (site, target) arg/return plumbing done
         self.alloc_type = {}
-        self.alloc_literal = {}
         self.worklist = deque()
 
     # nodes ----------------------------------------------------------------
@@ -154,15 +146,11 @@ class _Solver:
     # body processing ------------------------------------------------------
 
     def make_reachable(self, sig: str):
-        if sig in self.reachable:
-            return
-        self.reachable.add(sig)
-        self.process_body(sig)
+        if sig not in self.reachable:
+            self.reachable.add(sig)
+            self.pending.append(sig)
 
     def process_body(self, sig: str):
-        if sig in self.processed:
-            return
-        self.processed.add(sig)
         body = self.program.body_of(sig)
         if body is None:
             return
@@ -173,7 +161,6 @@ class _Solver:
                 self.add_pts(self.var(sig, stmt.target), {site})
             elif isinstance(stmt, ConstStr):
                 self.alloc_type[site] = JAVA_STRING
-                self.alloc_literal[site] = stmt.value
                 self.add_pts(self.var(sig, stmt.target), {site})
             elif isinstance(stmt, Assign):
                 self.add_edge(self.var(sig, stmt.source), self.var(sig, stmt.target))
@@ -215,7 +202,10 @@ class _Solver:
         if main is None:
             raise ValueError("program has no synthetic entry; run generate_dummy_main first")
         self.make_reachable(main)
-        while self.worklist:
+        while self.pending or self.worklist:
+            if self.pending:
+                self.process_body(self.pending.pop())
+                continue
             node, delta = self.worklist.popleft()
             for dst in list(self.succ[node]):
                 self.add_pts(dst, delta)
@@ -253,7 +243,6 @@ def solve_0cfa(program: LinkedProgram, hierarchy: ClassHierarchy):
         fpts0=fpts0,
         spts0=spts0,
         alloc_type=dict(solver.alloc_type),
-        alloc_literal=dict(solver.alloc_literal),
     )
     cg = CallGraph(
         edges={s: frozenset(ts) for s, ts in solver.edges.items() if ts},

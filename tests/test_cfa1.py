@@ -1,8 +1,9 @@
 import pytest
 
+from permplace import pipeline
 from permplace.cfa1 import Context, filter_edges, refine_pts
 from permplace.errors import InvalidContext
-from permplace.model import SiteId
+from permplace.model import SiteId, app_from_dict
 
 CB1 = "app.Host#callback1()"
 CB2 = "app.Host#callback2()"
@@ -151,3 +152,48 @@ def test_filter_edges_never_empties_a_live_site(threads, viewstub, parametric):
                 )
                 assert surviving
                 assert surviving <= prepared.cg.edges_at(site)
+
+
+def test_refine_field_load_cycle_reads_insensitive_set_in_progress(framework, spec):
+    """``b = p0; a = b.f; b = a``: a local whose refinement is still in
+    progress reads its context-insensitive set, so the answer depends on
+    which local the query starts from. Pinned here; the least fixpoint
+    under callback1's context would give {A, B} for ``b``."""
+    cycle = "app.Cycle#m(app.Node)"
+
+    def caller(name):
+        return {"name": name, "params": [], "body": [
+            {"op": "new", "target": "x", "type": "app.Node"},
+            {"op": "new", "target": "y", "type": "app.Node"},
+            {"op": "store_field", "base": "x", "field": "f", "source": "y"},
+            {"op": "invoke", "kind": "static", "method": cycle, "args": ["x"]},
+        ]}
+
+    app = app_from_dict({
+        "name": "fieldcycle",
+        "manifest": {"permissions": []},
+        "classes": [
+            {"name": "app.Host", "super": "android.app.Activity",
+             "methods": [caller("callback1"), caller("callback2")]},
+            {"name": "app.Node", "methods": []},
+            {"name": "app.Cycle", "methods": [
+                {"name": "m", "params": ["app.Node"], "static": True, "body": [
+                    {"op": "assign", "target": "b", "source": "p0"},
+                    {"op": "load_field", "target": "a", "base": "b", "field": "f"},
+                    {"op": "assign", "target": "b", "source": "a"},
+                ]},
+            ]},
+        ],
+    })
+    prepared = pipeline.prepare(app, [framework], spec=spec)
+    sol, program = prepared.sol, prepared.program
+    a, b = SiteId(CB1, 0), SiteId(CB1, 1)  # x and y of callback1
+    c, d = SiteId(CB2, 0), SiteId(CB2, 1)  # x and y of callback2
+    assert sol.pts(cycle, "b") == {a, b, c, d}
+    assert sol.pts(cycle, "a") == {b, d}
+    ctx1 = Context(entrySite=SiteId(CB1, 3))
+    ctx2 = Context(entrySite=SiteId(CB2, 3))
+    assert refine_pts(sol, program, cycle, "a", ctx1) == {b}
+    assert refine_pts(sol, program, cycle, "b", ctx1) == {a, b, d}
+    assert refine_pts(sol, program, cycle, "a", ctx2) == {d}
+    assert refine_pts(sol, program, cycle, "b", ctx2) == {b, c, d}

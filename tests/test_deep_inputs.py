@@ -1,0 +1,154 @@
+"""Valid but extreme inputs: long assign chains, deep static call chains and
+deep class hierarchies. Each must run to completion through the CLI at the
+interpreter's default recursion limit, so no analysis may recurse once per
+statement, call level or superclass."""
+
+import csv
+import io
+import json
+
+import pytest
+
+from permplace.cli import run
+
+ACTIVITY = "android.app.Activity"
+LOCATION = "android.location.LocationManager#getLastKnownLocation(java.lang.String)"
+INTENT_INIT = "android.content.Intent#<init>(java.lang.String)"
+CAMERA_OPEN = "android.hardware.Camera#open()"
+
+
+def _app(name, classes):
+    return {"name": name, "manifest": {"targetApi": 23, "permissions": []}, "classes": classes}
+
+
+def _method(name, body, static=False):
+    return {"name": name, "params": [], "returnType": "void", "static": static, "body": body}
+
+
+def _activity(name, body):
+    return {"name": name, "kind": "class", "super": ACTIVITY, "methods": [_method("onCreate", body)]}
+
+
+def assign_chain_app(n):
+    """onCreate copies a LocationManager and a protected field value through
+    ``n`` assigns each, then calls getLastKnownLocation on the one and
+    passes the other to ``Intent#<init>(String)``."""
+    body = [
+        {"op": "new", "target": "l0", "type": "android.location.LocationManager"},
+        {"op": "load_static", "target": "c0", "field": "android.provider.Contacts#SENSITIVE_FIELD"},
+    ]
+    for i in range(1, n + 1):
+        body.append({"op": "assign", "target": f"l{i}", "source": f"l{i - 1}"})
+        body.append({"op": "assign", "target": f"c{i}", "source": f"c{i - 1}"})
+    body += [
+        {"op": "const_str", "target": "gps", "value": "gps"},
+        {"op": "invoke", "kind": "virtual", "method": LOCATION, "receiver": f"l{n}", "args": ["gps"]},
+        {"op": "new", "target": "intent", "type": "android.content.Intent"},
+        {"op": "invoke", "kind": "special", "method": INTENT_INIT, "receiver": "intent",
+         "args": [f"c{n}"]},
+    ]
+    return _app("assignchain", [_activity("app.Chain", body)])
+
+
+def call_chain_app(n):
+    """onCreate calls static m0, each m{i} calls m{i+1}, and the last one
+    opens the camera."""
+    methods = [
+        _method(f"m{i}", [{"op": "invoke", "kind": "static", "method": f"app.Calls#m{i + 1}()"}],
+                static=True)
+        for i in range(n - 1)
+    ]
+    methods.append(_method(f"m{n - 1}", [{"op": "invoke", "kind": "static", "method": CAMERA_OPEN}],
+                           static=True))
+    host = _activity("app.Host", [{"op": "invoke", "kind": "static", "method": "app.Calls#m0()"}])
+    return _app("callchain", [host, {"name": "app.Calls", "kind": "class", "methods": methods}])
+
+
+def class_chain_app(n):
+    """app.C0000 extends app.C0001 ... extends app.C{n-1} extends Activity.
+    Names sort deepest class first, so closing the first name visits the
+    whole chain; only the deepest class declares a method."""
+    classes = [
+        {"name": f"app.C{i:04d}", "kind": "class", "methods": [],
+         "super": f"app.C{i + 1:04d}" if i + 1 < n else ACTIVITY}
+        for i in range(n)
+    ]
+    classes[0]["methods"] = [_method("onCreate", [
+        {"op": "invoke", "kind": "static", "method": CAMERA_OPEN},
+    ])]
+    return _app("classchain", classes)
+
+
+@pytest.fixture
+def write_app(tmp_path):
+    """Writes an app model into a directory of its own, usable as a corpus."""
+
+    def write(app):
+        path = tmp_path / "apps" / f"{app['name']}.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(app), encoding="utf-8")
+        return path
+
+    return write
+
+
+@pytest.fixture(scope="module")
+def common(fixtures_dir):
+    return [
+        "--spec", str(fixtures_dir / "fixture.spec.json"),
+        "--framework", str(fixtures_dir / "framework.json"),
+    ]
+
+
+def _detected(report_path):
+    report = json.loads(report_path.read_text())
+    return {
+        s["site"]
+        for cb in report["callbacks"]
+        for ip in cb["insertionPoints"]
+        for s in ip["sensitives"]
+    }
+
+
+@pytest.mark.parametrize("extra", [[], ["--cfa", "0"]], ids=["cfa1", "cfa0"])
+def test_assign_chain_analyze(write_app, common, tmp_path, extra):
+    n = 3000
+    app = write_app(assign_chain_app(n))
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(app), *common, *extra, "-o", str(out)]) == 0
+    on_create = "app.Chain#onCreate()"
+    location_site = 2 + 2 * n + 1
+    assert _detected(out) == {f"{on_create}/{location_site}", f"{on_create}/{location_site + 2}"}
+
+
+def test_assign_chain_collect(write_app, common, tmp_path, fixtures_dir):
+    corpus = write_app(assign_chain_app(3000)).parent
+    out = tmp_path / "usage.csv"
+    groups = str(fixtures_dir / "groups.json")
+    assert run(["collect", str(corpus), *common, "--groups", groups, "-o", str(out)]) == 0
+    labels = {row["permission"]: row["label"] for row in csv.DictReader(io.StringIO(out.read_text()))}
+    assert labels == {
+        "android.permission.ACCESS_FINE_LOCATION": "S",
+        "android.permission.READ_CONTACTS": "S",
+    }
+
+
+def test_static_call_chain(write_app, common, tmp_path):
+    n = 1500
+    app = write_app(call_chain_app(n))
+    assert run(["analyze", str(app), *common, "-o", str(tmp_path / "report.json")]) == 0
+    out = tmp_path / "reach.json"
+    assert run(["cha-reach", str(app), *common, "-o", str(out)]) == 0
+    partition = json.loads(out.read_text())
+    # --max-depth (default 50) stops the traversal long before the camera
+    assert [s["site"] for s in partition["cha_reachable_undetected"]] == [
+        f"app.Calls#m{n - 1}()/0"
+    ]
+    assert partition["detected"] == []
+
+
+def test_deep_class_chain(write_app, common, tmp_path):
+    app = write_app(class_chain_app(1500))
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(app), *common, "-o", str(out)]) == 0
+    assert _detected(out) == {"app.C0000#onCreate()/0"}
