@@ -150,15 +150,17 @@ def traverse(
         truncated_sensitives = set()
         depth_truncated = [False]
 
-        def dfs(method, ctx, nodes, stack, ambiguous):
+        def dfs(method, ctx, ambiguous):
+            # ``path`` holds the (method, entering site) nodes down to
+            # ``method``; yields each callee to visit, in visit order
             for s in sens_by_method.get(method, ()):
                 if len(paths_by_sensitive[s]) >= limits.maxPathsPerSensitive:
                     truncated_sensitives.add(s)
                     continue
                 paths_by_sensitive[s].append(
-                    PathRecord(nodes=tuple(nodes), sensitive=s, ambiguous=ambiguous)
+                    PathRecord(nodes=tuple(path), sensitive=s, ambiguous=ambiguous)
                 )
-            if len(nodes) >= limits.maxDepth:
+            if len(path) >= limits.maxDepth:
                 depth_truncated[0] = True
                 return
             body = program.body_of(method) or ()
@@ -174,18 +176,25 @@ def traverse(
                 else:
                     surviving, amb = edges, len(edges) > 1
                 for target, _prov2 in sorted(surviving):
-                    if target in stack or program.body_of(target) is None:
+                    if target in on_path or program.body_of(target) is None:
                         continue
-                    dfs(
-                        target,
-                        Context(entrySite=site),
-                        nodes + [(target, site)],
-                        stack | {target},
-                        ambiguous or amb,
-                    )
+                    yield target, Context(entrySite=site), ambiguous or amb
 
-        root_ctx = Context(entrySite=entry_site)
-        dfs(cb_sig, root_ctx, [(cb_sig, entry_site)], {cb_sig}, False)
+        # a callee's frame runs to completion before its caller resumes, so
+        # ``path`` and ``on_path`` always describe the top frame
+        path = [(cb_sig, entry_site)]
+        on_path = {cb_sig}
+        frames = [dfs(cb_sig, Context(entrySite=entry_site), False)]
+        while frames:
+            callee = next(frames[-1], None)
+            if callee is None:
+                frames.pop()
+                on_path.discard(path.pop()[0])
+            else:
+                target, ctx, amb = callee
+                path.append((target, ctx.entrySite))
+                on_path.add(target)
+                frames.append(dfs(target, ctx, amb))
 
         if not paths_by_sensitive:
             continue

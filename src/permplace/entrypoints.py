@@ -32,9 +32,8 @@ def _excluded_anchors(program: LinkedProgram, hierarchy: ClassHierarchy):
     """Async-construct classes plus their framework supertypes."""
     excluded = set(program.config.async_excludes)
     for name in program.config.async_excludes:
-        for sup in hierarchy.supertypes.get(name, frozenset()):
-            decl = program.get_class(sup)
-            if decl is not None and program.is_framework(decl):
+        for sup in hierarchy.supertypes(name):
+            if program.is_framework(program.classes[sup]):
                 excluded.add(sup)
     return excluded
 
@@ -89,17 +88,15 @@ def detect_callbacks(program: LinkedProgram, hierarchy: ClassHierarchy):
                 break
         if basis is None:
             anchors = set()
-            for iname in sorted(hierarchy.interface_closure(decl.name)):
-                idecl = program.get_class(iname)
-                if idecl is None or not program.is_framework(idecl) or iname in excluded:
+            for iname in hierarchy.supertypes(decl.name):
+                idecl = program.classes[iname]
+                if idecl.kind != "interface" or not program.is_framework(idecl):
                     continue
-                declares = any(
-                    program.get_class(s) is not None
-                    and program.get_class(s).method_by_key(m.name, m.params)
-                    for s in hierarchy.supertypes.get(iname, frozenset())
-                    if program.get_class(s) and program.get_class(s).kind == "interface"
-                )
-                if declares:
+                # every supertype of an interface is an interface (link_program)
+                if iname not in excluded and any(
+                    program.classes[s].method_by_key(m.name, m.params)
+                    for s in hierarchy.supertypes(iname)
+                ):
                     anchors.add(iname)
             if anchors:
                 reg_sites = _registration_evidence(program, hierarchy, decl.name, anchors)

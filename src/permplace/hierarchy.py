@@ -12,14 +12,35 @@ from .model import Invoke, LinkedProgram, parse_method_sig
 @dataclass
 class ClassHierarchy:
     program: LinkedProgram
-    supertypes: dict = field(default_factory=dict)  # name -> frozenset (incl. self)
-    subtypes: dict = field(default_factory=dict)  # name -> frozenset (incl. self)
+    children: dict = field(default_factory=dict)  # name -> direct subtypes
     _dispatch_cache: dict = field(default_factory=dict)
+    _subtype_memo: dict = field(default_factory=dict)  # (sub, sup) -> bool
 
     # -- queries ------------------------------------------------------------
 
+    def _closure(self, name: str, step) -> frozenset:
+        # reflexive-transitive closure of ``step``; empty for an unknown name
+        seen, todo = set(), [name] if name in self.program.classes else []
+        while todo:
+            n = todo.pop()
+            if n not in seen:
+                seen.add(n)
+                todo.extend(step(n))
+        return frozenset(seen)
+
+    def supertypes(self, name: str) -> frozenset:
+        """``name`` and every type it extends or implements, transitively."""
+        return self._closure(name, lambda n: self.program.classes[n].parents)
+
+    def subtypes(self, name: str) -> frozenset:
+        """``name`` and every type that extends or implements it, transitively."""
+        return self._closure(name, self.children.__getitem__)
+
     def is_subtype(self, sub: str, sup: str) -> bool:
-        return sup in self.supertypes.get(sub, frozenset())
+        key = (sub, sup)
+        if key not in self._subtype_memo:
+            self._subtype_memo[key] = sup in self.supertypes(sub)
+        return self._subtype_memo[key]
 
     def superclass_chain(self, name: str):
         """The class itself followed by its transitive superclasses."""
@@ -27,15 +48,6 @@ class ClassHierarchy:
         while decl is not None:
             yield decl
             decl = self.program.get_class(decl.super) if decl.super else None
-
-    def interface_closure(self, name: str):
-        """All interfaces in the supertype closure of ``name``."""
-        return frozenset(
-            s
-            for s in self.supertypes.get(name, frozenset())
-            if self.program.get_class(s) is not None
-            and self.program.get_class(s).kind == "interface"
-        )
 
     def dispatch(self, runtime_type: str, name: str, params) -> Optional[tuple]:
         """Nearest declaration walking up the superclass chain.
@@ -76,7 +88,7 @@ class ClassHierarchy:
                 return set()
             return {direct}
         targets = set()
-        for sub in sorted(self.subtypes.get(cls, frozenset())):
+        for sub in sorted(self.subtypes(cls)):
             decl = self.program.get_class(sub)
             if decl is None or decl.kind != "class":
                 continue
@@ -119,47 +131,33 @@ class ClassHierarchy:
 
 
 def build_hierarchy(program: LinkedProgram) -> ClassHierarchy:
-    """Compute supertype/subtype closures; raises CycleError on cycles."""
-    parents = {}
-    for name, decl in program.classes.items():
-        ps = list(decl.interfaces)
-        if decl.super is not None:
-            ps.append(decl.super)
-        parents[name] = ps
-
-    supertypes = {}
-    for root in sorted(parents):
-        if root in supertypes:
+    """Index direct subtypes; raises CycleError on an inheritance cycle."""
+    classes = program.classes
+    closed = set()
+    for root in sorted(classes):
+        if root in closed:
             continue
         # depth-first over parents along an explicit path; a name is closed
         # once all its parents are
-        path, todo, on_path = [root], [iter(parents.get(root, ()))], {root}
+        path, todo, on_path = [root], [iter(classes[root].parents)], {root}
         while path:
             for p in todo[-1]:
-                if p in supertypes:
+                if p in closed:
                     continue
                 if p in on_path:
                     raise CycleError(" -> ".join(path[path.index(p):] + [p]))
                 path.append(p)
-                todo.append(iter(parents.get(p, ())))
+                todo.append(iter(classes[p].parents))
                 on_path.add(p)
                 break
             else:
                 name = path.pop()
                 todo.pop()
                 on_path.discard(name)
-                closure = {name}
-                for p in parents.get(name, ()):
-                    closure |= supertypes[p]
-                supertypes[name] = frozenset(closure)
+                closed.add(name)
 
-    subtypes = {name: set() for name in parents}
-    for name, sups in supertypes.items():
-        for s in sups:
-            if s in subtypes:
-                subtypes[s].add(name)
-    return ClassHierarchy(
-        program=program,
-        supertypes=supertypes,
-        subtypes={k: frozenset(v) for k, v in subtypes.items()},
-    )
+    children = {name: [] for name in classes}
+    for name, decl in classes.items():
+        for p in decl.parents:
+            children[p].append(name)
+    return ClassHierarchy(program=program, children=children)

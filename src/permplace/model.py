@@ -236,6 +236,11 @@ class ClassDecl:
     fields: tuple = ()
     methods: tuple = ()
 
+    @property
+    def parents(self) -> tuple:
+        """Direct supertypes: the interfaces, then the superclass."""
+        return self.interfaces if self.super is None else (*self.interfaces, self.super)
+
     def field_by_name(self, name: str) -> Optional[FieldDecl]:
         for f in self.fields:
             if f.name == name:
@@ -317,6 +322,12 @@ def _class_from_dict(d: dict, where: str) -> ClassDecl:
     origin = d.get("origin", "app")
     if origin not in ("app", "library", "framework"):
         raise ValidationError(f"{where}: bad origin {origin!r}")
+    sup = d.get("super")
+    if sup is not None and not isinstance(sup, str):
+        raise ValidationError(f"{where}: super must be a class name, not {sup!r}")
+    interfaces = d.get("interfaces", [])
+    if not isinstance(interfaces, list) or not all(isinstance(i, str) for i in interfaces):
+        raise ValidationError(f"{where}: interfaces must be a list of names, not {interfaces!r}")
     fields = tuple(_field_from_dict(f, where) for f in d.get("fields", ()))
     methods = tuple(_method_from_dict(m, name, where) for m in d.get("methods", ()))
     seen = set()
@@ -333,8 +344,8 @@ def _class_from_dict(d: dict, where: str) -> ClassDecl:
         name=name,
         kind=kind,
         origin=origin,
-        super=d.get("super"),
-        interfaces=tuple(d.get("interfaces", ())),
+        super=sup,
+        interfaces=tuple(interfaces),
         doc=d.get("doc"),
         model=bool(d.get("model", False)),
         fields=fields,
@@ -624,10 +635,7 @@ def link_program(app: AppModel, overlays=(), config: Optional[LinkConfig] = None
         classes[name] = decls[0] if len(decls) == 1 else _merge_class(name, decls)
     unresolved = []
     for name, decl in classes.items():
-        refs = list(decl.interfaces)
-        if decl.super is not None:
-            refs.append(decl.super)
-        for ref in refs:
+        for ref in decl.parents:
             if ref not in classes:
                 unresolved.append(f"{name} -> {ref}")
         if decl.super is not None and decl.super in classes:

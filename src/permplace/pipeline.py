@@ -34,8 +34,8 @@ def prepare(
     linked = link_program(app, overlays, config)
     hierarchy = build_hierarchy(linked)
     callbacks = entrypoints.detect_callbacks(linked, hierarchy)
+    # reused: no hierarchy query names synthetic.Main (no parents, children, calls or allocations)
     program = entrypoints.generate_dummy_main(linked, callbacks)
-    hierarchy = build_hierarchy(program)
     sol, cg_raw = pointsto.solve_0cfa(program, hierarchy)
     cg = (
         pointsto.augment_call_graph(cg_raw, program, hierarchy, passes=augment_passes)

@@ -304,11 +304,9 @@ def augment_call_graph(
                     edges[site] = {(next(iter(targets)), "augmented")}
                     changed = True
         done += 1
-        new_reachable = reachable_methods(edges, [main] if main else [])
         if not changed:
             break
-        reachable = new_reachable
-    reachable = reachable_methods(edges, [main] if main else [])
+        reachable = reachable_methods(edges, [main] if main else [])
     return CallGraph(
         edges={s: frozenset(ts) for s, ts in edges.items() if ts},
         reachable=frozenset(reachable),

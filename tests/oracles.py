@@ -81,6 +81,44 @@ def _naive_resolve(program, cls, name, params):
     return None
 
 
+def supertype_oracle(program):
+    """Name -> reflexive-transitive supertypes, by whole-table fixpoint
+    iteration over every class's declared superclass and interfaces."""
+    sups = {name: {name} for name in program.classes}
+    changed = True
+    while changed:
+        changed = False
+        for name, decl in program.classes.items():
+            declared = list(decl.interfaces)
+            if decl.super is not None:
+                declared.append(decl.super)
+            for p in declared:
+                if not sups[p] <= sups[name]:
+                    sups[name] |= sups[p]
+                    changed = True
+    return sups
+
+
+def cha_oracle(program, invoke, include_stubs=False):
+    """CHA targets of a call site: the visible declaration for static and
+    special sites, else the dispatch result of every class whose
+    supertypes include the declared receiver type."""
+    cls, name, params = parse_method_sig(invoke.method)
+    if invoke.kind in ("static", "special"):
+        found = [_naive_resolve(program, cls, name, params)]
+    else:
+        found = [
+            _naive_dispatch(program, sub, name, params)
+            for sub, sups in supertype_oracle(program).items()
+            if cls in sups and program.classes[sub].kind == "class"
+        ]
+    return {
+        sig
+        for sig in found
+        if sig is not None and (include_stubs or program.lookup_method(sig)[1].body is not None)
+    }
+
+
 def andersen_oracle(program):
     """Naive whole-program fixpoint for the 0-CFA constraint system.
 

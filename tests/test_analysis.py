@@ -14,6 +14,7 @@ from permplace.analysis import (
     write_report,
 )
 from permplace.errors import InconsistentInput
+from permplace.model import app_from_dict
 
 CB1 = "app.Host#callback1()"
 CB2 = "app.Host#callback2()"
@@ -145,6 +146,42 @@ def test_path_cap_marks_truncated(threads):
         for ip in cb["insertionPoints"]:
             for s in ip["sensitives"]:
                 assert len(s["paths"]) <= 1
+
+
+def test_every_simple_path_reaches_a_shared_callee(framework, spec):
+    """onCreate calls a and b, which both call c; c opens the camera. A
+    method leaves the path stack when its visit ends, so c is reached, and
+    its sensitive recorded, once through each of a and b."""
+
+    def calls(*targets):
+        return [{"op": "invoke", "kind": "static", "method": t} for t in targets]
+
+    app = app_from_dict({
+        "name": "diamond",
+        "manifest": {"targetApi": 23, "permissions": []},
+        "classes": [
+            {"name": "app.Host", "super": "android.app.Activity",
+             "methods": [{"name": "onCreate", "body": calls("app.U#a()", "app.U#b()")}]},
+            {"name": "app.U", "methods": [
+                {"name": "a", "static": True, "body": calls("app.U#c()")},
+                {"name": "b", "static": True, "body": calls("app.U#c()")},
+                {"name": "c", "static": True, "body": calls("android.hardware.Camera#open()")},
+            ]},
+        ],
+    })
+    prepared = pipeline.prepare(app, [framework], spec=spec)
+    for mode in ("cfa0", "cfa1"):
+        [cb] = run(prepared, mode).callbacks
+        paths = [
+            (ip["stmt"], [n["method"] for n in p["nodes"]])
+            for ip in cb["insertionPoints"]
+            for s in ip["sensitives"]
+            for p in s["paths"]
+        ]
+        assert paths == [
+            (0, ["app.Host#onCreate()", "app.U#a()", "app.U#c()"]),
+            (1, ["app.Host#onCreate()", "app.U#b()", "app.U#c()"]),
+        ]
 
 
 def test_generous_limits_equal_defaults(threads):

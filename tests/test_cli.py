@@ -106,6 +106,19 @@ def test_malformed_app_is_input_error(tmp_path, paths, capsys):
     assert run(["analyze", str(bad), "--spec", paths["spec"]]) == 1
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"super": ["B"]}, {"interfaces": [["I"]]}, {"interfaces": None}, {"interfaces": "IJ"}],
+    ids=["super-list", "interface-list", "interfaces-null", "interfaces-string"],
+)
+def test_bad_supertype_fields_are_input_errors(tmp_path, paths, capsys, bad):
+    app = tmp_path / "bad.json"
+    classes = [{"name": "A", "methods": [], **bad}]
+    app.write_text(json.dumps({"name": "t", "manifest": {}, "classes": classes}))
+    assert run(analyze_args({**paths, "threads": str(app)})) == 1
+    assert f"{app}.classes.A: {next(iter(bad))} must be" in capsys.readouterr().err
+
+
 def test_dangerous_only_requires_groups(paths, capsys):
     assert run(analyze_args(paths, extra=["--dangerous-only"])) == 1
 

@@ -1,11 +1,13 @@
 """Valid but extreme inputs: long assign chains, deep static call chains and
 deep class hierarchies. Each must run to completion through the CLI at the
 interpreter's default recursion limit, so no analysis may recurse once per
-statement, call level or superclass."""
+statement, call level or superclass, and the class hierarchy may not store
+what grows with the square of its depth."""
 
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -145,10 +147,20 @@ def test_static_call_chain(write_app, common, tmp_path):
         f"app.Calls#m{n - 1}()/0"
     ]
     assert partition["detected"] == []
+    deep = tmp_path / "deep.json"
+    assert run(["analyze", str(app), *common, "--max-depth", "2000", "-o", str(deep)]) == 0
+    assert _detected(deep) == {f"app.Calls#m{n - 1}()/0"}
 
 
 def test_deep_class_chain(write_app, common, tmp_path):
     app = write_app(class_chain_app(1500))
     out = tmp_path / "report.json"
-    assert run(["analyze", str(app), *common, "-o", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        assert run(["analyze", str(app), *common, "-o", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert _detected(out) == {"app.C0000#onCreate()/0"}
+    # stored supertype/subtype closures of this chain take about 270 MB
+    assert peak < 16 * 2**20, f"analyze peaked at {peak / 2**20:.1f} MB"

@@ -122,6 +122,30 @@ def test_app_superclass_does_not_anchor(framework):
     assert detect_callbacks(program, hierarchy) == []
 
 
+def test_class_is_never_an_interface_anchor(framework):
+    """A library class under a framework prefix passed at a parameter of
+    its own type is no registration: only interfaces anchor that basis."""
+    frag = "android.support.Frag"
+    program, hierarchy = prep(
+        [
+            {"name": frag, "origin": "library", "methods": [{"name": "onA", "body": []}]},
+            {
+                "name": "app.Reg",
+                "methods": [
+                    {"name": "register", "params": [frag], "static": True, "body": []},
+                    {"name": "run", "body": [
+                        {"op": "new", "target": "f", "type": frag},
+                        {"op": "invoke", "kind": "static", "method": f"app.Reg#register({frag})",
+                         "args": ["f"]},
+                    ]},
+                ],
+            },
+        ],
+        [framework],
+    )
+    assert detect_callbacks(program, hierarchy) == []
+
+
 def test_dummy_main_shape(threads):
     program = threads.program
     assert program.entry_class == ENTRY_CLASS

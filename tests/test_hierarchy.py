@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from oracles import cha_oracle, supertype_oracle
 from permplace.errors import CycleError, UnknownType
 from permplace.hierarchy import build_hierarchy
 from permplace.model import Invoke, app_from_dict, link_program, parse_method_sig
@@ -32,12 +35,12 @@ def test_subtype_through_superclass(threads_hier):
 
 
 def test_supertypes_and_subtypes_are_inverse(threads_hier):
-    for name, sups in threads_hier.supertypes.items():
-        for s in sups:
-            assert name in threads_hier.subtypes[s]
-    for name, subs in threads_hier.subtypes.items():
-        for s in subs:
-            assert name in threads_hier.supertypes[s]
+    for name in threads_hier.program.classes:
+        for s in threads_hier.supertypes(name):
+            assert name in threads_hier.subtypes(s)
+        for s in threads_hier.subtypes(name):
+            assert name in threads_hier.supertypes(s)
+    assert threads_hier.supertypes("no.Such") == threads_hier.subtypes("no.Such") == frozenset()
 
 
 def test_dispatch_inherited_method():
@@ -114,7 +117,7 @@ def test_cha_targets_subset_of_subtype_dispatch(viewstub):
                 assert any(
                     h.dispatch(sub, name, params) is not None
                     and h.dispatch(sub, name, params)[0] == owner
-                    for sub in h.subtypes.get(cls, frozenset())
+                    for sub in h.subtypes(cls)
                 )
 
 
@@ -161,6 +164,72 @@ def test_cycle_detection():
         build_hierarchy(prog)
 
 
-def test_interface_closure(threads_hier):
-    assert threads_hier.interface_closure("app.Host$Run1") == frozenset({"java.lang.Runnable"})
-    assert threads_hier.interface_closure("app.Host") == frozenset()
+def random_class_table(rng):
+    """Up to six classes and four interfaces, each declaring f() and g() at
+    random as bodied, stub, abstract or absent. About one table in seven may
+    name any type as a parent, so it may hold a cycle; the others name only
+    earlier types."""
+    cyclic = rng.random() < 0.15
+    ifaces = [f"I{i}" for i in range(rng.randint(0, 4))]
+    classes = [f"C{i}" for i in range(rng.randint(1, 6))]
+
+    def parents_from(pool, me):
+        return pool if cyclic else pool[: pool.index(me)]
+
+    def methods(interface):
+        out = []
+        for name in ("f", "g"):
+            how = rng.choice(["absent", "stub", "abstract"] + ([] if interface else ["body"]))
+            if how != "absent":
+                out.append({"name": name, "abstract": how == "abstract",
+                            "body": [] if how == "body" else None})
+        return out
+
+    table = []
+    for name in ifaces:
+        decl = {"name": name, "kind": "interface", "methods": methods(True)}
+        pool = parents_from(ifaces, name)
+        decl["interfaces"] = rng.sample(pool, rng.randint(0, min(2, len(pool))))
+        if pool and rng.random() < 0.2:
+            decl["super"] = rng.choice(pool)
+        table.append(decl)
+    for name in classes:
+        decl = {"name": name, "methods": methods(False)}
+        pool = parents_from(classes, name)
+        if pool and rng.random() < 0.7:
+            decl["super"] = rng.choice(pool)
+        decl["interfaces"] = rng.sample(ifaces, rng.randint(0, min(2, len(ifaces))))
+        table.append(decl)
+    return table
+
+
+def test_random_hierarchies_match_oracle():
+    for seed in range(300):
+        program = linked(random_class_table(random.Random(seed)))
+        sups = supertype_oracle(program)
+        cyclic = any(
+            p == name or name in sups[p]
+            for name, decl in program.classes.items()
+            for p in decl.parents
+        )
+        if cyclic:
+            with pytest.raises(CycleError) as err:
+                build_hierarchy(program)
+            # the message names a real cycle: each name's next one is a parent
+            names = str(err.value).split(" -> ")
+            assert len(names) >= 2 and names[0] == names[-1]
+            for a, b in zip(names, names[1:]):
+                assert b in program.classes[a].parents
+            continue
+        h = build_hierarchy(program)
+        for a in program.classes:
+            assert h.supertypes(a) == sups[a]
+            assert h.subtypes(a) == {b for b in program.classes if a in sups[b]}
+            for b in program.classes:
+                assert h.is_subtype(a, b) == (b in sups[a])
+            kinds = ("interface",) if program.classes[a].kind == "interface" else ("virtual",)
+            for kind in (*kinds, "static", "special"):
+                for name in ("f", "g"):
+                    site = Invoke(kind=kind, method=f"{a}#{name}()", receiver="x")
+                    for stubs in (False, True):
+                        assert h.cha_targets(site, stubs) == cha_oracle(program, site, stubs)
