@@ -9,25 +9,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import collector, permspec, pipeline
 from .analysis import Limits, cha_reach_partition, detected_sensitives, write_report
 from .errors import PermplaceError
 from .hierarchy import build_hierarchy
-from .model import LinkConfig, link_program, load_app
+from .model import LinkConfig, from_dict, link_program, load_app, read_json
 
 
 def _load_config(args) -> LinkConfig:
-    data = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-    if getattr(args, "framework_prefixes", None):
-        data["framework_prefixes"] = args.framework_prefixes.split(",")
-    if getattr(args, "async_excludes", None):
-        data["async_excludes"] = args.async_excludes.split(",")
-    return LinkConfig.from_dict(data)
+    config = LinkConfig()
+    if args.config:
+        config = from_dict(LinkConfig, read_json(args.config), args.config)
+    flags = {
+        key: tuple(getattr(args, key).split(","))
+        for key in ("framework_prefixes", "async_excludes")
+        if getattr(args, key)
+    }
+    return replace(config, **flags)
 
 
 def _emit(data: bytes, out_path):
@@ -149,7 +150,6 @@ def _cmd_analyze(args) -> int:
         prepared,
         mode=f"cfa{args.cfa}",
         limits=Limits(maxDepth=args.max_depth, maxPathsPerSensitive=args.max_paths),
-        augment=not args.no_augment,
     )
     _emit(write_report(report, args.format), args.output)
     if args.dump_callgraph:
@@ -183,7 +183,7 @@ def _cmd_collect(args) -> int:
 
 def _cmd_cha_reach(args) -> int:
     prepared = _prepare(args)
-    report = pipeline.analyze(prepared, mode=f"cfa{args.cfa}", augment=not args.no_augment)
+    report = pipeline.analyze(prepared, mode=f"cfa{args.cfa}")
     partition = cha_reach_partition(
         prepared.program, prepared.hierarchy, prepared.sensitives, detected_sensitives(report)
     )
@@ -256,7 +256,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (PermplaceError, OSError, json.JSONDecodeError) as exc:
+    except (PermplaceError, OSError) as exc:
         print(f"permplace: error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,9 +14,12 @@ Canonical identifier forms (used verbatim in spec files and reports):
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, replace
-from typing import ClassVar, Optional
+import reprlib
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from types import UnionType
+from typing import ClassVar, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import LinkError, ParseError, ValidationError
 
@@ -50,6 +53,14 @@ def parse_field_id(fid: str):
     return cls, name
 
 
+def check_id(parse, text: str, where: str) -> None:
+    """Raise :class:`ValidationError` at ``where`` unless ``parse`` accepts ``text``."""
+    try:
+        parse(text)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}")
+
+
 def param_local(i: int) -> str:
     return f"p{i}"
 
@@ -68,6 +79,150 @@ class SiteId:
     def parse(cls, text: str) -> "SiteId":
         m, _, i = text.rpartition("/")
         return cls(m, int(i))
+
+
+# ---------------------------------------------------------------------------
+# JSON records: each record dataclass is its own schema
+#
+# Keys, JSON types and defaults come from the field annotations, read once
+# per class. ``from_dict`` rejects unknown keys, missing required keys and
+# values of another JSON type (nothing is coerced), then runs the record's
+# ``_check(where)``: the rules that span fields. ``to_dict`` is its inverse.
+# Records nest only as deep as the schema (app, class, method, statement).
+
+_JSON_TYPES = {str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def _mistyped(where: str, key: str, desc: str, value) -> ValidationError:
+    return ValidationError(f"{where}: {key} must be {desc}, not {reprlib.repr(value)}")
+
+
+def _record_reader(tp):
+    """(object, where) -> record, for a record class or a union of records
+    chosen by their ``op`` key."""
+    if get_origin(tp) is not UnionType:
+        return functools.partial(from_dict, tp)
+    by_op = {c.op: c for c in get_args(tp)}
+
+    def read(d, where):
+        op = d.get("op") if type(d) is dict else None
+        if type(op) is not str or op not in by_op:
+            raise ParseError(f"expected an object with a known 'op', not {reprlib.repr(d)}", where)
+        return from_dict(by_op[op], d, where)
+
+    return read
+
+
+def _list_codec(container, elem, key: str):
+    """Reader, writer and description of a JSON list held as ``container``."""
+    if elem is str:
+
+        def read(v, where):
+            if all(type(s) is str for s in v):
+                return container(v)
+            raise _mistyped(where, key, "a list of strings", v)
+
+        return read, list if container is tuple else sorted, "a list of strings"
+    read_one = _record_reader(elem)
+    named = is_dataclass(elem) and "name" in elem.__dataclass_fields__
+
+    def read(v, where):
+        # records with a name are located by it, others by their index
+        out = []
+        for i, d in enumerate(v):
+            name = d.get("name") if named and type(d) is dict else None
+            out.append(read_one(d, f"{where}.{name}" if type(name) is str else f"{where}[{i}]"))
+        return tuple(out)
+
+    return read, lambda v: [to_dict(r) for r in v], "a list of objects"
+
+
+@dataclass(frozen=True)
+class _Schema:
+    reads: tuple  # (key, JSON type, nullable, required, reader, path suffix, description)
+    writes: tuple  # (key, default, writer)
+    tagged: bool  # records of a union carry an ``op`` key first
+    check: Optional[object]  # the record's cross-field rules, (record, where) -> None
+
+
+@functools.cache
+def _schema(cls) -> _Schema:
+    hints = get_type_hints(cls)
+    reads, writes = [], []
+    for f in fields(cls):
+        tp, nullable = hints[f.name], False
+        if get_origin(tp) in (Union, UnionType) and type(None) in get_args(tp):
+            nullable, tp = True, next(a for a in get_args(tp) if a is not type(None))
+        if tp in _JSON_TYPES:
+            jtype, read, write, desc = tp, None, None, _JSON_TYPES[tp]
+        elif get_origin(tp) in (tuple, frozenset):
+            jtype = list
+            read, write, desc = _list_codec(get_origin(tp), get_args(tp)[0], f.name)
+        else:
+            jtype, read, write, desc = dict, _record_reader(tp), to_dict, "an object"
+        suffix = f.metadata.get("where", f".{f.name}" if jtype is dict else "")
+        required = f.default is MISSING and f.default_factory is MISSING
+        desc += " or null" if nullable else ""
+        reads.append((f.name, jtype, nullable, required, read, suffix, desc))
+        writes.append((f.name, MISSING if required else f.default, write))
+    return _Schema(tuple(reads), tuple(writes), "op" in cls.__dict__, getattr(cls, "_check", None))
+
+
+def from_dict(cls, d, where: str):
+    """Build record ``cls`` from the JSON object ``d``; errors name ``where``."""
+    schema = _schema(cls)
+    if type(d) is not dict:
+        raise ParseError(f"expected a JSON object, not {reprlib.repr(d)}", where)
+    kw = {}
+    for key, jtype, nullable, required, read, suffix, desc in schema.reads:
+        if key in d:
+            v = d[key]
+            if type(v) is not jtype:
+                if v is not None or not nullable:
+                    raise _mistyped(where, key, desc, v)
+            elif read is not None:
+                v = read(v, where + suffix)
+            kw[key] = v
+        elif required:
+            raise ParseError(f"missing required key {key!r}", where)
+    if len(kw) + schema.tagged != len(d):
+        known = {r[0] for r in schema.reads} | ({"op"} if schema.tagged else set())
+        raise ParseError(f"unknown key {min(set(d) - known)!r}", where)
+    record = cls(**kw)
+    if schema.check is not None:
+        schema.check(record, where)
+    return record
+
+
+def to_dict(record) -> dict:
+    """The JSON object of ``record``: ``op`` first, fields at their default
+    left out, tuples as lists and sets as sorted lists."""
+    schema = _schema(type(record))
+    d = {"op": record.op} if schema.tagged else {}
+    for key, default, write in schema.writes:
+        v = getattr(record, key)
+        if v != default:
+            d[key] = v if write is None else write(v)
+    return d
+
+
+def _duplicate(keys):
+    """The first key seen twice, or None."""
+    seen = set()
+    for k in keys:
+        if k in seen:
+            return k
+        seen.add(k)
+    return None
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``; :class:`ParseError` names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"invalid JSON: {exc}", str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +250,17 @@ class ConstStr:
     value: str
 
 
+def _check_field_id(stmt, where: str) -> None:
+    check_id(parse_field_id, stmt.field, where)
+
+
 @dataclass(frozen=True)
 class LoadStatic:
     op: ClassVar[str] = "load_static"
     target: str
     field: str  # field id
+
+    _check = _check_field_id
 
 
 @dataclass(frozen=True)
@@ -107,6 +268,8 @@ class StoreStatic:
     op: ClassVar[str] = "store_static"
     field: str
     source: str
+
+    _check = _check_field_id
 
 
 @dataclass(frozen=True)
@@ -135,7 +298,17 @@ class Invoke:
     method: str  # canonical signature naming the declared receiver class
     receiver: Optional[str] = None
     target: Optional[str] = None
-    args: tuple = ()
+    args: tuple[str, ...] = ()
+
+    def _check(self, where: str) -> None:
+        if self.kind not in INVOKE_KINDS:
+            raise ValidationError(f"{where}: bad invoke kind {self.kind!r}")
+        if self.kind == "static":
+            if self.receiver is not None:
+                raise ValidationError(f"{where}: static invoke must not have a receiver")
+        elif self.receiver is None:
+            raise ValidationError(f"{where}: {self.kind} invoke requires a receiver")
+        check_id(parse_method_sig, self.method, where)
 
 
 @dataclass(frozen=True)
@@ -144,53 +317,10 @@ class Return:
     value: Optional[str] = None
 
 
-Stmt = (New, Assign, ConstStr, LoadStatic, StoreStatic, LoadField, StoreField, Invoke, Return)
-
-_STMT_BY_OP = {c.op: c for c in Stmt}
-
-
-def stmt_from_dict(d: dict, where: str):
-    if not isinstance(d, dict) or "op" not in d:
-        raise ParseError("statement must be an object with an 'op' key", where)
-    op = d["op"]
-    cls = _STMT_BY_OP.get(op)
-    if cls is None:
-        raise ParseError(f"unknown statement op {op!r}", where)
-    fields = {k: v for k, v in d.items() if k != "op"}
-    if op == "invoke":
-        fields["args"] = tuple(fields.get("args", ()))
-    try:
-        stmt = cls(**fields)
-    except TypeError as exc:
-        raise ParseError(f"bad {op} statement: {exc}", where)
-    _validate_stmt(stmt, where)
-    return stmt
-
-
-def _validate_stmt(stmt, where: str) -> None:
-    if isinstance(stmt, Invoke):
-        if stmt.kind not in INVOKE_KINDS:
-            raise ValidationError(f"{where}: bad invoke kind {stmt.kind!r}")
-        if stmt.kind == "static":
-            if stmt.receiver is not None:
-                raise ValidationError(f"{where}: static invoke must not have a receiver")
-        elif stmt.receiver is None:
-            raise ValidationError(f"{where}: {stmt.kind} invoke requires a receiver")
-        parse_method_sig(stmt.method)
-    elif isinstance(stmt, (LoadStatic, StoreStatic)):
-        parse_field_id(stmt.field)
-
-
-def stmt_to_dict(stmt) -> dict:
-    d = {"op": stmt.op}
-    for name in stmt.__dataclass_fields__:
-        value = getattr(stmt, name)
-        if name == "args":
-            if value:
-                d["args"] = list(value)
-        elif value is not None:
-            d[name] = value
-    return d
+# ``|`` rather than typing's Union and Optional wherever a record class is an
+# argument: typing caches those objects for the whole process, which would
+# keep every imported copy of this module alive.
+Stmt = New | Assign | ConstStr | LoadStatic | StoreStatic | LoadField | StoreField | Invoke | Return
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +335,20 @@ class FieldDecl:
     constValue: Optional[str] = None
     doc: Optional[str] = None
 
+    def _check(self, where: str) -> None:
+        if self.constValue is not None and not self.static:
+            raise ValidationError(f"{where}: constValue only allowed on static fields")
+
 
 @dataclass(frozen=True)
 class MethodDecl:
     name: str
-    params: tuple = ()
+    params: tuple[str, ...] = ()
     returnType: str = "void"
     static: bool = False
     abstract: bool = False
     doc: Optional[str] = None
-    body: Optional[tuple] = None  # None = stub
+    body: tuple[Stmt, ...] | None = None  # None = stub
 
     def sig(self, cls: str) -> str:
         return method_sig(cls, self.name, self.params)
@@ -223,6 +357,10 @@ class MethodDecl:
     def key(self):
         return (self.name, self.params)
 
+    def _check(self, where: str) -> None:
+        if self.abstract and self.body is not None:
+            raise ValidationError(f"{where}: abstract method must not have a body")
+
 
 @dataclass(frozen=True)
 class ClassDecl:
@@ -230,11 +368,11 @@ class ClassDecl:
     kind: str = "class"  # class | interface
     origin: str = "app"  # app | library | framework
     super: Optional[str] = None
-    interfaces: tuple = ()
+    interfaces: tuple[str, ...] = ()
     doc: Optional[str] = None
     model: bool = False
-    fields: tuple = ()
-    methods: tuple = ()
+    fields: tuple[FieldDecl, ...] = ()
+    methods: tuple[MethodDecl, ...] = ()
 
     @property
     def parents(self) -> tuple:
@@ -253,186 +391,55 @@ class ClassDecl:
                 return m
         return None
 
+    def _check(self, where: str) -> None:
+        if self.kind not in ("class", "interface"):
+            raise ValidationError(f"{where}: bad class kind {self.kind!r}")
+        if self.origin not in ("app", "library", "framework"):
+            raise ValidationError(f"{where}: bad origin {self.origin!r}")
+        dup = _duplicate(f.name for f in self.fields)
+        if dup is not None:
+            raise ValidationError(f"{where}: duplicate field {dup}")
+        dup = _duplicate(m.key for m in self.methods)
+        if dup is not None:
+            raise ValidationError(f"{where}: duplicate method {method_sig(self.name, *dup)}")
+
 
 @dataclass(frozen=True)
 class Manifest:
     targetApi: int = 23
-    permissions: frozenset = frozenset()
+    permissions: frozenset[str] = frozenset()
+
+    def _check(self, where: str) -> None:
+        if "" in self.permissions:
+            raise ValidationError(f"{where}: empty permission name")
 
 
 @dataclass(frozen=True)
 class AppModel:
     name: str
     manifest: Manifest
-    classes: tuple = ()
+    # a class is located as ``<file>.classes.<name>``; its members directly under it
+    classes: tuple[ClassDecl, ...] = field(default=(), metadata={"where": ".classes"})
 
-
-# ---------------------------------------------------------------------------
-# loading / serialization
-
-
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ParseError(f"missing required key {key!r}", where)
-    return d[key]
-
-
-def _field_from_dict(d: dict, where: str) -> FieldDecl:
-    decl = FieldDecl(
-        name=_require(d, "name", where),
-        type=_require(d, "type", where),
-        static=bool(d.get("static", False)),
-        constValue=d.get("constValue"),
-        doc=d.get("doc"),
-    )
-    if decl.constValue is not None and not decl.static:
-        raise ValidationError(f"{where}.{decl.name}: constValue only allowed on static fields")
-    return decl
-
-
-def _method_from_dict(d: dict, cls_name: str, where: str) -> MethodDecl:
-    name = _require(d, "name", where)
-    where = f"{where}.{name}"
-    body = d.get("body")
-    stmts = None
-    if body is not None:
-        stmts = tuple(
-            stmt_from_dict(s, f"{where}[{i}]") for i, s in enumerate(body)
-        )
-    decl = MethodDecl(
-        name=name,
-        params=tuple(d.get("params", ())),
-        returnType=d.get("returnType", "void"),
-        static=bool(d.get("static", False)),
-        abstract=bool(d.get("abstract", False)),
-        doc=d.get("doc"),
-        body=stmts,
-    )
-    if decl.abstract and decl.body is not None:
-        raise ValidationError(f"{where}: abstract method must not have a body")
-    return decl
-
-
-def _class_from_dict(d: dict, where: str) -> ClassDecl:
-    name = _require(d, "name", where)
-    where = f"{where}.{name}"
-    kind = d.get("kind", "class")
-    if kind not in ("class", "interface"):
-        raise ValidationError(f"{where}: bad class kind {kind!r}")
-    origin = d.get("origin", "app")
-    if origin not in ("app", "library", "framework"):
-        raise ValidationError(f"{where}: bad origin {origin!r}")
-    sup = d.get("super")
-    if sup is not None and not isinstance(sup, str):
-        raise ValidationError(f"{where}: super must be a class name, not {sup!r}")
-    interfaces = d.get("interfaces", [])
-    if not isinstance(interfaces, list) or not all(isinstance(i, str) for i in interfaces):
-        raise ValidationError(f"{where}: interfaces must be a list of names, not {interfaces!r}")
-    fields = tuple(_field_from_dict(f, where) for f in d.get("fields", ()))
-    methods = tuple(_method_from_dict(m, name, where) for m in d.get("methods", ()))
-    seen = set()
-    for f in fields:
-        if f.name in seen:
-            raise ValidationError(f"{where}: duplicate field {f.name}")
-        seen.add(f.name)
-    seen = set()
-    for m in methods:
-        if m.key in seen:
-            raise ValidationError(f"{where}: duplicate method {m.sig(name)}")
-        seen.add(m.key)
-    return ClassDecl(
-        name=name,
-        kind=kind,
-        origin=origin,
-        super=sup,
-        interfaces=tuple(interfaces),
-        doc=d.get("doc"),
-        model=bool(d.get("model", False)),
-        fields=fields,
-        methods=methods,
-    )
+    def _check(self, where: str) -> None:
+        dup = _duplicate(c.name for c in self.classes)
+        if dup is not None:
+            raise ValidationError(f"{where}: duplicate class {dup}")
 
 
 def app_from_dict(d: dict, where: str = "<app>") -> AppModel:
-    if not isinstance(d, dict):
-        raise ParseError("app model must be a JSON object", where)
-    name = _require(d, "name", where)
-    mraw = _require(d, "manifest", where)
-    perms = frozenset(p for p in mraw.get("permissions", ()))
-    for p in perms:
-        if not p:
-            raise ValidationError(f"{where}.manifest: empty permission name")
-    manifest = Manifest(targetApi=int(mraw.get("targetApi", 23)), permissions=perms)
-    classes = tuple(_class_from_dict(c, f"{where}.classes") for c in d.get("classes", ()))
-    names = set()
-    for c in classes:
-        if c.name in names:
-            raise ValidationError(f"{where}: duplicate class {c.name}")
-        names.add(c.name)
-    return AppModel(name=name, manifest=manifest, classes=classes)
+    return from_dict(AppModel, d, where)
 
 
 def load_app(path) -> AppModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", str(path))
-    return app_from_dict(data, str(path))
+    return app_from_dict(read_json(path), str(path))
 
 
-def app_to_dict(model: AppModel) -> dict:
-    return {
-        "name": model.name,
-        "manifest": {
-            "targetApi": model.manifest.targetApi,
-            "permissions": sorted(model.manifest.permissions),
-        },
-        "classes": [_class_to_dict(c) for c in model.classes],
-    }
-
-
-def _class_to_dict(c: ClassDecl) -> dict:
-    d = {"name": c.name, "kind": c.kind, "origin": c.origin}
-    if c.super is not None:
-        d["super"] = c.super
-    if c.interfaces:
-        d["interfaces"] = list(c.interfaces)
-    if c.doc is not None:
-        d["doc"] = c.doc
-    if c.model:
-        d["model"] = True
-    if c.fields:
-        d["fields"] = [_member_dict(f) for f in c.fields]
-    d["methods"] = [_method_to_dict(m) for m in c.methods]
-    return d
-
-
-def _member_dict(f: FieldDecl) -> dict:
-    d = {"name": f.name, "type": f.type}
-    if f.static:
-        d["static"] = True
-    if f.constValue is not None:
-        d["constValue"] = f.constValue
-    if f.doc is not None:
-        d["doc"] = f.doc
-    return d
-
-
-def _method_to_dict(m: MethodDecl) -> dict:
-    d = {"name": m.name, "params": list(m.params), "returnType": m.returnType}
-    if m.static:
-        d["static"] = True
-    if m.abstract:
-        d["abstract"] = True
-    if m.doc is not None:
-        d["doc"] = m.doc
-    d["body"] = None if m.body is None else [stmt_to_dict(s) for s in m.body]
-    return d
+app_to_dict = to_dict
 
 
 def serialize(model: AppModel) -> str:
-    return json.dumps(app_to_dict(model), indent=2, sort_keys=False) + "\n"
+    return json.dumps(to_dict(model), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -454,19 +461,9 @@ DEFAULT_PERMISSION_CONSTANT_CLASS = "android.Manifest$permission"
 
 @dataclass(frozen=True)
 class LinkConfig:
-    framework_prefixes: tuple = DEFAULT_FRAMEWORK_PREFIXES
-    async_excludes: tuple = DEFAULT_ASYNC_EXCLUDES
+    framework_prefixes: tuple[str, ...] = DEFAULT_FRAMEWORK_PREFIXES
+    async_excludes: tuple[str, ...] = DEFAULT_ASYNC_EXCLUDES
     permission_constant_class: str = DEFAULT_PERMISSION_CONSTANT_CLASS
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinkConfig":
-        return cls(
-            framework_prefixes=tuple(d.get("framework_prefixes", DEFAULT_FRAMEWORK_PREFIXES)),
-            async_excludes=tuple(d.get("async_excludes", DEFAULT_ASYNC_EXCLUDES)),
-            permission_constant_class=d.get(
-                "permission_constant_class", DEFAULT_PERMISSION_CONSTANT_CLASS
-            ),
-        )
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,22 @@ opts into any-of semantics (reports always show the full set).
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ConflictError, ParseError, ValidationError
-from .model import LinkedProgram, field_id, method_sig, parse_field_id, parse_method_sig
+from .model import (
+    LinkedProgram,
+    check_id,
+    field_id,
+    from_dict,
+    method_sig,
+    parse_field_id,
+    parse_method_sig,
+    read_json,
+)
 
 log = logging.getLogger(__name__)
 
@@ -27,7 +35,7 @@ ENTRY_SOURCES = ("annotation", "xml", "javadoc", "app-mined", "fixture")
 class SpecEntry:
     kind: str
     key: str  # canonical method sig (method/parametric) or field id (field)
-    permissions: frozenset
+    permissions: frozenset[str]
     argIndex: Optional[int] = None
     constValue: Optional[str] = None
     anyOf: bool = False
@@ -37,6 +45,24 @@ class SpecEntry:
     @property
     def entry_key(self):
         return (self.kind, self.key, self.argIndex)
+
+    def _check(self, where: str) -> None:
+        if self.kind not in ENTRY_KINDS:
+            raise ValidationError(f"{where}: bad entry kind {self.kind!r}")
+        if not self.permissions or "" in self.permissions:
+            raise ValidationError(f"{where}: permissions must be a non-empty set of names")
+        if self.kind == "parametric":
+            if self.argIndex is None:
+                raise ValidationError(f"{where}: parametric entry requires argIndex")
+            if self.argIndex < 0:
+                raise ValidationError(f"{where}: argIndex must be >= 0, not {self.argIndex}")
+        elif self.argIndex is not None:
+            raise ValidationError(f"{where}: argIndex only allowed on parametric entries")
+        if self.constValue is not None and self.kind != "field":
+            raise ValidationError(f"{where}: constValue only allowed on field entries")
+        check_id(parse_field_id if self.kind == "field" else parse_method_sig, self.key, where)
+        if self.source not in ENTRY_SOURCES:
+            raise ValidationError(f"{where}: bad source {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -73,54 +99,15 @@ class PermissionSpec:
         return frozenset(perms)
 
 
-def _entry_from_dict(d: dict, where: str) -> Optional[SpecEntry]:
-    if not isinstance(d, dict):
-        raise ParseError("spec entry must be an object", where)
-    kind = d.get("kind")
-    if kind not in ENTRY_KINDS:
-        raise ValidationError(f"{where}: bad entry kind {kind!r}")
-    key = d.get("key")
-    if not key:
-        raise ValidationError(f"{where}: missing key")
-    perms = frozenset(d.get("permissions", ()))
-    if not perms or any(not p for p in perms):
-        raise ValidationError(f"{where}: permissions must be a non-empty set of names")
-    arg = d.get("argIndex")
-    if isinstance(arg, (list, tuple)):
+def _entry_from_dict(d, where: str) -> Optional[SpecEntry]:
+    arg = d.get("argIndex") if type(d) is dict and d.get("kind") == "parametric" else None
+    if type(arg) is list:
         # Multi-parameter parametric sensitives are unsupported; skip with a
         # warning rather than failing the whole spec.
         log.warning("%s: skipping parametric entry with %d argument indices (%s)",
-                    where, len(arg), key)
+                    where, len(arg), d.get("key"))
         return None
-    if kind == "parametric":
-        if arg is None:
-            raise ValidationError(f"{where}: parametric entry requires argIndex")
-        arg = int(arg)
-    elif arg is not None:
-        raise ValidationError(f"{where}: argIndex only allowed on parametric entries")
-    const = d.get("constValue")
-    if const is not None and kind != "field":
-        raise ValidationError(f"{where}: constValue only allowed on field entries")
-    try:
-        if kind == "field":
-            parse_field_id(key)
-        else:
-            parse_method_sig(key)
-    except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}")
-    source = d.get("source", "fixture")
-    if source not in ENTRY_SOURCES:
-        raise ValidationError(f"{where}: bad source {source!r}")
-    return SpecEntry(
-        kind=kind,
-        key=key,
-        permissions=perms,
-        argIndex=arg,
-        constValue=const,
-        anyOf=bool(d.get("anyOf", False)),
-        deprecated=bool(d.get("deprecated", False)),
-        source=source,
-    )
+    return from_dict(SpecEntry, d, where)
 
 
 def spec_from_list(items, where: str = "<spec>") -> PermissionSpec:
@@ -141,12 +128,8 @@ def spec_from_list(items, where: str = "<spec>") -> PermissionSpec:
 
 
 def load_spec(path) -> PermissionSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", str(path))
-    if not isinstance(data, list):
+    data = read_json(path)
+    if type(data) is not list:
         raise ParseError("spec file must be a JSON array of entries", str(path))
     return spec_from_list(data, str(path))
 
@@ -218,25 +201,26 @@ class GroupTable:
             log.warning("group table missing permissions: %s", ", ".join(missing))
 
 
+@dataclass(frozen=True)
+class GroupRow:
+    permission: str
+    group: str
+    dangerous: bool = False
+
+    def _check(self, where: str) -> None:
+        if not self.permission or not self.group:
+            raise ValidationError(f"{where}: permission and group are required")
+
+
 def load_groups(path) -> GroupTable:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", str(path))
-    if not isinstance(data, list):
+    data = read_json(path)
+    if type(data) is not list:
         raise ParseError("group table must be a JSON array", str(path))
-    group_of = {}
-    dangerous = set()
-    for i, row in enumerate(data):
-        perm = row.get("permission")
-        group = row.get("group")
-        if not perm or not group:
-            raise ValidationError(f"{path}[{i}]: permission and group are required")
-        group_of[perm] = group
-        if row.get("dangerous", False):
-            dangerous.add(perm)
-    return GroupTable(group_of=group_of, dangerous=frozenset(dangerous))
+    rows = [from_dict(GroupRow, row, f"{path}[{i}]") for i, row in enumerate(data)]
+    return GroupTable(
+        group_of={r.permission: r.group for r in rows},
+        dangerous=frozenset(r.permission for r in rows if r.dangerous),
+    )
 
 
 def filter_dangerous(spec: PermissionSpec, groups: GroupTable) -> PermissionSpec:
@@ -294,7 +278,7 @@ def mine_doc_candidates(program: LinkedProgram, ident_table: dict):
                 DocCandidate(
                     element=element,
                     permission=permission,
-                    uniqueIdentifier=bool(unique),
+                    uniqueIdentifier=unique,
                     snippet=_snippet(doc, m),
                     needsMemberExpansion=class_level,
                 )
@@ -332,13 +316,15 @@ def candidates_to_csv(candidates) -> str:
     return buf.getvalue()
 
 
+@dataclass(frozen=True)
+class IdentRow:
+    permission: str
+    unique: bool = True
+
+
 def load_ident_table(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", str(path))
-    table = {}
-    for ident, row in data.items():
-        table[ident] = (row["permission"], bool(row.get("unique", True)))
-    return table
+    data = read_json(path)
+    if type(data) is not dict:
+        raise ParseError("identifier table must be a JSON object", str(path))
+    rows = {ident: from_dict(IdentRow, raw, f"{path}.{ident}") for ident, raw in data.items()}
+    return {ident: (row.permission, row.unique) for ident, row in rows.items()}

@@ -21,6 +21,7 @@ class Prepared:
     cg: pointsto.CallGraph  # possibly augmented
     cg_raw: pointsto.CallGraph  # before augmentation
     sensitives: list
+    augmented: bool  # whether ``cg`` went through augmentation
 
 
 def prepare(
@@ -52,6 +53,7 @@ def prepare(
         cg=cg,
         cg_raw=cg_raw,
         sensitives=sensitives,
+        augmented=augment,
     )
 
 
@@ -79,7 +81,6 @@ def analyze(
     prepared: Prepared,
     mode: str = "cfa1",
     limits: analysis.Limits = analysis.Limits(),
-    augment: bool = True,
 ) -> analysis.AnalysisReport:
     return analysis.traverse(
         prepared.program,
@@ -89,5 +90,5 @@ def analyze(
         prepared.sensitives,
         mode=mode,
         limits=limits,
-        augment=augment,
+        augment=prepared.augmented,
     )

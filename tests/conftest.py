@@ -1,11 +1,19 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from permplace import permspec, pipeline
 from permplace.model import load_app
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Property tests draw the same examples on every run and are not timed
+# per example, so a slow machine cannot fail them.
+settings.register_profile(
+    "permplace", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("permplace")
 
 
 @pytest.fixture(scope="session")

@@ -60,7 +60,7 @@ def test_criterion_2_augmentation(fixtures_dir, spec):
     sensitive = "app.MyView#callSensitive()/4"
 
     plain = pipeline.prepare_paths(app, overlays, spec=spec, augment=False)
-    report = pipeline.analyze(plain, mode="cfa1", augment=False)
+    report = pipeline.analyze(plain, mode="cfa1")
     part = cha_reach_partition(
         plain.program, plain.hierarchy, plain.sensitives, detected_sensitives(report)
     )

@@ -104,6 +104,11 @@ def test_viewstub_requires_augmentation(viewstub, viewstub_noaug):
     assert detected_sensitives(without) == set()
 
 
+def test_report_says_whether_prepare_augmented(viewstub, viewstub_noaug):
+    assert pipeline.analyze(viewstub, "cfa1").augment is True
+    assert pipeline.analyze(viewstub_noaug, "cfa1").augment is False
+
+
 def test_parametric_insertion_at_sensitive_stmt(parametric):
     report = run(parametric, "cfa1")
     (cb,) = report.callbacks

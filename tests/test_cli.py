@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from permplace.cli import run
+from permplace.cli import _load_config, build_parser, run
+from permplace.model import LinkConfig
 
 FIXED_ARGS = None  # populated per-test via helpers
 
@@ -106,17 +107,94 @@ def test_malformed_app_is_input_error(tmp_path, paths, capsys):
     assert run(["analyze", str(bad), "--spec", paths["spec"]]) == 1
 
 
+def test_deeply_nested_json_is_input_error(tmp_path, paths, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["analyze", str(bad), "--spec", paths["spec"]]) == 1
+    assert f"error: {bad}: invalid JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
-    "bad",
-    [{"super": ["B"]}, {"interfaces": [["I"]]}, {"interfaces": None}, {"interfaces": "IJ"}],
-    ids=["super-list", "interface-list", "interfaces-null", "interfaces-string"],
+    "bad, locus",
+    [
+        ({"super": ["B"]}, "classes.A: super"),
+        ({"interfaces": [["I"]]}, "classes.A: interfaces"),
+        ({"interfaces": None}, "classes.A: interfaces"),
+        ({"interfaces": "IJ"}, "classes.A: interfaces"),
+        ({"methods": [{"name": "f", "body": [{"op": "assign", "target": "a", "source": 7}]}]},
+         "classes.A.f[0]: source"),
+        ({"methods": [{"name": "f", "params": None}]}, "classes.A.f: params"),
+        ({"methods": [{"name": "f", "static": 1}]}, "classes.A.f: static"),
+        ({"fields": [{"name": "F", "type": ["T"]}]}, "classes.A.F: type"),
+        ({"manifest": {"permissions": "android.permission.CAMERA"}}, "manifest: permissions"),
+        ({"manifest": {"targetApi": "23"}}, "manifest: targetApi"),
+    ],
+    ids=[
+        "super-list", "interface-list", "interfaces-null", "interfaces-string", "stmt-source",
+        "method-params", "method-static", "field-type", "manifest-permissions", "manifest-api",
+    ],
 )
-def test_bad_supertype_fields_are_input_errors(tmp_path, paths, capsys, bad):
+def test_bad_supertype_fields_are_input_errors(tmp_path, paths, capsys, bad, locus):
     app = tmp_path / "bad.json"
-    classes = [{"name": "A", "methods": [], **bad}]
+    cls = {"name": "A", "methods": [], **bad}
+    doc = {"name": "t", "manifest": cls.pop("manifest", {}), "classes": [cls]}
+    app.write_text(json.dumps(doc))
+    assert run(analyze_args({**paths, "threads": str(app)})) == 1
+    assert f"{app}.{locus} must be" in capsys.readouterr().err
+
+
+def test_unknown_key_is_input_error(tmp_path, paths, capsys):
+    app = tmp_path / "bad.json"
+    classes = [{"name": "A", "interface": ["I"], "methods": []}]
     app.write_text(json.dumps({"name": "t", "manifest": {}, "classes": classes}))
     assert run(analyze_args({**paths, "threads": str(app)})) == 1
-    assert f"{app}.classes.A: {next(iter(bad))} must be" in capsys.readouterr().err
+    assert f"{app}.classes.A: unknown key 'interface'" in capsys.readouterr().err
+
+
+def test_config_file_sets_link_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"framework_prefixes": ["org.fw."]}))
+    args = build_parser().parse_args(["analyze", "app.json", "--config", str(config)])
+    loaded = _load_config(args)
+    assert loaded.framework_prefixes == ("org.fw.",)
+    assert loaded.async_excludes == LinkConfig().async_excludes
+    args = build_parser().parse_args(
+        ["analyze", "app.json", "--config", str(config), "--framework-prefixes", "a.,b."]
+    )
+    assert _load_config(args).framework_prefixes == ("a.", "b.")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[]", '{"framework_prefixes": "android."}', '{"framework_prefix": ["android."]}', "{nope"],
+    ids=["list", "string-prefixes", "unknown-key", "not-json"],
+)
+def test_bad_config_is_input_error(tmp_path, paths, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert run(analyze_args(paths, extra=["--config", str(path)])) == 1
+    assert f"error: {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "table, rows",
+    [
+        ("groups", [7]),
+        ("groups", [{"permission": "p", "group": "g", "dangerous": "yes"}]),
+        ("ident", {"CAMERA": {"unique": True}}),
+        ("ident", [{"permission": "p"}]),
+    ],
+    ids=["group-row-int", "group-dangerous-string", "ident-no-permission", "ident-list"],
+)
+def test_bad_side_table_is_input_error(tmp_path, paths, capsys, table, rows):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(rows))
+    if table == "groups":
+        argv = analyze_args(paths, extra=["--dangerous-only", "--groups", str(path)])
+    else:
+        argv = ["mine-doc", paths["framework"], "--ident-table", str(path)]
+    assert run(argv) == 1
+    assert f"error: {path}" in capsys.readouterr().err
 
 
 def test_dangerous_only_requires_groups(paths, capsys):
@@ -231,6 +309,23 @@ def test_spec_validate_rejects_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.spec.json"
     bad.write_text(json.dumps([{"kind": "method", "key": "A#f()", "permissions": []}]))
     assert run(["spec", "validate", str(bad)]) == 1
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"kind": "method", "key": "A#f()", "permissions": "android.permission.CAMERA"},
+        {"kind": "parametric", "key": "A#f(T)", "argIndex": "x", "permissions": ["p"]},
+        {"kind": "parametric", "key": "A#f(T)", "argIndex": -1, "permissions": ["p"]},
+        {"kind": "method", "key": "A#f(T,U)", "argIndex": [0, 1], "permissions": ["p"]},
+    ],
+    ids=["permissions-string", "arg-index-string", "arg-index-negative", "method-arg-indices"],
+)
+def test_spec_validate_rejects_mistyped_entry(tmp_path, capsys, entry):
+    bad = tmp_path / "bad.spec.json"
+    bad.write_text(json.dumps([entry]))
+    assert run(["spec", "validate", str(bad)]) == 1
+    assert f"{bad}[0]: " in capsys.readouterr().err
 
 
 def test_spec_merge(paths, tmp_path, capsys):

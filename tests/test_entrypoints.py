@@ -100,7 +100,6 @@ def test_bodyless_overrides_never_callbacks(framework):
             {
                 "name": "app.Host",
                 "kind": "class",
-                "abstract": True,
                 "super": "android.app.Activity",
                 "methods": [{"name": "onCreate", "abstract": True}],
             }

@@ -14,6 +14,7 @@ from permplace.model import (
     parse_method_sig,
     serialize,
 )
+from randprog import gen_app
 
 
 def make_app(classes, name="t", permissions=()):
@@ -103,8 +104,9 @@ def test_unknown_op_is_parse_error():
 
 
 def test_round_trip_identity(fixtures_dir):
-    for name in ("threads.app.json", "viewstub.app.json", "parametric.app.json", "framework.json"):
-        app = load_app(fixtures_dir / name)
+    names = ("threads.app.json", "viewstub.app.json", "parametric.app.json", "framework.json")
+    apps = [load_app(fixtures_dir / name) for name in names] + [gen_app(s) for s in range(60)]
+    for app in apps:
         again = app_from_dict(json.loads(serialize(app)))
         assert again == app
 
