@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .cfa1 import Context, filter_edges
 from .errors import InconsistentInput, UnknownType
@@ -130,7 +131,10 @@ def traverse(
     """Depth-first reachability from every dummy-main callback invocation.
 
     A method already on the current path stack is not re-entered; caps are
-    reported in-band as ``truncated`` flags, never as errors."""
+    reported in-band as ``truncated`` flags, never as errors. The callees
+    of a (method, entering site) state depend on the state alone, so each
+    state's call sites are context-filtered once per call and reused by
+    every later visit, from any callback."""
     assert mode in ("cfa0", "cfa1")
     sens_by_method = defaultdict(list)
     for s in sensitives:
@@ -139,6 +143,32 @@ def traverse(
     report = AnalysisReport(app=program.name, mode=mode, augment=augment)
     total_paths = 0
     flagged = set()
+    # (method, entering site) -> [(callee, callee's context, ambiguous)] in
+    # visit order, bodyless callees dropped
+    successors = {}
+
+    def successors_of(method, ctx):
+        key = (method, ctx.entrySite)
+        out = successors.get(key)
+        if out is not None:
+            return out
+        out = successors[key] = []
+        for i, stmt in enumerate(program.body_of(method) or ()):
+            if not isinstance(stmt, Invoke):
+                continue
+            site = SiteId(method, i)
+            edges = cg.edges_at(site)
+            if not edges:
+                continue
+            if mode == "cfa1":
+                surviving, amb = filter_edges(cg, sol, program, hierarchy, site, ctx)
+            else:
+                surviving, amb = edges, len(edges) > 1
+            callee_ctx = Context(entrySite=site)
+            for target, _prov in sorted(surviving):
+                if program.body_of(target) is not None:
+                    out.append((target, callee_ctx, amb))
+        return out
 
     for entry_site in program.entry_sites:
         entry_edges = cg.edges_at(entry_site)
@@ -148,11 +178,12 @@ def traverse(
         cls, mname, mparams = parse_method_sig(cb_sig)
         paths_by_sensitive = defaultdict(list)
         truncated_sensitives = set()
-        depth_truncated = [False]
+        depth_truncated = False
 
-        def dfs(method, ctx, ambiguous):
-            # ``path`` holds the (method, entering site) nodes down to
-            # ``method``; yields each callee to visit, in visit order
+        def enter(method, ctx, ambiguous):
+            # records the sensitives of ``method``, reached along ``path``;
+            # returns an iterator over the callees to visit from it
+            nonlocal depth_truncated
             for s in sens_by_method.get(method, ()):
                 if len(paths_by_sensitive[s]) >= limits.maxPathsPerSensitive:
                     truncated_sensitives.add(s)
@@ -161,40 +192,27 @@ def traverse(
                     PathRecord(nodes=tuple(path), sensitive=s, ambiguous=ambiguous)
                 )
             if len(path) >= limits.maxDepth:
-                depth_truncated[0] = True
-                return
-            body = program.body_of(method) or ()
-            for i, stmt in enumerate(body):
-                if not isinstance(stmt, Invoke):
-                    continue
-                site = SiteId(method, i)
-                edges = cg.edges_at(site)
-                if not edges:
-                    continue
-                if mode == "cfa1":
-                    surviving, amb = filter_edges(cg, sol, program, hierarchy, site, ctx)
-                else:
-                    surviving, amb = edges, len(edges) > 1
-                for target, _prov2 in sorted(surviving):
-                    if target in on_path or program.body_of(target) is None:
-                        continue
-                    yield target, Context(entrySite=site), ambiguous or amb
+                depth_truncated = True
+                return iter(())
+            return iter(successors_of(method, ctx))
 
         # a callee's frame runs to completion before its caller resumes, so
         # ``path`` and ``on_path`` always describe the top frame
         path = [(cb_sig, entry_site)]
         on_path = {cb_sig}
-        frames = [dfs(cb_sig, Context(entrySite=entry_site), False)]
+        frames = [(enter(cb_sig, Context(entrySite=entry_site), False), False)]
         while frames:
-            callee = next(frames[-1], None)
-            if callee is None:
+            callees, ambiguous = frames[-1]
+            for target, ctx, amb in callees:
+                if target not in on_path:
+                    path.append((target, ctx.entrySite))
+                    on_path.add(target)
+                    amb = ambiguous or amb
+                    frames.append((enter(target, ctx, amb), amb))
+                    break
+            else:
                 frames.pop()
                 on_path.discard(path.pop()[0])
-            else:
-                target, ctx, amb = callee
-                path.append((target, ctx.entrySite))
-                on_path.add(target)
-                frames.append(dfs(target, ctx, amb))
 
         if not paths_by_sensitive:
             continue
@@ -244,7 +262,7 @@ def traverse(
                 "class": cls,
                 "method": cb_sig,
                 "entrySite": str(entry_site),
-                "truncated": depth_truncated[0],
+                "truncated": depth_truncated,
                 "insertionPoints": insertion_points,
             }
         )
@@ -339,13 +357,74 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
+def _dumps_indented(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, written without the
+    stdlib's pure-Python encoder (which it uses whenever ``indent`` is set)
+    and without recursion.
+
+    A dict whose values are all strings, such as a path node, is rendered
+    once per distinct content and depth and its text reused. Keying on
+    content alone is safe only for strings: ``1 == True == 1.0`` would share
+    one text between values that print differently."""
+    out = []
+    rendered = {}  # (depth, items) -> text of an all-string dict
+    # popped in output order: a str is literal text, a (value, depth) pair a
+    # value still to render
+    stack = [(value, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        v, depth = item
+        if type(v) is str:
+            out.append(_encode_str(v))
+        elif isinstance(v, dict):
+            if not v:
+                out.append("{}")
+                continue
+            inner = "\n" + "  " * (depth + 1)
+            if all(type(x) is str for x in v.values()):
+                key = (depth, tuple(v.items()))
+                text = rendered.get(key)
+                if text is None:
+                    text = rendered[key] = (
+                        "{"
+                        + ",".join(
+                            f"{inner}{_encode_str(k)}: {_encode_str(x)}"
+                            for k, x in sorted(v.items())
+                        )
+                        + "\n" + "  " * depth + "}"
+                    )
+                out.append(text)
+                continue
+            out.append("{")
+            stack.append("\n" + "  " * depth + "}")
+            items = sorted(v.items())
+            for i in range(len(items) - 1, -1, -1):
+                k, x = items[i]
+                stack.append((x, depth + 1))
+                stack.append(f"{',' if i else ''}{inner}{_encode_str(k)}: ")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                out.append("[]")
+                continue
+            inner = "\n" + "  " * (depth + 1)
+            out.append("[")
+            stack.append("\n" + "  " * depth + "]")
+            for i in range(len(v) - 1, -1, -1):
+                stack.append((v[i], depth + 1))
+                stack.append("," + inner if i else inner)
+        else:
+            out.append(json.dumps(v))
+    return "".join(out)
+
+
 def write_report(report: AnalysisReport, fmt: str = "json") -> bytes:
     """Stable serialization: sorted keys, sorted sites, byte-identical
     across reruns."""
     if fmt == "json":
-        return (
-            json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-        ).encode("utf-8")
+        return (_dumps_indented(report_to_dict(report)) + "\n").encode("utf-8")
     if fmt != "text":
         raise ValueError(f"unknown report format: {fmt}")
     lines = [

@@ -145,7 +145,7 @@ def filter_edges(
     if refined:
         _, name, params = parse_method_sig(stmt.method)
         allowed = set()
-        for a in sorted(refined):
+        for a in refined:
             rtype = sol.alloc_type.get(a)
             if rtype is None:
                 continue

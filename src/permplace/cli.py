@@ -61,6 +61,17 @@ def _load_specs(args):
     return spec
 
 
+def _non_negative_int(text: str) -> int:
+    """Type of the cap flags; argparse names the flag on error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permplace",
@@ -73,10 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--cfa", type=int, choices=(0, 1), default=1)
     p.add_argument("--no-augment", action="store_true", help="disable safe-edge augmentation")
-    p.add_argument("--augment-passes", type=int, default=None,
+    p.add_argument("--augment-passes", type=_non_negative_int, default=None,
                    help="cap augmentation sweeps (default: fixpoint)")
-    p.add_argument("--max-depth", type=int, default=50)
-    p.add_argument("--max-paths", type=int, default=100)
+    p.add_argument("--max-depth", type=_non_negative_int, default=50)
+    p.add_argument("--max-paths", type=_non_negative_int, default=100)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--dump-callgraph", help="write call graph edges as JSON")
     p.add_argument("--dangerous-only", action="store_true",
@@ -93,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--cfa", type=int, choices=(0, 1), default=1)
     p.add_argument("--no-augment", action="store_true")
-    p.add_argument("--augment-passes", type=int, default=None)
+    p.add_argument("--augment-passes", type=_non_negative_int, default=None)
 
     p = sub.add_parser("compare-specs", help="coverage comparison of two specs over a corpus")
     p.add_argument("corpus")

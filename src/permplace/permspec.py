@@ -217,8 +217,13 @@ def load_groups(path) -> GroupTable:
     if type(data) is not list:
         raise ParseError("group table must be a JSON array", str(path))
     rows = [from_dict(GroupRow, row, f"{path}[{i}]") for i, row in enumerate(data)]
+    group_of = {}
+    for i, r in enumerate(rows):
+        if r.permission in group_of:
+            raise ValidationError(f"{path}[{i}]: second row for permission {r.permission!r}")
+        group_of[r.permission] = r.group
     return GroupTable(
-        group_of={r.permission: r.group for r in rows},
+        group_of=group_of,
         dangerous=frozenset(r.permission for r in rows if r.dangerous),
     )
 

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import detected_oracle
 from permplace import pipeline
@@ -9,7 +11,9 @@ from permplace.analysis import (
     cha_reach_partition,
     cha_reachable_methods,
     detected_sensitives,
+    _dumps_indented,
     find_sensitive_sites,
+    report_to_dict,
     traverse,
     write_report,
 )
@@ -283,3 +287,26 @@ def test_pipeline_analyze_matches_direct_traverse(threads):
     via_pipeline = write_report(pipeline.analyze(threads, mode="cfa1"))
     direct = write_report(run(threads, "cfa1"))
     assert via_pipeline == direct
+
+
+# values as json.loads returns them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+)
+
+
+# the sibling dicts compare equal (1 == True == 1.0, 0 == False) but print
+# differently, so a writer that reuses text keyed on values alone fails it
+@given(JSON_VALUES)
+@example([{"a": 1}, {"a": True}, {"a": 1.0}, {"k": 0}, {"k": False}, {"k": "0"}])
+def test_report_writer_matches_stdlib_json(value):
+    assert _dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_write_report_matches_stdlib_on_fixtures(threads, viewstub, parametric):
+    for prepared in (threads, viewstub, parametric):
+        for mode in ("cfa0", "cfa1"):
+            report = run(prepared, mode)
+            want = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+            assert write_report(report) == want.encode("utf-8")

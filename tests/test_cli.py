@@ -92,6 +92,22 @@ def test_bad_cfa_value_is_usage_error(paths, capsys):
     assert run(analyze_args(paths, extra=["--cfa", "2"])) == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("analyze", "--max-depth"),
+        ("analyze", "--max-paths"),
+        ("analyze", "--augment-passes"),
+        ("cha-reach", "--augment-passes"),
+    ],
+)
+def test_negative_cap_is_usage_error(paths, capsys, command, flag):
+    argv = [command, *analyze_args(paths)[1:]]
+    assert run([*argv, flag, "-1"]) == 2
+    assert f"argument {flag}: must be a non-negative integer" in capsys.readouterr().err
+    assert run([*argv, flag, "0"]) == 0
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 
@@ -181,10 +197,23 @@ def test_bad_config_is_input_error(tmp_path, paths, capsys, text):
     [
         ("groups", [7]),
         ("groups", [{"permission": "p", "group": "g", "dangerous": "yes"}]),
+        (
+            "groups",
+            [
+                {"permission": "CAMERA", "group": "camera", "dangerous": True},
+                {"permission": "CAMERA", "group": "location", "dangerous": False},
+            ],
+        ),
         ("ident", {"CAMERA": {"unique": True}}),
         ("ident", [{"permission": "p"}]),
     ],
-    ids=["group-row-int", "group-dangerous-string", "ident-no-permission", "ident-list"],
+    ids=[
+        "group-row-int",
+        "group-dangerous-string",
+        "group-duplicate-permission",
+        "ident-no-permission",
+        "ident-list",
+    ],
 )
 def test_bad_side_table_is_input_error(tmp_path, paths, capsys, table, rows):
     path = tmp_path / "table.json"

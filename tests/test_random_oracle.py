@@ -2,11 +2,15 @@
 against the naive fixpoint oracle, and capped DFS traversal against
 exhaustive path enumeration."""
 
+from collections import Counter
+
 import pytest
 
 from oracles import andersen_oracle, detected_oracle
-from permplace import pipeline
+from permplace import analysis, pipeline
 from permplace.analysis import Limits, detected_sensitives
+from permplace.cfa1 import Context
+from permplace.model import SiteId, app_from_dict
 from randprog import gen_app
 
 SEEDS = range(60)
@@ -48,6 +52,55 @@ def test_detection_matches_enumeration(prepared_programs, mode):
             mode,
         )
         assert got == want, f"{prepared.program.name} ({mode})"
+
+
+def shared_state_app():
+    """onCreate reaches c through a and through b, and c calls d: d is
+    entered from the same site on both paths, so its virtual call is met
+    twice under one context."""
+
+    def calls(*targets):
+        return [{"op": "invoke", "kind": "static", "method": t} for t in targets]
+
+    return app_from_dict({
+        "name": "shared-state",
+        "manifest": {"targetApi": 23, "permissions": []},
+        "classes": [
+            {"name": "app.Host", "super": "android.app.Activity",
+             "methods": [{"name": "onCreate", "body": calls("app.U#a()", "app.U#b()")}]},
+            {"name": "app.U", "methods": [
+                {"name": "a", "static": True, "body": calls("app.U#c()")},
+                {"name": "b", "static": True, "body": calls("app.U#c()")},
+                {"name": "c", "static": True, "body": calls("app.U#d()")},
+                {"name": "d", "static": True, "body": [
+                    {"op": "new", "target": "box", "type": "app.Box"},
+                    {"op": "invoke", "kind": "virtual", "method": "app.Box#run()",
+                     "receiver": "box"},
+                ]},
+            ]},
+            {"name": "app.Box", "methods": [
+                {"name": "run", "body": calls("android.hardware.Camera#open()")},
+            ]},
+        ],
+    })
+
+
+def test_filter_edges_runs_once_per_state(prepared_programs, framework, spec, monkeypatch):
+    calls = Counter()
+    real = analysis.filter_edges
+
+    def counting(cg, sol, program, hierarchy, site, ctx):
+        calls[site, ctx] += 1
+        return real(cg, sol, program, hierarchy, site, ctx)
+
+    monkeypatch.setattr(analysis, "filter_edges", counting)
+    shared = pipeline.prepare(shared_state_app(), [framework], spec=spec)
+    for prepared in [*prepared_programs, shared]:
+        calls.clear()
+        report = pipeline.analyze(prepared, mode="cfa1", limits=Limits(50, 10000))
+        assert [key for key, n in calls.items() if n > 1] == [], prepared.program.name
+    d_call = (SiteId("app.U#d()", 1), Context(entrySite=SiteId("app.U#c()", 0)))
+    assert d_call in calls and report.summary["paths"] == 2
 
 
 def test_generator_respects_bounds():
