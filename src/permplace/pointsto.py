@@ -57,42 +57,65 @@ class CallGraph:
 
 
 class _Solver:
+    """Locals, instance fields of one allocation and static fields are
+    numbered densely as they appear, and so are allocation sites. A
+    points-to set is an int whose bit ``a`` stands for allocation ``a``. A
+    node is on the worklist while it holds bits its dependents have not
+    seen, ``pts[n] & ~done[n]``, and only those bits are pushed on."""
+
     def __init__(self, program: LinkedProgram, hierarchy: ClassHierarchy):
         self.program = program
         self.hierarchy = hierarchy
-        self.pts = defaultdict(set)  # node -> set[SiteId]
+        self.vars = {}  # (method sig, local) -> node
+        self.fields = {}  # (alloc, field name) -> node
+        self.statics = {}  # static field id -> node
+        self.pts = []  # node -> bitset of allocs
+        self.done = []  # node -> bits already pushed to its dependents
+        self.dirty = []  # nodes with pts != done
         self.succ = defaultdict(set)  # copy edges between nodes
         self.load_deps = defaultdict(list)  # base node -> [(field, target node)]
         self.store_deps = defaultdict(list)  # base node -> [(field, source node)]
-        self.call_deps = defaultdict(list)  # receiver node -> [SiteId]
+        self.call_deps = defaultdict(list)  # receiver node -> [(site, stmt, cls, name, params)]
+        self.sites = []  # alloc -> SiteId
+        self.alloc_type = []  # alloc -> class name
+        self.type_allocs = defaultdict(int)  # class name -> bitset of its allocs
+        self.targets = {}  # (runtime type, invoke sig) -> dispatched target or None
         self.edges = defaultdict(set)  # SiteId -> {(target, provenance)}
         self.reachable = set()
         self.pending = []  # reachable methods whose bodies are not processed yet
         self.linked = set()  # (site, target) arg/return plumbing done
-        self.alloc_type = {}
-        self.worklist = deque()
 
     # nodes ----------------------------------------------------------------
 
-    @staticmethod
-    def var(sig, name):
-        return ("v", sig, name)
+    def node(self, table: dict, key) -> int:
+        n = table.get(key)
+        if n is None:
+            n = table[key] = len(self.pts)
+            self.pts.append(0)
+            self.done.append(0)
+        return n
 
-    @staticmethod
-    def fld(site, name):
-        return ("f", site, name)
+    def var(self, sig, name):
+        return self.node(self.vars, (sig, name))
 
-    @staticmethod
-    def sfld(fid):
-        return ("s", fid)
+    def field(self, alloc, name):
+        return self.node(self.fields, (alloc, name))
+
+    def alloc(self, site: SiteId, type_: str) -> int:
+        self.sites.append(site)
+        self.alloc_type.append(type_)
+        bit = 1 << (len(self.sites) - 1)
+        self.type_allocs[type_] |= bit
+        return bit
 
     # propagation ----------------------------------------------------------
 
-    def add_pts(self, node, sites):
-        new = set(sites) - self.pts[node]
-        if new:
-            self.pts[node] |= new
-            self.worklist.append((node, new))
+    def add_pts(self, n, bits):
+        old = self.pts[n]
+        if bits & ~old:
+            if old == self.done[n]:
+                self.dirty.append(n)
+            self.pts[n] = old | bits
 
     def add_edge(self, src, dst):
         if dst not in self.succ[src]:
@@ -102,11 +125,9 @@ class _Solver:
 
     # call handling --------------------------------------------------------
 
-    def _provenance(self, site: SiteId) -> str:
-        return "entry" if site.method == self.program.entry_main_sig else "pointsto"
-
     def add_call_edge(self, site: SiteId, target: str):
-        self.edges[site].add((target, self._provenance(site)))
+        prov = "entry" if site.method == self.program.entry_main_sig else "pointsto"
+        self.edges[site].add((target, prov))
         self.make_reachable(target)
 
     def link_call(self, site: SiteId, stmt: Invoke, target: str):
@@ -124,24 +145,35 @@ class _Solver:
                     if isinstance(ret, Return) and ret.value is not None:
                         self.add_edge(self.var(target, ret.value), self.var(caller, stmt.target))
 
-    def dispatch_call(self, site: SiteId, stmt: Invoke, alloc: SiteId):
-        rtype = self.alloc_type.get(alloc)
-        if rtype is None:
-            return
-        cls, name, params = parse_method_sig(stmt.method)
-        # ill-typed receiver objects never dispatch: the runtime type must
-        # conform to the declared receiver type (keeps every points-to edge
-        # inside the CHA cone of the site)
-        if not self.hierarchy.is_subtype(rtype, cls):
-            return
-        hit = self.hierarchy.dispatch(rtype, name, params)
-        if hit is None:
-            return
-        owner, m = hit
-        target = m.sig(owner)
-        self.add_call_edge(site, target)
-        self.add_pts(self.var(target, "this"), {alloc})
-        self.link_call(site, stmt, target)
+    def dispatch_call(self, call, bits):
+        """Dispatch a virtual call on the receiver allocs ``bits``, one
+        edge, ``this`` update and arg/return link per distinct target."""
+        site, stmt, cls, name, params = call
+        # split by runtime type: per type when the set outnumbers the types
+        # (merged heaps), else per alloc (a receiver or two, many types)
+        if bits.bit_count() > len(self.type_allocs):
+            groups = [(rtype, bits & allocs) for rtype, allocs in self.type_allocs.items()]
+        else:
+            groups = [(self.alloc_type[a], 1 << a) for a in _members(bits)]
+        by_target = defaultdict(int)
+        for rtype, recv in groups:
+            if not recv:
+                continue
+            key = (rtype, stmt.method)
+            if key not in self.targets:
+                # ill-typed receiver objects never dispatch: the runtime type
+                # must conform to the declared receiver type (keeps every
+                # points-to edge inside the CHA cone of the site)
+                hit = self.hierarchy.is_subtype(rtype, cls) and self.hierarchy.dispatch(
+                    rtype, name, params
+                )
+                self.targets[key] = hit[1].sig(hit[0]) if hit else None
+            if self.targets[key] is not None:
+                by_target[self.targets[key]] |= recv
+        for target, recv in by_target.items():
+            self.add_call_edge(site, target)
+            self.add_pts(self.var(target, "this"), recv)
+            self.link_call(site, stmt, target)
 
     # body processing ------------------------------------------------------
 
@@ -155,30 +187,28 @@ class _Solver:
         if body is None:
             return
         for i, stmt in enumerate(body):
-            site = SiteId(sig, i)
             if isinstance(stmt, New):
-                self.alloc_type[site] = stmt.type
-                self.add_pts(self.var(sig, stmt.target), {site})
+                self.add_pts(self.var(sig, stmt.target), self.alloc(SiteId(sig, i), stmt.type))
             elif isinstance(stmt, ConstStr):
-                self.alloc_type[site] = JAVA_STRING
-                self.add_pts(self.var(sig, stmt.target), {site})
+                self.add_pts(self.var(sig, stmt.target), self.alloc(SiteId(sig, i), JAVA_STRING))
             elif isinstance(stmt, Assign):
                 self.add_edge(self.var(sig, stmt.source), self.var(sig, stmt.target))
             elif isinstance(stmt, LoadStatic):
-                self.add_edge(self.sfld(stmt.field), self.var(sig, stmt.target))
+                self.add_edge(self.node(self.statics, stmt.field), self.var(sig, stmt.target))
             elif isinstance(stmt, StoreStatic):
-                self.add_edge(self.var(sig, stmt.source), self.sfld(stmt.field))
+                self.add_edge(self.var(sig, stmt.source), self.node(self.statics, stmt.field))
             elif isinstance(stmt, LoadField):
-                base = self.var(sig, stmt.base)
-                self.load_deps[base].append((stmt.field, self.var(sig, stmt.target)))
-                for a in list(self.pts[base]):
-                    self.add_edge(self.fld(a, stmt.field), self.var(sig, stmt.target))
+                base, dst = self.var(sig, stmt.base), self.var(sig, stmt.target)
+                self.load_deps[base].append((stmt.field, dst))
+                for a in _members(self.pts[base]):
+                    self.add_edge(self.field(a, stmt.field), dst)
             elif isinstance(stmt, StoreField):
-                base = self.var(sig, stmt.base)
-                self.store_deps[base].append((stmt.field, self.var(sig, stmt.source)))
-                for a in list(self.pts[base]):
-                    self.add_edge(self.var(sig, stmt.source), self.fld(a, stmt.field))
+                base, src = self.var(sig, stmt.base), self.var(sig, stmt.source)
+                self.store_deps[base].append((stmt.field, src))
+                for a in _members(self.pts[base]):
+                    self.add_edge(src, self.field(a, stmt.field))
             elif isinstance(stmt, Invoke):
+                site = SiteId(sig, i)
                 if stmt.kind in ("static", "special"):
                     try:
                         target = self.hierarchy.resolve_declaration(stmt)
@@ -193,32 +223,43 @@ class _Solver:
                         self.link_call(site, stmt, target)
                 else:
                     recv = self.var(sig, stmt.receiver)
-                    self.call_deps[recv].append(site)
-                    for a in list(self.pts[recv]):
-                        self.dispatch_call(site, stmt, a)
+                    call = (site, stmt, *parse_method_sig(stmt.method))
+                    self.call_deps[recv].append(call)
+                    self.dispatch_call(call, self.pts[recv])
 
     def run(self):
         main = self.program.entry_main_sig
         if main is None:
             raise ValueError("program has no synthetic entry; run generate_dummy_main first")
         self.make_reachable(main)
-        while self.pending or self.worklist:
+        while self.pending or self.dirty:
             if self.pending:
                 self.process_body(self.pending.pop())
                 continue
-            node, delta = self.worklist.popleft()
-            for dst in list(self.succ[node]):
+            n = self.dirty.pop()
+            delta = self.pts[n] & ~self.done[n]
+            self.done[n] = self.pts[n]
+            for dst in self.succ.get(n, ()):
                 self.add_pts(dst, delta)
-            for fname, tgt in list(self.load_deps.get(node, ())):
-                for a in delta:
-                    self.add_edge(self.fld(a, fname), tgt)
-            for fname, src in list(self.store_deps.get(node, ())):
-                for a in delta:
-                    self.add_edge(src, self.fld(a, fname))
-            for csite in list(self.call_deps.get(node, ())):
-                stmt = self.program.stmt_at(csite)
-                for a in delta:
-                    self.dispatch_call(csite, stmt, a)
+            allocs = _members(delta) if n in self.load_deps or n in self.store_deps else ()
+            for fname, dst in self.load_deps.get(n, ()):
+                for a in allocs:
+                    self.add_edge(self.field(a, fname), dst)
+            for fname, src in self.store_deps.get(n, ()):
+                for a in allocs:
+                    self.add_edge(src, self.field(a, fname))
+            for call in self.call_deps.get(n, ()):
+                self.dispatch_call(call, delta)
+
+
+def _members(bits: int) -> list:
+    """Indices of the set bits of ``bits``, lowest first."""
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(low.bit_length() - 1)
+        bits ^= low
+    return found
 
 
 def solve_0cfa(program: LinkedProgram, hierarchy: ClassHierarchy):
@@ -226,23 +267,19 @@ def solve_0cfa(program: LinkedProgram, hierarchy: ClassHierarchy):
     (PointsToSolution, CallGraph)."""
     solver = _Solver(program, hierarchy)
     solver.run()
-    pts0 = {}
-    fpts0 = {}
-    spts0 = {}
-    for node, sites in solver.pts.items():
-        if not sites:
-            continue
-        if node[0] == "v":
-            pts0[(node[1], node[2])] = frozenset(sites)
-        elif node[0] == "f":
-            fpts0[(node[1], node[2])] = frozenset(sites)
-        else:
-            spts0[node[1]] = frozenset(sites)
+    pts, sites = solver.pts, solver.sites
+    shared = {}  # bitset -> frozenset[SiteId], one per distinct set
+
+    def frozen(bits):
+        if bits not in shared:
+            shared[bits] = frozenset(sites[a] for a in _members(bits))
+        return shared[bits]
+
     sol = PointsToSolution(
-        pts0=pts0,
-        fpts0=fpts0,
-        spts0=spts0,
-        alloc_type=dict(solver.alloc_type),
+        pts0={key: frozen(pts[n]) for key, n in solver.vars.items() if pts[n]},
+        fpts0={(sites[a], f): frozen(pts[n]) for (a, f), n in solver.fields.items() if pts[n]},
+        spts0={key: frozen(pts[n]) for key, n in solver.statics.items() if pts[n]},
+        alloc_type=dict(zip(sites, solver.alloc_type)),
     )
     cg = CallGraph(
         edges={s: frozenset(ts) for s, ts in solver.edges.items() if ts},
@@ -280,13 +317,16 @@ def augment_call_graph(
     CHA target set is a single bodied method; iterate over newly reachable
     code until fixpoint (``passes`` caps the iterations; 1 reproduces a
     single post-processing sweep). Points-to sets are never recomputed."""
-    edges = {site: set(ts) for site, ts in cg.edges.items()}
-    main = program.entry_main_sig
-    reachable = reachable_methods(edges, [main] if main else [])
+    edges = dict(cg.edges)
+    roots = [program.entry_main_sig] if program.entry_main_sig else []
+    reachable = reachable_methods(edges, roots)
+    # a site's CHA targets never change and edges only grow, so each pass
+    # scans only the methods the previous one made reachable
+    fresh = reachable
     done = 0
     while passes is None or done < passes:
         changed = False
-        for m in sorted(reachable):
+        for m in sorted(fresh):
             body = program.body_of(m)
             if body is None:
                 continue
@@ -301,13 +341,11 @@ def augment_call_graph(
                 except UnknownType:
                     continue
                 if len(targets) == 1:
-                    edges[site] = {(next(iter(targets)), "augmented")}
+                    edges[site] = frozenset({(next(iter(targets)), "augmented")})
                     changed = True
         done += 1
         if not changed:
             break
-        reachable = reachable_methods(edges, [main] if main else [])
-    return CallGraph(
-        edges={s: frozenset(ts) for s, ts in edges.items() if ts},
-        reachable=frozenset(reachable),
-    )
+        fresh = reachable_methods(edges, roots) - reachable
+        reachable |= fresh
+    return CallGraph(edges=edges, reachable=reachable)

@@ -8,6 +8,9 @@ from permplace.model import load_app
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# oracles.assert_matches_oracle asserts: show the compared values on failure
+pytest.register_assert_rewrite("oracles")
+
 # Property tests draw the same examples on every run and are not timed
 # per example, so a slow machine cannot fail them.
 settings.register_profile(

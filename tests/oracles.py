@@ -218,12 +218,24 @@ def andersen_oracle(program):
     )
 
 
-def detected_oracle(program, cg, sol, hierarchy, sensitives, mode):
+def assert_matches_oracle(prepared):
+    """The solver's points-to sets, raw call edges and reachable methods
+    equal ``andersen_oracle``'s."""
+    pts, fld, sfld, edges, reachable = andersen_oracle(prepared.program)
+    assert prepared.sol.pts0 == pts
+    assert prepared.sol.fpts0 == fld
+    assert prepared.sol.spts0 == sfld
+    assert prepared.cg_raw.edges == edges
+    assert prepared.cg_raw.reachable == reachable
+
+
+def detected_oracle(program, cg, sol, hierarchy, sensitives, mode, visits=None):
     """Exhaustive simple-path enumeration of detectable sensitive sites.
 
     Mirrors the traversal's reachability semantics (per-entry DFS, method
     path-stack cycle cut, per-entered-site context filtering in cfa1 mode)
-    without any depth or path caps. Returns site-id strings.
+    without any depth or path caps. Returns site-id strings. A Counter
+    passed as ``visits`` counts each (method, entering site) walked.
     """
     sens_by_method = defaultdict(list)
     for s in sensitives:
@@ -231,6 +243,8 @@ def detected_oracle(program, cg, sol, hierarchy, sensitives, mode):
     found = set()
 
     def walk(method, ctx, stack):
+        if visits is not None:
+            visits[method, ctx.entrySite] += 1
         for s in sens_by_method.get(method, ()):
             found.add(str(s.site))
         body = program.body_of(method) or ()

@@ -5,7 +5,13 @@ valid IR, and always anchored by an Activity subclass so the entry
 synthesizer has callbacks to hang the analysis on. The shapes are chosen to
 exercise every constraint kind: allocations, copies, virtual dispatch over
 subclass overrides, instance and static fields, call returns, and the two
-static framework probes (one sensitive, one benign).
+static framework probes (one sensitive, one benign). ``diamond=True`` adds
+a static callee shared by two callers, so traversals meet its callees
+twice under one context.
+
+``gen_heap_app`` makes the other shape: many allocations merged through
+copy cycles, a hot static and one shared field, so points-to sets hold
+dozens to hundreds of objects.
 """
 
 import random
@@ -17,7 +23,7 @@ SAFE_CALL = "android.test.Api#safe()"
 LOCALS = ["v0", "v1", "v2", "v3"]
 
 
-def gen_app(seed: int, max_classes: int = 10, max_statements: int = 40):
+def gen_app(seed: int, max_classes: int = 10, max_statements: int = 40, diamond: bool = False):
     rng = random.Random(seed)
     n_plain = rng.randint(2, max(2, max_classes - 1))
     names = [f"rnd.C{i}" for i in range(n_plain)]
@@ -89,22 +95,136 @@ def gen_app(seed: int, max_classes: int = 10, max_statements: int = 40):
         classes.append(decl)
 
     callbacks = rng.sample(["callback1", "callback2", "onCreate"], rng.randint(1, 3))
-    classes.append(
-        {
-            "name": "rnd.Host",
-            "kind": "class",
-            "origin": "app",
-            "super": "android.app.Activity",
-            "methods": [
-                {"name": cb, "params": [], "returnType": "void", "body": gen_body(False)}
-                for cb in sorted(callbacks)
-            ],
-        }
-    )
+    host = {
+        "name": "rnd.Host",
+        "kind": "class",
+        "origin": "app",
+        "super": "android.app.Activity",
+        "methods": [
+            {"name": cb, "params": [], "returnType": "void", "body": gen_body(False)}
+            for cb in sorted(callbacks)
+        ],
+    }
+    classes.append(host)
+    if diamond:
+        # drawn after everything above, so the plain programs stay as they were
+        roots = {names[0]}
+        for name in names:  # supers precede their subclasses
+            if supers.get(name) in roots:
+                roots.add(name)
+        shared = [
+            {"op": "new", "target": "x", "type": rng.choice(sorted(roots))},
+            {"op": "invoke", "kind": "virtual", "method": f"{names[0]}#go()", "receiver": "x"},
+            {"op": "load_static", "target": "y", "field": f"{names[0]}#G"},
+            {"op": "invoke", "kind": "virtual", "method": f"{names[0]}#go()", "receiver": "y"},
+        ]
+        calls_shared = [{"op": "invoke", "kind": "static", "method": "rnd.D#shared()"}]
+        classes.append({"name": "rnd.D", "kind": "class", "origin": "app", "methods": [
+            {"name": name, "params": [], "returnType": "void", "static": True, "body": body}
+            for name, body in [("left", calls_shared), ("right", calls_shared), ("shared", shared)]
+        ]})
+        host["methods"][rng.randrange(len(host["methods"]))]["body"] += [
+            {"op": "invoke", "kind": "static", "method": f"rnd.D#{side}()"}
+            for side in ("left", "right")
+        ]
     return app_from_dict(
         {
-            "name": f"rnd-{seed}",
+            "name": f"rnd-{seed}-diamond" if diamond else f"rnd-{seed}",
             "manifest": {"targetApi": 23, "permissions": []},
             "classes": classes,
         }
     )
+
+
+def gen_heap_app(seed: int, workers: int = 12, allocs: int = 6):
+    """``workers`` static methods, each allocating ``allocs`` objects of
+    random subtypes of rnd.Node and merging them through an assign cycle.
+    About half also pass the merged set through the static rnd.Hub#HOT and
+    the static getter rnd.Util#keep, which returns what it stored there (a
+    cycle across methods); about half store it into and load it back from
+    the field of the one box held by rnd.Hub#BOX. Every worker then calls
+    rnd.Node#visit() on the merged set, and the visit() overrides load,
+    store and keep their own ``next`` field."""
+    rng = random.Random(seed)
+    node, hot, box = "rnd.Node", "rnd.Hub#HOT", "rnd.Hub#BOX"
+    keep = f"rnd.Util#keep({node})"
+
+    def method(name, body, params=(), static=False, returns="void"):
+        return {"name": name, "params": list(params), "returnType": returns,
+                "static": static, "body": body}
+
+    def klass(name, methods, super_=None, fields=()):
+        decl = {"name": name, "kind": "class", "origin": "app", "methods": methods,
+                "fields": list(fields)}
+        if super_ is not None:
+            decl["super"] = super_
+        return decl
+
+    classes = [
+        klass("rnd.Hub", [], fields=[{"name": "HOT", "type": node, "static": True},
+                                     {"name": "BOX", "type": "rnd.Box", "static": True}]),
+        klass("rnd.Box", [], fields=[{"name": "slot", "type": node}]),
+        klass("rnd.Util", [method("keep", [
+            {"op": "store_static", "field": hot, "source": "p0"},
+            {"op": "load_static", "target": "q", "field": hot},
+            {"op": "return", "value": "q"},
+        ], params=[node], static=True, returns=node)]),
+        klass(node, [method("visit", [{"op": "store_static", "field": hot, "source": "this"}])],
+              fields=[{"name": "next", "type": node}]),
+    ]
+    subtypes = [f"rnd.N{t}" for t in range(6)]
+    for t, name in enumerate(subtypes):
+        super_ = rng.choice([node, *subtypes[:t]])
+        methods = []
+        if rng.random() < 0.7:  # the rest inherit visit()
+            body = [
+                {"op": "load_field", "target": "n", "base": "this", "field": "next"},
+                {"op": "assign", "target": "m", "source": "n"},
+            ]
+            if rng.random() < 0.5:
+                body.append({"op": "invoke", "kind": "static", "method": keep,
+                             "target": "m", "args": ["this"]})
+            body.append({"op": "store_field", "base": "this", "field": "next", "source": "m"})
+            if rng.random() < 0.3:
+                body.append({"op": "invoke", "kind": "static", "method": SENSITIVE_CALL})
+            methods.append(method("visit", body))
+        classes.append(klass(name, methods, super_=super_))
+    for w in range(workers):
+        chain = rng.randint(2, 6)
+        body = [{"op": "new", "target": f"a{i}", "type": rng.choice(subtypes)}
+                for i in range(allocs)]
+        body += [{"op": "assign", "target": "c0", "source": f"a{i}"} for i in range(allocs)]
+        body += [{"op": "assign", "target": f"c{k}", "source": f"c{k - 1}"}
+                 for k in range(1, chain)]
+        body.append({"op": "assign", "target": "c0", "source": f"c{chain - 1}"})
+        body.append({"op": "assign", "target": "g", "source": f"c{chain - 1}"})
+        if rng.random() < 0.5:
+            body += [
+                {"op": "store_static", "field": hot, "source": "g"},
+                {"op": "load_static", "target": "h", "field": hot},
+                {"op": "invoke", "kind": "static", "method": keep, "target": "g", "args": ["h"]},
+                {"op": "assign", "target": "c0", "source": "g"},
+            ]
+        if rng.random() < 0.5:
+            body += [
+                {"op": "load_static", "target": "b", "field": box},
+                {"op": "store_field", "base": "b", "field": "slot", "source": "g"},
+                {"op": "load_field", "target": "g", "base": "b", "field": "slot"},
+            ]
+        body.append({"op": "invoke", "kind": "virtual", "method": f"{node}#visit()",
+                     "receiver": "g"})
+        classes.append(klass(f"rnd.W{w}", [method("work", body, static=True)]))
+    callbacks = ["onCreate", "callback1", "callback2"]
+    bodies = {cb: [] for cb in callbacks}
+    bodies["onCreate"] = [{"op": "new", "target": "box", "type": "rnd.Box"},
+                          {"op": "store_static", "field": box, "source": "box"}]
+    for w in range(workers):
+        bodies[rng.choice(callbacks)].append(
+            {"op": "invoke", "kind": "static", "method": f"rnd.W{w}#work()"})
+    classes.append(klass("rnd.Host", [method(cb, bodies[cb]) for cb in callbacks],
+                         super_="android.app.Activity"))
+    return app_from_dict({
+        "name": f"heap-{seed}-{workers}x{allocs}",
+        "manifest": {"targetApi": 23, "permissions": []},
+        "classes": classes,
+    })

@@ -1,21 +1,11 @@
 import pytest
 
-from oracles import andersen_oracle
+from oracles import assert_matches_oracle
 from permplace.model import SiteId
 from permplace.pointsto import augment_call_graph, reachable_methods, solve_0cfa
 
 CB1 = "app.Host#callback1()"
 CB2 = "app.Host#callback2()"
-
-
-def assert_matches_oracle(prepared):
-    pts, fld, sfld, edges, reachable = andersen_oracle(prepared.program)
-    sol, cg = prepared.sol, prepared.cg_raw
-    assert sol.pts0 == pts
-    assert sol.fpts0 == fld
-    assert sol.spts0 == sfld
-    assert cg.edges == edges
-    assert cg.reachable == reachable
 
 
 def test_threads_matches_oracle(threads):

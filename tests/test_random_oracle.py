@@ -2,23 +2,36 @@
 against the naive fixpoint oracle, and capped DFS traversal against
 exhaustive path enumeration."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from oracles import andersen_oracle, detected_oracle
+from oracles import assert_matches_oracle, detected_oracle
 from permplace import analysis, pipeline
 from permplace.analysis import Limits, detected_sensitives
 from permplace.cfa1 import Context
+from permplace.hierarchy import ClassHierarchy
 from permplace.model import SiteId, app_from_dict
-from randprog import gen_app
+from permplace.pointsto import augment_call_graph, solve_0cfa
+from randprog import gen_app, gen_heap_app
 
 SEEDS = range(60)
+DIAMOND_SEEDS = range(20)
+# (seed, workers, allocations per worker): 74 to 386 allocation sites
+HEAP_INSTANCES = [(0, 12, 6), (1, 12, 6), (2, 12, 6), (0, 24, 6), (1, 24, 6), (0, 48, 8)]
+LARGEST_HEAP = (0, 96, 8)  # 770 allocation sites
 
 
 @pytest.fixture(scope="module")
 def prepared_programs(framework, spec):
     return [gen_and_prepare(seed, framework, spec) for seed in SEEDS]
+
+
+@pytest.fixture(scope="module")
+def diamond_programs(framework, spec):
+    return [pipeline.prepare(gen_app(seed, diamond=True), [framework], spec=spec)
+            for seed in DIAMOND_SEEDS]
 
 
 def gen_and_prepare(seed, framework, spec):
@@ -27,22 +40,39 @@ def gen_and_prepare(seed, framework, spec):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_points_to_matches_oracle(seed, framework, spec):
-    prepared = gen_and_prepare(seed, framework, spec)
-    pts, fld, sfld, edges, reachable = andersen_oracle(prepared.program)
-    assert prepared.sol.pts0 == pts
-    assert prepared.sol.fpts0 == fld
-    assert prepared.sol.spts0 == sfld
-    assert prepared.cg_raw.edges == edges
-    assert prepared.cg_raw.reachable == reachable
+    assert_matches_oracle(gen_and_prepare(seed, framework, spec))
+
+
+@pytest.mark.parametrize("seed,workers,allocs", HEAP_INSTANCES)
+def test_heap_points_to_matches_oracle(seed, workers, allocs, framework, spec):
+    prepared = pipeline.prepare(gen_heap_app(seed, workers, allocs), [framework], spec=spec)
+    assert len(prepared.sol.alloc_type) > 64
+    assert_matches_oracle(prepared)
+
+
+def test_heap_solve_memory(framework):
+    prepared = pipeline.prepare(gen_heap_app(*LARGEST_HEAP), [framework])
+    tracemalloc.start()
+    try:
+        solve_0cfa(prepared.program, prepared.hierarchy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a set of SiteId per node plus one frozenset each takes 30 to 55 MB on
+    # the largest instances; int bitsets and one frozenset per distinct set
+    # take under 2 MB
+    assert peak < 8 * 2**20, f"solve_0cfa peaked at {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("mode", ["cfa0", "cfa1"])
-def test_detection_matches_enumeration(prepared_programs, mode):
+def test_detection_matches_enumeration(prepared_programs, diamond_programs, mode):
     # generous caps: the generated programs are far below the defaults, so
     # the capped DFS must agree with uncapped exhaustive enumeration
-    for prepared in prepared_programs:
+    repeated = []
+    for prepared in [*prepared_programs, *diamond_programs]:
         report = pipeline.analyze(prepared, mode=mode, limits=Limits(50, 10000))
         got = detected_sensitives(report)
+        visits = Counter()
         want = detected_oracle(
             prepared.program,
             prepared.cg,
@@ -50,8 +80,13 @@ def test_detection_matches_enumeration(prepared_programs, mode):
             prepared.hierarchy,
             prepared.sensitives,
             mode,
+            visits,
         )
         assert got == want, f"{prepared.program.name} ({mode})"
+        repeated.append(sum(1 for n in visits.values() if n > 1))
+    # each diamond makes the enumeration enter some callee twice from one
+    # site, so the comparison covers traversal states met more than once
+    assert all(repeated[len(prepared_programs):])
 
 
 def shared_state_app():
@@ -85,7 +120,9 @@ def shared_state_app():
     })
 
 
-def test_filter_edges_runs_once_per_state(prepared_programs, framework, spec, monkeypatch):
+def test_filter_edges_runs_once_per_state(
+    prepared_programs, diamond_programs, framework, spec, monkeypatch
+):
     calls = Counter()
     real = analysis.filter_edges
 
@@ -95,7 +132,7 @@ def test_filter_edges_runs_once_per_state(prepared_programs, framework, spec, mo
 
     monkeypatch.setattr(analysis, "filter_edges", counting)
     shared = pipeline.prepare(shared_state_app(), [framework], spec=spec)
-    for prepared in [*prepared_programs, shared]:
+    for prepared in [*prepared_programs, *diamond_programs, shared]:
         calls.clear()
         report = pipeline.analyze(prepared, mode="cfa1", limits=Limits(50, 10000))
         assert [key for key, n in calls.items() if n > 1] == [], prepared.program.name
@@ -109,3 +146,21 @@ def test_generator_respects_bounds():
         assert len(app.classes) <= 10
         n_stmts = sum(len(m.body or ()) for c in app.classes for m in c.methods)
         assert n_stmts <= 40 + len(app.classes)  # returns sit outside the budget
+
+
+@pytest.mark.parametrize("passes", [1, 2, None])
+def test_augmentation_queries_each_site_once(prepared_programs, viewstub, passes, monkeypatch):
+    queries = Counter()
+    real = ClassHierarchy.cha_targets
+
+    def counting(self, invoke, include_stubs=False):
+        queries[id(invoke)] += 1
+        return real(self, invoke, include_stubs)
+
+    monkeypatch.setattr(ClassHierarchy, "cha_targets", counting)
+    for prepared in [viewstub, *prepared_programs]:
+        queries.clear()
+        cg = augment_call_graph(prepared.cg_raw, prepared.program, prepared.hierarchy, passes)
+        assert max(queries.values(), default=0) <= 1, prepared.program.name
+        if passes is None:
+            assert cg == prepared.cg
