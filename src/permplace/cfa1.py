@@ -26,7 +26,7 @@ from .model import (
     SiteId,
     parse_method_sig,
 )
-from .pointsto import CallGraph, PointsToSolution
+from .pointsto import CallGraph, PointsToSolution, by_runtime_type, members
 
 
 @dataclass(frozen=True, order=True)
@@ -61,38 +61,44 @@ def refine_pts(
     local-assignment cycles and at the depth-1 cutoff (call returns,
     arguments evaluated in the caller).
     """
+    return sol.frozen(_refine_bits(sol, program, method, var, ctx))
+
+
+def _refine_bits(sol, program, method, var, ctx) -> int:
+    """:func:`refine_pts` as a bitset over the solution's allocations."""
     entry = _check_context(program, method, ctx)
     index = program.defs_index(method) or {}
     caller = ctx.entrySite.method
+    pts, fpts = sol.vars, sol.fields
     memo = {}
 
     def refine(v: str):
         # yields each local whose refined set it needs and is sent that set
-        pts0 = sol.pts(method, v)
+        pts0 = pts.get((method, v), 0)
         memo[v] = pts0  # cycle fallback: context-insensitive set
-        result = set()
+        bits = 0
         defs = index.get(v, ())
         if v == "this" and entry.receiver is not None:
-            result |= sol.pts(caller, entry.receiver)
+            bits = pts.get((caller, entry.receiver), 0)
         else:
             i = _param_index(v)
             if i is not None and i < len(entry.args):
-                result |= sol.pts(caller, entry.args[i])
+                bits = pts.get((caller, entry.args[i]), 0)
             elif not defs and i is None and v != "this":
-                result |= pts0
+                bits = pts0
         for idx, stmt in defs:
             if isinstance(stmt, (New, ConstStr)):
-                result.add(SiteId(method, idx))
+                bits |= sol.site_bit.get(SiteId(method, idx), 0)
             elif isinstance(stmt, Assign):
-                result |= (yield stmt.source)
+                bits |= yield stmt.source
             elif isinstance(stmt, LoadField):
-                for a in (yield stmt.base):
-                    result |= sol.fpts(a, stmt.field)
+                for a in members((yield stmt.base)):
+                    bits |= fpts.get((a, stmt.field), 0)
             elif isinstance(stmt, LoadStatic):
-                result |= sol.spts0.get(stmt.field, frozenset())
+                bits |= sol.statics.get(stmt.field, 0)
             elif isinstance(stmt, Invoke):
-                result |= pts0  # depth-1 cutoff on call returns
-        memo[v] = frozenset(result) & pts0
+                bits |= pts0  # depth-1 cutoff on call returns
+        memo[v] = bits & pts0
         return memo[v]
 
     # post-order walk over an explicit stack of suspended refine() frames; a
@@ -141,14 +147,12 @@ def filter_edges(
     pointsto = edges - passthrough
     if not pointsto:
         return edges, False
-    refined = refine_pts(sol, program, site.method, stmt.receiver, ctx)
+    refined = _refine_bits(sol, program, site.method, stmt.receiver, ctx)
     if refined:
         _, name, params = parse_method_sig(stmt.method)
         allowed = set()
-        for a in refined:
-            rtype = sol.alloc_type.get(a)
-            if rtype is None:
-                continue
+        # one dispatch per runtime type; unlike the solver, no subtype check
+        for rtype in {t for t, _ in by_runtime_type(refined, sol.type_allocs, sol.types)}:
             hit = hierarchy.dispatch(rtype, name, params)
             if hit is not None:
                 allowed.add(hit[1].sig(hit[0]))

@@ -470,9 +470,9 @@ class LinkConfig:
 class LinkedProgram:
     """One merged class table plus analysis configuration.
 
-    Immutable apart from the :meth:`defs_index` cache; the entry class /
-    callback roots are filled in by the entrypoints module via
-    :func:`with_entry`, which starts a fresh cache.
+    Immutable apart from the :meth:`lookup_method` and :meth:`defs_index`
+    caches; the entry class / callback roots are filled in by the
+    entrypoints module via :func:`with_entry`, which starts fresh caches.
     """
 
     name: str
@@ -483,6 +483,7 @@ class LinkedProgram:
     entry_sites: tuple = ()  # SiteIds of callback invocations in the dummy main
     callbacks: tuple = ()  # CallbackRefs, parallel to nothing (sorted)
     _defs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _methods: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- lookups ------------------------------------------------------------
 
@@ -490,15 +491,14 @@ class LinkedProgram:
         return self.classes.get(name)
 
     def lookup_method(self, sig: str):
-        """Exact declaration lookup; returns (ClassDecl, MethodDecl) or None."""
-        cls, name, params = parse_method_sig(sig)
-        decl = self.classes.get(cls)
-        if decl is None:
-            return None
-        m = decl.method_by_key(name, params)
-        if m is None:
-            return None
-        return decl, m
+        """Exact declaration lookup; returns (ClassDecl, MethodDecl) or None.
+        Each signature is parsed once and its answer cached on this program."""
+        if sig not in self._methods:
+            cls, name, params = parse_method_sig(sig)
+            decl = self.classes.get(cls)
+            m = None if decl is None else decl.method_by_key(name, params)
+            self._methods[sig] = None if m is None else (decl, m)
+        return self._methods[sig]
 
     def lookup_field(self, fid: str):
         cls, name = parse_field_id(fid)

@@ -10,7 +10,8 @@ zero edges — the incompleteness that augmentation repairs.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import UnknownType
 from .hierarchy import ClassHierarchy
@@ -35,10 +36,41 @@ JAVA_STRING = "java.lang.String"
 
 @dataclass(frozen=True)
 class PointsToSolution:
-    pts0: dict  # (method sig, var) -> frozenset[SiteId]
-    fpts0: dict  # (alloc SiteId, field name) -> frozenset[SiteId]
-    spts0: dict  # static field id -> frozenset[SiteId]
-    alloc_type: dict  # SiteId -> class name
+    """The solver's tables. A points-to set is an int whose bit ``a`` stands
+    for allocation ``a``; the ``frozenset[SiteId]`` views ``pts0``,
+    ``fpts0``, ``spts0`` and ``alloc_type`` are built on first access, with
+    one frozenset shared by every key holding the same set."""
+
+    vars: dict  # (method sig, local) -> bitset
+    fields: dict  # (alloc, field name) -> bitset
+    statics: dict  # static field id -> bitset
+    sites: list  # alloc -> SiteId
+    types: list  # alloc -> class name
+    type_allocs: dict  # class name -> bitset of its allocs
+    site_bit: dict  # SiteId -> bit
+    _frozen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def frozen(self, bits: int) -> frozenset:
+        """The allocation sites of ``bits``, one frozenset per distinct set."""
+        if bits not in self._frozen:
+            self._frozen[bits] = frozenset(self.sites[a] for a in members(bits))
+        return self._frozen[bits]
+
+    @cached_property
+    def pts0(self) -> dict:  # (method sig, var) -> frozenset[SiteId]
+        return {key: self.frozen(bits) for key, bits in self.vars.items()}
+
+    @cached_property
+    def fpts0(self) -> dict:  # (alloc SiteId, field name) -> frozenset[SiteId]
+        return {(self.sites[a], f): self.frozen(bits) for (a, f), bits in self.fields.items()}
+
+    @cached_property
+    def spts0(self) -> dict:  # static field id -> frozenset[SiteId]
+        return {key: self.frozen(bits) for key, bits in self.statics.items()}
+
+    @cached_property
+    def alloc_type(self) -> dict:  # SiteId -> class name
+        return dict(zip(self.sites, self.types))
 
     def pts(self, method: str, var: str) -> frozenset:
         return self.pts0.get((method, var), frozenset())
@@ -66,6 +98,7 @@ class _Solver:
     def __init__(self, program: LinkedProgram, hierarchy: ClassHierarchy):
         self.program = program
         self.hierarchy = hierarchy
+        self.main = program.entry_main_sig
         self.vars = {}  # (method sig, local) -> node
         self.fields = {}  # (alloc, field name) -> node
         self.statics = {}  # static field id -> node
@@ -83,7 +116,7 @@ class _Solver:
         self.edges = defaultdict(set)  # SiteId -> {(target, provenance)}
         self.reachable = set()
         self.pending = []  # reachable methods whose bodies are not processed yet
-        self.linked = set()  # (site, target) arg/return plumbing done
+        self.linked = set()  # (site, target) pairs with an edge
 
     # nodes ----------------------------------------------------------------
 
@@ -125,17 +158,15 @@ class _Solver:
 
     # call handling --------------------------------------------------------
 
-    def add_call_edge(self, site: SiteId, target: str):
-        prov = "entry" if site.method == self.program.entry_main_sig else "pointsto"
-        self.edges[site].add((target, prov))
-        self.make_reachable(target)
-
     def link_call(self, site: SiteId, stmt: Invoke, target: str):
-        """Arg -> param and return -> target copy edges, once per edge."""
+        """The call edge, with its arg -> param and return -> target copy
+        edges, once per (site, target) pair."""
         if (site, target) in self.linked:
             return
         self.linked.add((site, target))
         caller = site.method
+        self.edges[site].add((target, "entry" if caller == self.main else "pointsto"))
+        self.make_reachable(target)
         for i, arg in enumerate(stmt.args):
             self.add_edge(self.var(caller, arg), self.var(target, param_local(i)))
         if stmt.target is not None:
@@ -146,19 +177,12 @@ class _Solver:
                         self.add_edge(self.var(target, ret.value), self.var(caller, stmt.target))
 
     def dispatch_call(self, call, bits):
-        """Dispatch a virtual call on the receiver allocs ``bits``, one
-        edge, ``this`` update and arg/return link per distinct target."""
+        """Dispatch a virtual call on the receiver allocs ``bits``: one
+        ``this`` update per distinct target, and the edge with its
+        arg/return links once per (site, target) pair."""
         site, stmt, cls, name, params = call
-        # split by runtime type: per type when the set outnumbers the types
-        # (merged heaps), else per alloc (a receiver or two, many types)
-        if bits.bit_count() > len(self.type_allocs):
-            groups = [(rtype, bits & allocs) for rtype, allocs in self.type_allocs.items()]
-        else:
-            groups = [(self.alloc_type[a], 1 << a) for a in _members(bits)]
         by_target = defaultdict(int)
-        for rtype, recv in groups:
-            if not recv:
-                continue
+        for rtype, recv in by_runtime_type(bits, self.type_allocs, self.alloc_type):
             key = (rtype, stmt.method)
             if key not in self.targets:
                 # ill-typed receiver objects never dispatch: the runtime type
@@ -171,9 +195,8 @@ class _Solver:
             if self.targets[key] is not None:
                 by_target[self.targets[key]] |= recv
         for target, recv in by_target.items():
-            self.add_call_edge(site, target)
-            self.add_pts(self.var(target, "this"), recv)
             self.link_call(site, stmt, target)
+            self.add_pts(self.var(target, "this"), recv)
 
     # body processing ------------------------------------------------------
 
@@ -200,12 +223,12 @@ class _Solver:
             elif isinstance(stmt, LoadField):
                 base, dst = self.var(sig, stmt.base), self.var(sig, stmt.target)
                 self.load_deps[base].append((stmt.field, dst))
-                for a in _members(self.pts[base]):
+                for a in members(self.pts[base]):
                     self.add_edge(self.field(a, stmt.field), dst)
             elif isinstance(stmt, StoreField):
                 base, src = self.var(sig, stmt.base), self.var(sig, stmt.source)
                 self.store_deps[base].append((stmt.field, src))
-                for a in _members(self.pts[base]):
+                for a in members(self.pts[base]):
                     self.add_edge(src, self.field(a, stmt.field))
             elif isinstance(stmt, Invoke):
                 site = SiteId(sig, i)
@@ -215,12 +238,11 @@ class _Solver:
                     except UnknownType:
                         target = None
                     if target is not None:
-                        self.add_call_edge(site, target)
+                        self.link_call(site, stmt, target)
                         if stmt.kind == "special" and stmt.receiver is not None:
                             self.add_edge(
                                 self.var(sig, stmt.receiver), self.var(target, "this")
                             )
-                        self.link_call(site, stmt, target)
                 else:
                     recv = self.var(sig, stmt.receiver)
                     call = (site, stmt, *parse_method_sig(stmt.method))
@@ -228,10 +250,9 @@ class _Solver:
                     self.dispatch_call(call, self.pts[recv])
 
     def run(self):
-        main = self.program.entry_main_sig
-        if main is None:
+        if self.main is None:
             raise ValueError("program has no synthetic entry; run generate_dummy_main first")
-        self.make_reachable(main)
+        self.make_reachable(self.main)
         while self.pending or self.dirty:
             if self.pending:
                 self.process_body(self.pending.pop())
@@ -241,7 +262,7 @@ class _Solver:
             self.done[n] = self.pts[n]
             for dst in self.succ.get(n, ()):
                 self.add_pts(dst, delta)
-            allocs = _members(delta) if n in self.load_deps or n in self.store_deps else ()
+            allocs = members(delta) if n in self.load_deps or n in self.store_deps else ()
             for fname, dst in self.load_deps.get(n, ()):
                 for a in allocs:
                     self.add_edge(self.field(a, fname), dst)
@@ -252,7 +273,7 @@ class _Solver:
                 self.dispatch_call(call, delta)
 
 
-def _members(bits: int) -> list:
+def members(bits: int) -> list:
     """Indices of the set bits of ``bits``, lowest first."""
     found = []
     while bits:
@@ -262,24 +283,29 @@ def _members(bits: int) -> list:
     return found
 
 
+def by_runtime_type(bits: int, type_allocs: dict, alloc_type) -> list:
+    """Split the allocs ``bits`` into (runtime type, its allocs in ``bits``)
+    pairs: per type when the set outnumbers the types (merged heaps), else
+    per alloc (a receiver or two, many types), so a type may repeat."""
+    if bits.bit_count() > len(type_allocs):
+        return [(rtype, bits & allocs) for rtype, allocs in type_allocs.items() if bits & allocs]
+    return [(alloc_type[a], 1 << a) for a in members(bits)]
+
+
 def solve_0cfa(program: LinkedProgram, hierarchy: ClassHierarchy):
     """Worklist fixpoint from the synthetic entry. Returns
     (PointsToSolution, CallGraph)."""
     solver = _Solver(program, hierarchy)
     solver.run()
-    pts, sites = solver.pts, solver.sites
-    shared = {}  # bitset -> frozenset[SiteId], one per distinct set
-
-    def frozen(bits):
-        if bits not in shared:
-            shared[bits] = frozenset(sites[a] for a in _members(bits))
-        return shared[bits]
-
+    pts = solver.pts
     sol = PointsToSolution(
-        pts0={key: frozen(pts[n]) for key, n in solver.vars.items() if pts[n]},
-        fpts0={(sites[a], f): frozen(pts[n]) for (a, f), n in solver.fields.items() if pts[n]},
-        spts0={key: frozen(pts[n]) for key, n in solver.statics.items() if pts[n]},
-        alloc_type=dict(zip(sites, solver.alloc_type)),
+        vars={key: pts[n] for key, n in solver.vars.items() if pts[n]},
+        fields={key: pts[n] for key, n in solver.fields.items() if pts[n]},
+        statics={key: pts[n] for key, n in solver.statics.items() if pts[n]},
+        sites=solver.sites,
+        types=solver.alloc_type,
+        type_allocs=dict(solver.type_allocs),
+        site_bit={site: 1 << a for a, site in enumerate(solver.sites)},
     )
     cg = CallGraph(
         edges={s: frozenset(ts) for s, ts in solver.edges.items() if ts},

@@ -1,13 +1,13 @@
 """Independent reference implementations used to cross-check the analyzer.
 
 These are deliberately naive: whole-state fixpoint iteration instead of a
-worklist, and exhaustive path enumeration instead of capped DFS. They share
-no code with the production solver beyond the IR data model.
+worklist, recursion over frozensets instead of bitsets, and exhaustive path
+enumeration instead of capped DFS. They share no code with the production
+analyses beyond the IR data model.
 """
 
 from collections import defaultdict
 
-from permplace.cfa1 import Context, filter_edges
 from permplace.model import (
     Assign,
     ConstStr,
@@ -229,7 +229,71 @@ def assert_matches_oracle(prepared):
     assert prepared.cg_raw.reachable == reachable
 
 
-def detected_oracle(program, cg, sol, hierarchy, sensitives, mode, visits=None):
+def refine_oracle(sol, program, method, var, entry_site):
+    """The 1-CFA refined points-to set of a local of ``method`` entered from
+    ``entry_site``, by direct recursion over the frozenset views. A local met
+    again while it is being refined reads its context-insensitive set."""
+    entry = program.stmt_at(entry_site)
+    caller = entry_site.method
+    body = program.body_of(method) or ()
+    memo = {}
+
+    def refine(v):
+        if v in memo:
+            return memo[v]
+        pts0 = memo[v] = sol.pts(method, v)
+        defs = [(i, s) for i, s in enumerate(body) if getattr(s, "target", None) == v]
+        param = int(v[1:]) if v[:1] == "p" and v[1:].isdigit() else None
+        result = set()
+        if v == "this" and entry.receiver is not None:
+            result |= sol.pts(caller, entry.receiver)
+        elif param is not None and param < len(entry.args):
+            result |= sol.pts(caller, entry.args[param])
+        elif not defs and param is None and v != "this":
+            result |= pts0
+        for i, stmt in defs:
+            if isinstance(stmt, (New, ConstStr)):
+                result.add(SiteId(method, i))
+            elif isinstance(stmt, Assign):
+                result |= refine(stmt.source)
+            elif isinstance(stmt, LoadField):
+                for a in refine(stmt.base):
+                    result |= sol.fpts(a, stmt.field)
+            elif isinstance(stmt, LoadStatic):
+                result |= sol.spts0.get(stmt.field, frozenset())
+            elif isinstance(stmt, Invoke):
+                result |= pts0
+        memo[v] = frozenset(result) & pts0
+        return memo[v]
+
+    return refine(var)
+
+
+def filter_edges_oracle(cg, sol, program, site, entry_site):
+    """(edges, ambiguous) at ``site`` under the context ``entry_site``: a
+    points-to edge at a virtual site survives when some allocation in the
+    refined receiver set dispatches to it, one dispatch per allocation;
+    augmented edges pass, and an empty survivor set keeps every edge."""
+    edges = cg.edges_at(site)
+    stmt = program.stmt_at(site)
+    if not isinstance(stmt, Invoke):
+        return frozenset(), False
+    if stmt.kind in ("static", "special"):
+        return edges, False
+    passthrough = {e for e in edges if e[1] == "augmented"}
+    pointsto = edges - passthrough
+    if not pointsto:
+        return edges, False
+    _cls, name, params = parse_method_sig(stmt.method)
+    allowed = {
+        _naive_dispatch(program, sol.alloc_type[a], name, params)
+        for a in refine_oracle(sol, program, site.method, stmt.receiver, entry_site)
+    }
+    surviving = frozenset(e for e in pointsto if e[0] in allowed) or pointsto
+    return frozenset(passthrough | surviving), len(surviving) > 1
+
+
+def detected_oracle(program, cg, sol, sensitives, mode, visits=None):
     """Exhaustive simple-path enumeration of detectable sensitive sites.
 
     Mirrors the traversal's reachability semantics (per-entry DFS, method
@@ -242,9 +306,9 @@ def detected_oracle(program, cg, sol, hierarchy, sensitives, mode, visits=None):
         sens_by_method[s.site.method].append(s)
     found = set()
 
-    def walk(method, ctx, stack):
+    def walk(method, entry_site, stack):
         if visits is not None:
-            visits[method, ctx.entrySite] += 1
+            visits[method, entry_site] += 1
         for s in sens_by_method.get(method, ()):
             found.add(str(s.site))
         body = program.body_of(method) or ()
@@ -256,18 +320,18 @@ def detected_oracle(program, cg, sol, hierarchy, sensitives, mode, visits=None):
             if not edges:
                 continue
             if mode == "cfa1":
-                surviving, _amb = filter_edges(cg, sol, program, hierarchy, site, ctx)
+                surviving, _amb = filter_edges_oracle(cg, sol, program, site, entry_site)
             else:
                 surviving = edges
             for target, _prov in surviving:
                 if target in stack or program.body_of(target) is None:
                     continue
-                walk(target, Context(entrySite=site), stack | {target})
+                walk(target, site, stack | {target})
 
     for entry_site in program.entry_sites:
         entry_edges = cg.edges_at(entry_site)
         if not entry_edges:
             continue
         cb_sig = sorted(entry_edges)[0][0]
-        walk(cb_sig, Context(entrySite=entry_site), {cb_sig})
+        walk(cb_sig, entry_site, {cb_sig})
     return found

@@ -115,7 +115,6 @@ def test_criterion_5_oracle_equivalence(framework, spec):
                 prepared.program,
                 prepared.cg,
                 prepared.sol,
-                prepared.hierarchy,
                 prepared.sensitives,
                 mode,
             )

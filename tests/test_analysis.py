@@ -210,7 +210,6 @@ def test_detected_matches_enumeration_oracle(threads, viewstub, parametric):
                 prepared.program,
                 prepared.cg,
                 prepared.sol,
-                prepared.hierarchy,
                 prepared.sensitives,
                 mode,
             )

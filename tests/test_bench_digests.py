@@ -1,0 +1,39 @@
+"""Reports stay byte-identical: one instance of each benchmark workload
+shape runs through ``cli.run`` and must hash to the digest the benchmark
+recorded for it in ``perfbench/digests.json``."""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from permplace import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+KEYS = ["heap-dense/20/0", "heap-dense/40/0", "heap-dense/80/0", "deep-dispatch/0", "corpus-audit/0"]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # imported from perfbench/ as run.py does, leaving no bytecode there
+    sys.path.insert(0, str(PERFBENCH))
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = writes
+        sys.path.remove(str(PERFBENCH))
+    return workloads
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_report_matches_recorded_digest(key, workloads, tmp_path):
+    want = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))[key]
+    op = workloads.Op(ROOT, tmp_path, workloads.instance(key))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(op.argv) == 0
+    assert op.digest() == want

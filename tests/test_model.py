@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from permplace import entrypoints
 from permplace.errors import LinkError, ParseError, ValidationError
+from permplace.hierarchy import build_hierarchy
 from permplace.model import (
     AppModel,
     Invoke,
@@ -213,3 +215,19 @@ def test_link_order_independent(fixtures_dir, framework):
     a = link_program(app, [framework, lib])
     b = link_program(app, [lib, framework])
     assert a.classes == b.classes
+
+
+def test_lookup_cache_is_per_program(fixtures_dir, framework):
+    linked = link_program(load_app(fixtures_dir / "threads.app.json"), [framework])
+    main = "synthetic.Main#main()"
+    start = "java.lang.Thread#start()"
+    assert linked.lookup_method(main) is None and linked.body_of(main) is None
+    assert linked.body_of(start) is linked.lookup_method(start)[1].body
+    warm = dict(linked._methods)
+    assert warm.keys() == {main, start}
+    callbacks = entrypoints.detect_callbacks(linked, build_hierarchy(linked))
+    program = entrypoints.generate_dummy_main(linked, callbacks)
+    assert program.entry_main_sig == main
+    assert program.lookup_method(main)[0].name == "synthetic.Main"
+    assert len(program.body_of(main)) > len(callbacks)
+    assert linked.lookup_method(main) is None and linked._methods == warm

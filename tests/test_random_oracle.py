@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import assert_matches_oracle, detected_oracle
+from oracles import assert_matches_oracle, detected_oracle, filter_edges_oracle
 from permplace import analysis, pipeline
 from permplace.analysis import Limits, detected_sensitives
 from permplace.cfa1 import Context
@@ -34,6 +34,12 @@ def diamond_programs(framework, spec):
             for seed in DIAMOND_SEEDS]
 
 
+@pytest.fixture(scope="module")
+def heap_programs(framework, spec):
+    return [pipeline.prepare(gen_heap_app(*instance), [framework], spec=spec)
+            for instance in HEAP_INSTANCES]
+
+
 def gen_and_prepare(seed, framework, spec):
     return pipeline.prepare(gen_app(seed), [framework], spec=spec)
 
@@ -47,6 +53,14 @@ def test_points_to_matches_oracle(seed, framework, spec):
 def test_heap_points_to_matches_oracle(seed, workers, allocs, framework, spec):
     prepared = pipeline.prepare(gen_heap_app(seed, workers, allocs), [framework], spec=spec)
     assert len(prepared.sol.alloc_type) > 64
+    assert_matches_oracle(prepared)
+
+
+def test_views_stay_lazy(framework, spec):
+    # analyze reads the bitsets; the frozenset views are for the oracles
+    prepared = pipeline.prepare(gen_heap_app(*HEAP_INSTANCES[0]), [framework], spec=spec)
+    pipeline.analyze(prepared, mode="cfa1")
+    assert {"pts0", "fpts0", "spts0", "alloc_type"}.isdisjoint(vars(prepared.sol))
     assert_matches_oracle(prepared)
 
 
@@ -77,7 +91,6 @@ def test_detection_matches_enumeration(prepared_programs, diamond_programs, mode
             prepared.program,
             prepared.cg,
             prepared.sol,
-            prepared.hierarchy,
             prepared.sensitives,
             mode,
             visits,
@@ -138,6 +151,34 @@ def test_filter_edges_runs_once_per_state(
         assert [key for key, n in calls.items() if n > 1] == [], prepared.program.name
     d_call = (SiteId("app.U#d()", 1), Context(entrySite=SiteId("app.U#c()", 0)))
     assert d_call in calls and report.summary["paths"] == 2
+
+
+def test_filter_edges_matches_oracle(
+    prepared_programs, diamond_programs, heap_programs, threads, viewstub, monkeypatch
+):
+    seen = {}
+    real = analysis.filter_edges
+
+    def recording(cg, sol, program, hierarchy, site, ctx):
+        seen[site, ctx] = real(cg, sol, program, hierarchy, site, ctx)
+        return seen[site, ctx]
+
+    monkeypatch.setattr(analysis, "filter_edges", recording)
+    queries = pruned = ambiguous = 0
+    for prepared in [*prepared_programs, *diamond_programs, *heap_programs, threads, viewstub]:
+        seen.clear()
+        pipeline.analyze(prepared, mode="cfa1", limits=Limits(50, 10000))
+        for (site, ctx), got in seen.items():
+            want = filter_edges_oracle(
+                prepared.cg, prepared.sol, prepared.program, site, ctx.entrySite
+            )
+            assert got == want, f"{prepared.program.name}: {site} under {ctx.entrySite}"
+            pruned += len(got[0]) < len(prepared.cg.edges_at(site))
+            ambiguous += got[1]
+        queries += len(seen)
+    # the heap programs keep several targets per site (each one from other
+    # runtime types) and the threads fixture prunes some
+    assert queries and pruned and ambiguous
 
 
 def test_generator_respects_bounds():
