@@ -138,9 +138,10 @@ def _corpus_apps(corpus_dir):
 
 def _corpus_programs(args, config: LinkConfig):
     """Link each corpus app with the overlays; yields (program, hierarchy)."""
-    overlays = [load_app(p) for p in args.framework + args.overlay]
+    interned = {}  # one statement table for the whole corpus
+    overlays = [load_app(p, interned) for p in args.framework + args.overlay]
     for path in _corpus_apps(args.corpus):
-        program = link_program(load_app(path), overlays, config)
+        program = link_program(load_app(path, interned), overlays, config)
         yield program, build_hierarchy(program)
 
 

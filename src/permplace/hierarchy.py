@@ -14,6 +14,7 @@ class ClassHierarchy:
     program: LinkedProgram
     children: dict = field(default_factory=dict)  # name -> direct subtypes
     _dispatch_cache: dict = field(default_factory=dict)
+    _declarations: dict = field(default_factory=dict)  # invoke signature -> visible declaration
     _subtype_memo: dict = field(default_factory=dict)  # (sub, sup) -> bool
 
     # -- queries ------------------------------------------------------------
@@ -106,11 +107,17 @@ class ClassHierarchy:
 
         Walks upward (superclasses first, then interfaces) from the declared
         receiver type; this is the key used for spec matching, so it works
-        even when points-to is empty.
+        even when points-to is empty. The answer is cached per signature.
         """
-        cls, name, params = parse_method_sig(invoke.method)
-        if self.program.get_class(cls) is None:
-            raise UnknownType(cls)
+        sig = invoke.method
+        if sig not in self._declarations:
+            cls, name, params = parse_method_sig(sig)
+            if self.program.get_class(cls) is None:
+                raise UnknownType(cls)
+            self._declarations[sig] = self._visible_declaration(cls, name, params)
+        return self._declarations[sig]
+
+    def _visible_declaration(self, cls: str, name: str, params) -> Optional[str]:
         seen = set()
         queue = [cls]
         while queue:

@@ -85,10 +85,17 @@ class SiteId:
 # JSON records: each record dataclass is its own schema
 #
 # Keys, JSON types and defaults come from the field annotations, read once
-# per class. ``from_dict`` rejects unknown keys, missing required keys and
-# values of another JSON type (nothing is coerced), then runs the record's
-# ``_check(where)``: the rules that span fields. ``to_dict`` is its inverse.
-# Records nest only as deep as the schema (app, class, method, statement).
+# per class into that class's reader. A reader rejects unknown keys, missing
+# required keys and values of another JSON type (nothing is coerced), then
+# runs the record's ``_check(where)``: the rules that span fields.
+# ``to_dict`` is its inverse. Records nest only as deep as the schema (app,
+# class, method, statement).
+#
+# Statements are interned (hash-consed): equal statements read with one
+# table are one record. Their fields are strings, nulls and lists of
+# strings, so equal values have equal JSON types, and ``_check`` is a pure
+# function of the values: it runs once per distinct statement. A record
+# that fails is never stored, so each error names its own ``where``.
 
 _JSON_TYPES = {str: "a string", int: "an integer", bool: "a boolean"}
 
@@ -98,17 +105,18 @@ def _mistyped(where: str, key: str, desc: str, value) -> ValidationError:
 
 
 def _record_reader(tp):
-    """(object, where) -> record, for a record class or a union of records
-    chosen by their ``op`` key."""
+    """(object, where, interned) -> record, for a record class or a union of
+    records chosen by their ``op`` key."""
     if get_origin(tp) is not UnionType:
-        return functools.partial(from_dict, tp)
-    by_op = {c.op: c for c in get_args(tp)}
+        return _reader(tp)
+    by_op = {c.op: _reader(c) for c in get_args(tp)}
 
-    def read(d, where):
+    def read(d, where, interned):
         op = d.get("op") if type(d) is dict else None
-        if type(op) is not str or op not in by_op:
+        read_op = by_op.get(op) if type(op) is str else None
+        if read_op is None:
             raise ParseError(f"expected an object with a known 'op', not {reprlib.repr(d)}", where)
-        return from_dict(by_op[op], d, where)
+        return read_op(d, where, interned)
 
     return read
 
@@ -117,7 +125,7 @@ def _list_codec(container, elem, key: str):
     """Reader, writer and description of a JSON list held as ``container``."""
     if elem is str:
 
-        def read(v, where):
+        def read(v, where, interned):
             if all(type(s) is str for s in v):
                 return container(v)
             raise _mistyped(where, key, "a list of strings", v)
@@ -126,12 +134,13 @@ def _list_codec(container, elem, key: str):
     read_one = _record_reader(elem)
     named = is_dataclass(elem) and "name" in elem.__dataclass_fields__
 
-    def read(v, where):
+    def read(v, where, interned):
         # records with a name are located by it, others by their index
         out = []
         for i, d in enumerate(v):
             name = d.get("name") if named and type(d) is dict else None
-            out.append(read_one(d, f"{where}.{name}" if type(name) is str else f"{where}[{i}]"))
+            at = f"{where}.{name}" if type(name) is str else f"{where}[{i}]"
+            out.append(read_one(d, at, interned))
         return tuple(out)
 
     return read, lambda v: [to_dict(r) for r in v], "a list of objects"
@@ -139,10 +148,9 @@ def _list_codec(container, elem, key: str):
 
 @dataclass(frozen=True)
 class _Schema:
-    reads: tuple  # (key, JSON type, nullable, required, reader, path suffix, description)
+    reads: tuple  # (key, JSON type, nullable, default, reader, path suffix, description)
     writes: tuple  # (key, default, writer)
     tagged: bool  # records of a union carry an ``op`` key first
-    check: Optional[object]  # the record's cross-field rules, (record, where) -> None
 
 
 @functools.cache
@@ -161,37 +169,58 @@ def _schema(cls) -> _Schema:
         else:
             jtype, read, write, desc = dict, _record_reader(tp), to_dict, "an object"
         suffix = f.metadata.get("where", f".{f.name}" if jtype is dict else "")
-        required = f.default is MISSING and f.default_factory is MISSING
         desc += " or null" if nullable else ""
-        reads.append((f.name, jtype, nullable, required, read, suffix, desc))
-        writes.append((f.name, MISSING if required else f.default, write))
-    return _Schema(tuple(reads), tuple(writes), "op" in cls.__dict__, getattr(cls, "_check", None))
+        reads.append((f.name, jtype, nullable, f.default, read, suffix, desc))
+        writes.append((f.name, f.default, write))
+    return _Schema(tuple(reads), tuple(writes), "op" in cls.__dict__)
+
+
+@functools.cache
+def _reader(cls):
+    """The reader of record ``cls``: (object, where, interned) -> record,
+    built once per class; statement records come from ``interned``."""
+    schema = _schema(cls)
+    reads = schema.reads
+    known = frozenset(r[0] for r in reads) | ({"op"} if schema.tagged else set())
+    check = getattr(cls, "_check", None)
+    shared = cls in get_args(Stmt)
+
+    def read(d, where, interned):
+        if type(d) is not dict:
+            raise ParseError(f"expected a JSON object, not {reprlib.repr(d)}", where)
+        values = []
+        for key, jtype, nullable, default, read_value, suffix, desc in reads:
+            v = d.get(key, MISSING)
+            if type(v) is jtype:
+                if read_value is not None:
+                    v = read_value(v, where + suffix, interned)
+            elif v is MISSING:
+                if default is MISSING:
+                    raise ParseError(f"missing required key {key!r}", where)
+                v = default
+            elif v is not None or not nullable:
+                raise _mistyped(where, key, desc, v)
+            values.append(v)
+        if not known.issuperset(d):
+            raise ParseError(f"unknown key {min(set(d) - known)!r}", where)
+        if shared:
+            ident = (cls, *values)
+            record = interned.get(ident)
+            if record is not None:
+                return record
+        record = cls(*values)
+        if check is not None:
+            check(record, where)
+        if shared:
+            interned[ident] = record
+        return record
+
+    return read
 
 
 def from_dict(cls, d, where: str):
     """Build record ``cls`` from the JSON object ``d``; errors name ``where``."""
-    schema = _schema(cls)
-    if type(d) is not dict:
-        raise ParseError(f"expected a JSON object, not {reprlib.repr(d)}", where)
-    kw = {}
-    for key, jtype, nullable, required, read, suffix, desc in schema.reads:
-        if key in d:
-            v = d[key]
-            if type(v) is not jtype:
-                if v is not None or not nullable:
-                    raise _mistyped(where, key, desc, v)
-            elif read is not None:
-                v = read(v, where + suffix)
-            kw[key] = v
-        elif required:
-            raise ParseError(f"missing required key {key!r}", where)
-    if len(kw) + schema.tagged != len(d):
-        known = {r[0] for r in schema.reads} | ({"op"} if schema.tagged else set())
-        raise ParseError(f"unknown key {min(set(d) - known)!r}", where)
-    record = cls(**kw)
-    if schema.check is not None:
-        schema.check(record, where)
-    return record
+    return _reader(cls)(d, where, {})
 
 
 def to_dict(record) -> dict:
@@ -427,12 +456,14 @@ class AppModel:
             raise ValidationError(f"{where}: duplicate class {dup}")
 
 
-def app_from_dict(d: dict, where: str = "<app>") -> AppModel:
-    return from_dict(AppModel, d, where)
+def app_from_dict(d: dict, where: str = "<app>", interned: Optional[dict] = None) -> AppModel:
+    """Read an app; ``interned`` is the statement table shared by the apps
+    of one run (a fresh one by default)."""
+    return _reader(AppModel)(d, where, {} if interned is None else interned)
 
 
-def load_app(path) -> AppModel:
-    return app_from_dict(read_json(path), str(path))
+def load_app(path, interned: Optional[dict] = None) -> AppModel:
+    return app_from_dict(read_json(path), str(path), interned)
 
 
 app_to_dict = to_dict

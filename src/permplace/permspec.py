@@ -8,6 +8,7 @@ opts into any-of semantics (reports always show the full set).
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, replace
@@ -76,21 +77,26 @@ class PermissionSpec:
     def method_entry(self, sig: str) -> Optional[SpecEntry]:
         return self.entries.get(("method", sig, None))
 
-    def parametric_entries(self, sig: str):
-        return [
-            e
-            for k, e in sorted(self.entries.items())
-            if e.kind == "parametric" and e.key == sig
-        ]
+    @functools.cached_property
+    def _index(self) -> tuple:
+        """(signature -> parametric entries, constValue -> first field
+        entry), both in entry-key order; built once per spec."""
+        by_sig, by_value = {}, {}
+        for _, e in sorted(self.entries.items()):
+            if e.kind == "parametric":
+                by_sig[e.key] = (*by_sig.get(e.key, ()), e)
+            elif e.kind == "field":
+                by_value.setdefault(e.constValue, e)
+        return by_sig, by_value
+
+    def parametric_entries(self, sig: str) -> tuple:
+        return self._index[0].get(sig, ())
 
     def field_entry(self, fid: str) -> Optional[SpecEntry]:
         return self.entries.get(("field", fid, None))
 
     def field_entry_by_value(self, literal: str) -> Optional[SpecEntry]:
-        for _, e in sorted(self.entries.items()):
-            if e.kind == "field" and e.constValue == literal:
-                return e
-        return None
+        return self._index[1].get(literal)
 
     def all_permissions(self) -> frozenset:
         perms = set()

@@ -65,8 +65,9 @@ def prepare_paths(
     augment: bool = True,
     augment_passes: Optional[int] = None,
 ) -> Prepared:
-    app = load_app(app_path)
-    overlays = [load_app(p) for p in overlay_paths]
+    interned = {}  # one statement table for the app and its overlays
+    app = load_app(app_path, interned)
+    overlays = [load_app(p, interned) for p in overlay_paths]
     return prepare(
         app,
         overlays,

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from permplace import permspec, pipeline
 from permplace.model import load_app
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # oracles.assert_matches_oracle asserts: show the compared values on failure
 pytest.register_assert_rewrite("oracles")
@@ -65,3 +67,17 @@ def parametric(spec):
     return pipeline.prepare_paths(
         FIXTURES / "parametric.app.json", [FIXTURES / "framework.json"], spec=spec
     )
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's instance generator, imported from perfbench/ as its
+    run.py does, leaving no bytecode there."""
+    sys.path.insert(0, str(PERFBENCH))
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = writes
+        sys.path.remove(str(PERFBENCH))
+    return workloads

@@ -7,7 +7,11 @@ exercise every constraint kind: allocations, copies, virtual dispatch over
 subclass overrides, instance and static fields, call returns, and the two
 static framework probes (one sensitive, one benign). ``diamond=True`` adds
 a static callee shared by two callers, so traversals meet its callees
-twice under one context.
+twice under one context. ``split=True`` adds a second Activity whose
+callbacks each pass an object of another subtype to one shared static
+helper, which calls a virtual method on it, so 1-CFA prunes the helper's
+call edges under each entering site; one override passes the helper a
+subtype no callback passes, whose override only cfa0 then reaches.
 
 ``gen_heap_app`` makes the other shape: many allocations merged through
 copy cycles, a hot static and one shared field, so points-to sets hold
@@ -23,7 +27,13 @@ SAFE_CALL = "android.test.Api#safe()"
 LOCALS = ["v0", "v1", "v2", "v3"]
 
 
-def gen_app(seed: int, max_classes: int = 10, max_statements: int = 40, diamond: bool = False):
+def gen_app(
+    seed: int,
+    max_classes: int = 10,
+    max_statements: int = 40,
+    diamond: bool = False,
+    split: bool = False,
+):
     rng = random.Random(seed)
     n_plain = rng.randint(2, max(2, max_classes - 1))
     names = [f"rnd.C{i}" for i in range(n_plain)]
@@ -127,9 +137,40 @@ def gen_app(seed: int, max_classes: int = 10, max_statements: int = 40, diamond:
             {"op": "invoke", "kind": "static", "method": f"rnd.D#{side}()"}
             for side in ("left", "right")
         ]
+    if split:
+        # drawn after everything above, so the other programs stay as they were
+        callbacks = sorted(rng.sample(["callback1", "callback2", "onCreate"], rng.randint(2, 3)))
+        kinds = [f"rnd.K{k}" for k in range(len(callbacks) + rng.randint(1, 2))]
+        passed = rng.sample(kinds, len(callbacks))
+        relay = "rnd.S#relay(rnd.K)"
+
+        def relay_with(kind):
+            return [{"op": "new", "target": "k", "type": kind},
+                    {"op": "invoke", "kind": "static", "method": relay, "args": ["k"]}]
+
+        runs = {}
+        for kind in kinds:  # only some overrides are sensitive
+            call = SENSITIVE_CALL if rng.random() < 0.5 else SAFE_CALL
+            runs[kind] = [{"op": "invoke", "kind": "static", "method": call}]
+        # One passed override re-enters the helper with a kind no callback
+        # passes. The traversal never re-enters a method on its path, so
+        # only the 0-CFA edge from the helper reaches that kind's run().
+        runs[rng.choice(passed)] += relay_with(rng.choice(sorted(set(kinds) - set(passed))))
+        classes.append({"name": "rnd.K", "methods": [{"name": "run", "body": []}]})
+        classes += [{"name": kind, "super": "rnd.K", "methods": [{"name": "run", "body": runs[kind]}]}
+                    for kind in kinds]
+        classes.append({"name": "rnd.S", "methods": [{
+            "name": "relay", "params": ["rnd.K"], "static": True,
+            "body": [{"op": "invoke", "kind": "virtual", "method": "rnd.K#run()", "receiver": "p0"}],
+        }]})
+        classes.append({
+            "name": "rnd.SplitHost", "super": "android.app.Activity",
+            "methods": [{"name": cb, "body": relay_with(kind)} for cb, kind in zip(callbacks, passed)],
+        })
+    suffix = "-diamond" * diamond + "-split" * split
     return app_from_dict(
         {
-            "name": f"rnd-{seed}-diamond" if diamond else f"rnd-{seed}",
+            "name": f"rnd-{seed}{suffix}",
             "manifest": {"targetApi": 23, "permissions": []},
             "classes": classes,
         }

@@ -5,7 +5,6 @@ recorded for it in ``perfbench/digests.json``."""
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -15,19 +14,6 @@ from permplace import cli
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 KEYS = ["heap-dense/20/0", "heap-dense/40/0", "heap-dense/80/0", "deep-dispatch/0", "corpus-audit/0"]
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    # imported from perfbench/ as run.py does, leaving no bytecode there
-    sys.path.insert(0, str(PERFBENCH))
-    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        import workloads
-    finally:
-        sys.dont_write_bytecode = writes
-        sys.path.remove(str(PERFBENCH))
-    return workloads
 
 
 @pytest.mark.parametrize("key", KEYS)

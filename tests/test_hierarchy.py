@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from oracles import cha_oracle, supertype_oracle
+from oracles import _naive_resolve, cha_oracle, supertype_oracle
 from permplace.errors import CycleError, UnknownType
 from permplace.hierarchy import build_hierarchy
 from permplace.model import Invoke, app_from_dict, link_program, parse_method_sig
+from randprog import gen_app
 
 
 def linked(classes):
@@ -233,3 +234,34 @@ def test_random_hierarchies_match_oracle():
                     site = Invoke(kind=kind, method=f"{a}#{name}()", receiver="x")
                     for stubs in (False, True):
                         assert h.cha_targets(site, stubs) == cha_oracle(program, site, stubs)
+
+
+def test_resolve_declaration_matches_uncached_walk(framework, threads, viewstub, parametric):
+    programs = [link_program(gen_app(seed), [framework]) for seed in range(60)]
+    programs += [p.hierarchy.program for p in (threads, viewstub, parametric)]
+    checked = 0
+    for program in programs:
+        h = build_hierarchy(program)
+        for _decl, m, _sig in program.iter_methods():
+            for stmt in m.body or ():
+                if not isinstance(stmt, Invoke):
+                    continue
+                cls, name, params = parse_method_sig(stmt.method)
+                for _ in range(2):  # computed, then cached
+                    if cls not in program.classes:
+                        with pytest.raises(UnknownType):
+                            h.resolve_declaration(stmt)
+                    else:
+                        assert h.resolve_declaration(stmt) == _naive_resolve(
+                            program, cls, name, params
+                        )
+                checked += 1
+    assert checked > 400
+
+
+def test_unknown_receiver_class_raises_on_every_call():
+    h = build_hierarchy(linked([{"name": "A", "methods": []}]))
+    site = Invoke(kind="static", method="missing.B#f()")
+    for _ in range(2):
+        with pytest.raises(UnknownType):
+            h.resolve_declaration(site)

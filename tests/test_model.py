@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -231,3 +233,70 @@ def test_lookup_cache_is_per_program(fixtures_dir, framework):
     assert program.lookup_method(main)[0].name == "synthetic.Main"
     assert len(program.body_of(main)) > len(callbacks)
     assert linked.lookup_method(main) is None and linked._methods == warm
+
+
+# -- statement interning ----------------------------------------------------
+
+CALL = {"op": "invoke", "kind": "static", "method": "A#g()"}
+
+
+def app_dict(bodies, name="t"):
+    """An app of class A whose methods f0, f1, ... have the given bodies."""
+    methods = [{"name": f"f{i}", "body": body} for i, body in enumerate(bodies)]
+    return {"name": name, "manifest": {"targetApi": 23, "permissions": []},
+            "classes": [{"name": "A", "methods": [{"name": "g", "body": []}, *methods]}]}
+
+
+def statements(*apps):
+    return [s for app in apps for c in app.classes for m in c.methods for s in m.body or ()]
+
+
+def test_equal_statements_are_one_object():
+    app = app_from_dict(app_dict([[CALL, dict(CALL)], [dict(CALL, target="x")]]))
+    first, second, other = statements(app)
+    assert first is second and first == Invoke(kind="static", method="A#g()")
+    assert other is not first
+    interned = {}
+    a = app_from_dict(app_dict([[CALL]], name="a"), "a", interned)
+    b = app_from_dict(app_dict([[dict(CALL)]], name="b"), "b", interned)
+    assert statements(a)[0] is statements(b)[0]
+    # a bare read starts a fresh table
+    assert statements(app_from_dict(app_dict([[CALL]])))[0] is not statements(a)[0]
+
+
+def test_corpus_statements_are_interned_per_run(workloads):
+    interned = {}
+    apps = [app_from_dict(d, d["name"], interned) for d in workloads.instance("corpus-audit/0").apps]
+    stmts = statements(*apps)
+    assert len({id(s) for s in stmts}) == len(set(stmts)) == len(interned) < len(stmts)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (dict(CALL, extra="x"), "unknown key 'extra'"),
+        (dict(CALL, target=1), "target must be a string or null, not 1"),
+        (dict(CALL, args="x"), "args must be a list of strings, not 'x'"),
+        (dict(CALL, receiver="x"), "static invoke must not have a receiver"),
+    ],
+    ids=["extra-key", "mistyped-target", "mistyped-args", "failing-check"],
+)
+def test_later_occurrence_errors_name_their_own_place(bad, error):
+    # the first occurrence is interned; a bad later one is located at itself
+    interned = {}
+    app_from_dict(app_dict([[CALL, dict(CALL, receiver="x", kind="virtual")]]), "a", interned)
+    with pytest.raises((ParseError, ValidationError)) as exc:
+        app_from_dict(app_dict([[CALL], [CALL, bad]], name="b"), "b", interned)
+    assert "b.classes.A.f1[1]" in str(exc.value) and error in str(exc.value)
+    # a statement that failed its check was not stored: it fails again, here
+    with pytest.raises((ParseError, ValidationError)) as exc:
+        app_from_dict(app_dict([[bad]], name="c"), "c", interned)
+    assert "c.classes.A.f0[0]" in str(exc.value) and error in str(exc.value)
+
+
+def test_dropped_app_frees_its_statements(fixtures_dir):
+    app = load_app(fixtures_dir / "threads.app.json")
+    ref = weakref.ref(statements(app)[0])
+    del app
+    gc.collect()
+    assert ref() is None

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from permplace import permspec
@@ -161,3 +163,26 @@ def test_candidate_elements_resolve(fw_program, fixtures_dir):
         else:
             assert fw_program.get_class(c.element) is not None
         assert c.permission in {p for p, _ in table.values()}
+
+
+def test_per_value_lookups_match_sorted_scan():
+    # several parametric entries per signature and several field entries per
+    # constValue, listed out of key order
+    rng = random.Random(7)
+    sigs = [f"a.C{i}#f(java.lang.String,int)" for i in range(12)]
+    values = [f"content://v{i}" for i in range(8)]
+    items = [{"kind": "parametric", "key": sig, "argIndex": i, "permissions": [f"p.P{i}"]}
+             for sig in sigs for i in range(rng.randint(1, 4))]
+    items += [{"kind": "field", "key": f"a.F{i}#K", "constValue": rng.choice(values),
+               "permissions": [FINE]} for i in range(200)]
+    items += [{"kind": "method", "key": sig, "permissions": [CAMERA]} for sig in sigs[::3]]
+    rng.shuffle(items)
+    spec = spec_from_list(items)
+    assert len(spec) > 200
+    ordered = [e for _, e in sorted(spec.entries.items())]
+    for sig in [*sigs, "a.Missing#f()"]:
+        want = [e for e in ordered if e.kind == "parametric" and e.key == sig]
+        assert list(spec.parametric_entries(sig)) == want
+    for value in [*values, "content://missing"]:
+        want = next((e for e in ordered if e.kind == "field" and e.constValue == value), None)
+        assert spec.field_entry_by_value(value) is want

@@ -12,12 +12,13 @@ from permplace import analysis, pipeline
 from permplace.analysis import Limits, detected_sensitives
 from permplace.cfa1 import Context
 from permplace.hierarchy import ClassHierarchy
-from permplace.model import SiteId, app_from_dict
+from permplace.model import LinkedProgram, SiteId, app_from_dict
 from permplace.pointsto import augment_call_graph, solve_0cfa
 from randprog import gen_app, gen_heap_app
 
 SEEDS = range(60)
 DIAMOND_SEEDS = range(20)
+SPLIT_SEEDS = range(20)
 # (seed, workers, allocations per worker): 74 to 386 allocation sites
 HEAP_INSTANCES = [(0, 12, 6), (1, 12, 6), (2, 12, 6), (0, 24, 6), (1, 24, 6), (0, 48, 8)]
 LARGEST_HEAP = (0, 96, 8)  # 770 allocation sites
@@ -32,6 +33,12 @@ def prepared_programs(framework, spec):
 def diamond_programs(framework, spec):
     return [pipeline.prepare(gen_app(seed, diamond=True), [framework], spec=spec)
             for seed in DIAMOND_SEEDS]
+
+
+@pytest.fixture(scope="module")
+def split_programs(framework, spec):
+    return [pipeline.prepare(gen_app(seed, split=True), [framework], spec=spec)
+            for seed in SPLIT_SEEDS]
 
 
 @pytest.fixture(scope="module")
@@ -79,11 +86,11 @@ def test_heap_solve_memory(framework):
 
 
 @pytest.mark.parametrize("mode", ["cfa0", "cfa1"])
-def test_detection_matches_enumeration(prepared_programs, diamond_programs, mode):
+def test_detection_matches_enumeration(prepared_programs, diamond_programs, split_programs, mode):
     # generous caps: the generated programs are far below the defaults, so
     # the capped DFS must agree with uncapped exhaustive enumeration
     repeated = []
-    for prepared in [*prepared_programs, *diamond_programs]:
+    for prepared in [*diamond_programs, *prepared_programs, *split_programs]:
         report = pipeline.analyze(prepared, mode=mode, limits=Limits(50, 10000))
         got = detected_sensitives(report)
         visits = Counter()
@@ -99,7 +106,21 @@ def test_detection_matches_enumeration(prepared_programs, diamond_programs, mode
         repeated.append(sum(1 for n in visits.values() if n > 1))
     # each diamond makes the enumeration enter some callee twice from one
     # site, so the comparison covers traversal states met more than once
-    assert all(repeated[len(prepared_programs):])
+    assert all(repeated[:len(diamond_programs)])
+
+
+def test_split_programs_detect_less_under_cfa1(split_programs):
+    # a kind that reaches the helper only through the re-entry is detected
+    # by cfa0 alone: every entering site's refined receiver set excludes it
+    differ = 0
+    for prepared in split_programs:
+        cfa0, cfa1 = (
+            detected_sensitives(pipeline.analyze(prepared, mode=mode, limits=Limits(50, 10000)))
+            for mode in ("cfa0", "cfa1")
+        )
+        assert cfa1 <= cfa0, prepared.program.name
+        differ += cfa1 != cfa0
+    assert differ
 
 
 def shared_state_app():
@@ -154,7 +175,8 @@ def test_filter_edges_runs_once_per_state(
 
 
 def test_filter_edges_matches_oracle(
-    prepared_programs, diamond_programs, heap_programs, threads, viewstub, monkeypatch
+    prepared_programs, diamond_programs, split_programs, heap_programs, threads, viewstub,
+    monkeypatch,
 ):
     seen = {}
     real = analysis.filter_edges
@@ -165,19 +187,24 @@ def test_filter_edges_matches_oracle(
 
     monkeypatch.setattr(analysis, "filter_edges", recording)
     queries = pruned = ambiguous = 0
-    for prepared in [*prepared_programs, *diamond_programs, *heap_programs, threads, viewstub]:
+    programs = [*split_programs, *prepared_programs, *diamond_programs, *heap_programs]
+    for i, prepared in enumerate([*programs, threads, viewstub]):
         seen.clear()
         pipeline.analyze(prepared, mode="cfa1", limits=Limits(50, 10000))
+        pruned_here = 0
         for (site, ctx), got in seen.items():
             want = filter_edges_oracle(
                 prepared.cg, prepared.sol, prepared.program, site, ctx.entrySite
             )
             assert got == want, f"{prepared.program.name}: {site} under {ctx.entrySite}"
-            pruned += len(got[0]) < len(prepared.cg.edges_at(site))
+            pruned_here += len(got[0]) < len(prepared.cg.edges_at(site))
             ambiguous += got[1]
+        # every split program's helper has its edges pruned per entering site
+        assert pruned_here or i >= len(split_programs), prepared.program.name
         queries += len(seen)
+        pruned += pruned_here
     # the heap programs keep several targets per site (each one from other
-    # runtime types) and the threads fixture prunes some
+    # runtime types); the split programs and the threads fixture prune some
     assert queries and pruned and ambiguous
 
 
@@ -191,17 +218,29 @@ def test_generator_respects_bounds():
 
 @pytest.mark.parametrize("passes", [1, 2, None])
 def test_augmentation_queries_each_site_once(prepared_programs, viewstub, passes, monkeypatch):
+    # equal statements are one interned object, which can sit at several
+    # sites: an object is queried at most once per scanned site holding it
     queries = Counter()
-    real = ClassHierarchy.cha_targets
+    scanned = set()
+    real_query, real_body = ClassHierarchy.cha_targets, LinkedProgram.body_of
 
     def counting(self, invoke, include_stubs=False):
         queries[id(invoke)] += 1
-        return real(self, invoke, include_stubs)
+        return real_query(self, invoke, include_stubs)
+
+    def scanning(self, sig):
+        scanned.add(sig)
+        return real_body(self, sig)
 
     monkeypatch.setattr(ClassHierarchy, "cha_targets", counting)
+    monkeypatch.setattr(LinkedProgram, "body_of", scanning)
     for prepared in [viewstub, *prepared_programs]:
         queries.clear()
+        scanned.clear()
         cg = augment_call_graph(prepared.cg_raw, prepared.program, prepared.hierarchy, passes)
-        assert max(queries.values(), default=0) <= 1, prepared.program.name
+        holders = Counter(
+            id(stmt) for sig in scanned for stmt in real_body(prepared.program, sig) or ()
+        )
+        assert all(n <= holders[i] for i, n in queries.items()), prepared.program.name
         if passes is None:
             assert cg == prepared.cg
