@@ -4,7 +4,6 @@ plus a permission-usage corpus auditor."""
 from .analysis import (
     AnalysisReport,
     Limits,
-    PathRecord,
     SensitiveSite,
     cha_reach_partition,
     find_sensitive_sites,

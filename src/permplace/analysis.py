@@ -27,13 +27,6 @@ class SensitiveSite:
 
 
 @dataclass(frozen=True)
-class PathRecord:
-    nodes: tuple  # ((method sig, entry SiteId), ...)
-    sensitive: SensitiveSite
-    ambiguous: bool
-
-
-@dataclass(frozen=True)
 class Limits:
     maxDepth: int = 50
     maxPathsPerSensitive: int = 100
@@ -45,7 +38,7 @@ class AnalysisReport:
     mode: str  # cfa0 | cfa1
     augment: bool
     callbacks: list = field(default_factory=list)
-    # callbacks: [{class, method, insertionPoints: [...]}]
+    # callbacks: [{class, method, entrySite, truncated, insertionPoints: [...]}]
     summary: dict = field(default_factory=dict)
 
 
@@ -134,7 +127,9 @@ def traverse(
     reported in-band as ``truncated`` flags, never as errors. The callees
     of a (method, entering site) state depend on the state alone, so each
     state's call sites are context-filtered once per call and reused by
-    every later visit, from any callback."""
+    every later visit, from any callback. Each state has one path node
+    dict, shared by every reported path through it: callers must not
+    mutate the nodes of a report."""
     assert mode in ("cfa0", "cfa1")
     sens_by_method = defaultdict(list)
     for s in sensitives:
@@ -143,16 +138,25 @@ def traverse(
     report = AnalysisReport(app=program.name, mode=mode, augment=augment)
     total_paths = 0
     flagged = set()
-    # (method, entering site) -> [(callee, callee's context, ambiguous)] in
-    # visit order, bodyless callees dropped
+    # (method, entering site's method, stmt) -> the state's report node,
+    # shared by every path through the state
+    nodes = {}
+    # id(state node) -> [(callee, callee node, callee's context, ambiguous)]
+    # in visit order, bodyless callees dropped
     successors = {}
 
-    def successors_of(method, ctx):
-        key = (method, ctx.entrySite)
-        out = successors.get(key)
+    def node_of(method, site):
+        key = (method, site.method, site.stmt)
+        node = nodes.get(key)
+        if node is None:
+            node = nodes[key] = {"method": method, "entry": str(site)}
+        return node
+
+    def successors_of(node, method, ctx):
+        out = successors.get(id(node))
         if out is not None:
             return out
-        out = successors[key] = []
+        out = successors[id(node)] = []
         for i, stmt in enumerate(program.body_of(method) or ()):
             if not isinstance(stmt, Invoke):
                 continue
@@ -167,7 +171,7 @@ def traverse(
             callee_ctx = Context(entrySite=site)
             for target, _prov in sorted(surviving):
                 if program.body_of(target) is not None:
-                    out.append((target, callee_ctx, amb))
+                    out.append((target, node_of(target, site), callee_ctx, amb))
         return out
 
     for entry_site in program.entry_sites:
@@ -176,53 +180,58 @@ def traverse(
             continue
         (cb_sig, _prov) = sorted(entry_edges)[0]
         cls, mname, mparams = parse_method_sig(cb_sig)
+        # sensitive -> [(insertion stmt, report path)] in path order
         paths_by_sensitive = defaultdict(list)
         truncated_sensitives = set()
         depth_truncated = False
 
-        def enter(method, ctx, ambiguous):
+        def enter(node, method, ctx, ambiguous):
             # records the sensitives of ``method``, reached along ``path``;
             # returns an iterator over the callees to visit from it
             nonlocal depth_truncated
             for s in sens_by_method.get(method, ()):
-                if len(paths_by_sensitive[s]) >= limits.maxPathsPerSensitive:
+                recorded = paths_by_sensitive[s]
+                if len(recorded) >= limits.maxPathsPerSensitive:
                     truncated_sensitives.add(s)
                     continue
-                paths_by_sensitive[s].append(
-                    PathRecord(nodes=tuple(path), sensitive=s, ambiguous=ambiguous)
-                )
+                # insertion point = first-call statement inside the callback
+                # body (or the sensitive itself when it sits in the callback)
+                stmt = first_stmt if len(path) > 1 else s.site.stmt
+                recorded.append((stmt, {"nodes": list(path), "ambiguous": ambiguous}))
             if len(path) >= limits.maxDepth:
                 depth_truncated = True
                 return iter(())
-            return iter(successors_of(method, ctx))
+            return iter(successors_of(node, method, ctx))
 
         # a callee's frame runs to completion before its caller resumes, so
         # ``path`` and ``on_path`` always describe the top frame
-        path = [(cb_sig, entry_site)]
+        root = node_of(cb_sig, entry_site)
+        path = [root]
         on_path = {cb_sig}
-        frames = [(enter(cb_sig, Context(entrySite=entry_site), False), False)]
+        first_stmt = None  # the callback's statement that starts ``path``
+        frames = [(enter(root, cb_sig, Context(entrySite=entry_site), False), False)]
         while frames:
             callees, ambiguous = frames[-1]
-            for target, ctx, amb in callees:
+            for target, node, ctx, amb in callees:
                 if target not in on_path:
-                    path.append((target, ctx.entrySite))
+                    if len(path) == 1:
+                        first_stmt = ctx.entrySite.stmt
+                    path.append(node)
                     on_path.add(target)
                     amb = ambiguous or amb
-                    frames.append((enter(target, ctx, amb), amb))
+                    frames.append((enter(node, target, ctx, amb), amb))
                     break
             else:
                 frames.pop()
-                on_path.discard(path.pop()[0])
+                on_path.discard(path.pop()["method"])
 
         if not paths_by_sensitive:
             continue
-        # insertion point = first-call statement inside the callback body
-        # (or the sensitive itself when it sits directly in the callback)
         by_stmt = defaultdict(list)  # stmt index -> [(sensitive, paths)]
         for s in sorted(paths_by_sensitive):
             groups = defaultdict(list)  # stmt index -> paths, in path order
-            for p in paths_by_sensitive[s]:
-                groups[p.nodes[1][1].stmt if len(p.nodes) > 1 else s.site.stmt].append(p)
+            for idx, p in paths_by_sensitive[s]:
+                groups[idx].append(p)
             for idx in sorted(groups):
                 by_stmt[idx].append((s, groups[idx]))
         insertion_points = []
@@ -242,16 +251,7 @@ def traverse(
                         "permissions": sorted(s.permissions),
                         "viaParametric": s.viaParametric,
                         "truncated": s in truncated_sensitives,
-                        "paths": [
-                            {
-                                "nodes": [
-                                    {"method": msig, "entry": str(esite)}
-                                    for msig, esite in p.nodes
-                                ],
-                                "ambiguous": p.ambiguous,
-                            }
-                            for p in paths
-                        ],
+                        "paths": paths,
                     }
                 )
             insertion_points.append(
@@ -362,12 +362,37 @@ def _dumps_indented(value) -> str:
     stdlib's pure-Python encoder (which it uses whenever ``indent`` is set)
     and without recursion.
 
-    A dict whose values are all strings, such as a path node, is rendered
-    once per distinct content and depth and its text reused. Keying on
-    content alone is safe only for strings: ``1 == True == 1.0`` would share
-    one text between values that print differently."""
+    A non-empty dict whose values are all strings, such as a path node, is
+    rendered once per object and depth and its text reused; a list of such
+    dicts and strings, such as a path's nodes, is joined in one step. The
+    value is only read, so object ids are stable for the whole call. Keying
+    on content instead would be safe only for strings: ``1 == True == 1.0``
+    would share one text between values that print differently."""
     out = []
-    rendered = {}  # (depth, items) -> text of an all-string dict
+    rendered = {}  # (depth, id) -> text of a string-valued dict, else None
+
+    def flat_text(v, depth):
+        # text of a str or of a non-empty string-valued dict; None otherwise
+        if type(v) is str:
+            return _encode_str(v)
+        if not isinstance(v, dict) or not v:
+            return None
+        key = (depth, id(v))
+        if key in rendered:
+            return rendered[key]
+        text = None
+        if all(type(x) is str for x in v.values()):
+            inner = "\n" + "  " * (depth + 1)
+            text = (
+                "{"
+                + ",".join(
+                    f"{inner}{_encode_str(k)}: {_encode_str(x)}" for k, x in sorted(v.items())
+                )
+                + "\n" + "  " * depth + "}"
+            )
+        rendered[key] = text
+        return text
+
     # popped in output order: a str is literal text, a (value, depth) pair a
     # value still to render
     stack = [(value, 0)]
@@ -383,21 +408,11 @@ def _dumps_indented(value) -> str:
             if not v:
                 out.append("{}")
                 continue
-            inner = "\n" + "  " * (depth + 1)
-            if all(type(x) is str for x in v.values()):
-                key = (depth, tuple(v.items()))
-                text = rendered.get(key)
-                if text is None:
-                    text = rendered[key] = (
-                        "{"
-                        + ",".join(
-                            f"{inner}{_encode_str(k)}: {_encode_str(x)}"
-                            for k, x in sorted(v.items())
-                        )
-                        + "\n" + "  " * depth + "}"
-                    )
+            text = flat_text(v, depth)
+            if text is not None:
                 out.append(text)
                 continue
+            inner = "\n" + "  " * (depth + 1)
             out.append("{")
             stack.append("\n" + "  " * depth + "}")
             items = sorted(v.items())
@@ -410,21 +425,42 @@ def _dumps_indented(value) -> str:
                 out.append("[]")
                 continue
             inner = "\n" + "  " * (depth + 1)
+            texts = []
+            for x in v:
+                # the inline memo lookup saves a call per repeated node
+                text = rendered.get((depth + 1, id(x))) or flat_text(x, depth + 1)
+                if text is None:
+                    break
+                texts.append(text)
+            else:
+                out.append(f"[{inner}{(',' + inner).join(texts)}\n{'  ' * depth}]")
+                continue
             out.append("[")
             stack.append("\n" + "  " * depth + "]")
             for i in range(len(v) - 1, -1, -1):
                 stack.append((v[i], depth + 1))
                 stack.append("," + inner if i else inner)
+        elif v is True:
+            out.append("true")
+        elif v is False:
+            out.append("false")
         else:
             out.append(json.dumps(v))
     return "".join(out)
+
+
+def write_json(value) -> bytes:
+    """``json.dumps(value, indent=2, sort_keys=True)`` and a newline, as
+    UTF-8, for values whose dict keys are strings: the one indented-JSON
+    writer of reports and CLI outputs."""
+    return (_dumps_indented(value) + "\n").encode("utf-8")
 
 
 def write_report(report: AnalysisReport, fmt: str = "json") -> bytes:
     """Stable serialization: sorted keys, sorted sites, byte-identical
     across reruns."""
     if fmt == "json":
-        return (_dumps_indented(report_to_dict(report)) + "\n").encode("utf-8")
+        return write_json(report_to_dict(report))
     if fmt != "text":
         raise ValueError(f"unknown report format: {fmt}")
     lines = [

@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import collector, permspec, pipeline
-from .analysis import Limits, cha_reach_partition, detected_sensitives, write_report
+from .analysis import Limits, cha_reach_partition, detected_sensitives, write_json, write_report
 from .errors import PermplaceError
 from .hierarchy import build_hierarchy
 from .model import LinkConfig, from_dict, link_program, load_app, read_json
@@ -170,9 +170,7 @@ def _cmd_analyze(args) -> int:
             for site in sorted(prepared.cg.edges)
             for target, prov in sorted(prepared.cg.edges[site])
         ]
-        Path(args.dump_callgraph).write_text(
-            json.dumps(dump, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        Path(args.dump_callgraph).write_bytes(write_json(dump))
     return 0
 
 
@@ -187,9 +185,7 @@ def _cmd_collect(args) -> int:
     _emit(collector.usage_csv(corpus, groups).encode("utf-8"), args.output)
     if args.summary:
         summary = collector.corpus_summary(corpus, groups)
-        Path(args.summary).write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        Path(args.summary).write_bytes(write_json(summary))
     return 0
 
 
@@ -206,7 +202,7 @@ def _cmd_cha_reach(args) -> int:
         ]
         for name, members in partition.items()
     }
-    _emit((json.dumps(out, indent=2, sort_keys=True) + "\n").encode("utf-8"), args.output)
+    _emit(write_json(out), args.output)
     return 0
 
 
@@ -217,7 +213,7 @@ def _cmd_compare_specs(args) -> int:
     groups = permspec.load_groups(args.groups) if args.groups else None
     programs = list(_corpus_programs(args, config))
     result = collector.compare_specs(programs, spec_a, spec_b, groups)
-    _emit((json.dumps(result, indent=2, sort_keys=True) + "\n").encode("utf-8"), args.output)
+    _emit(write_json(result), args.output)
     return 0
 
 

@@ -295,10 +295,34 @@ JSON_VALUES = st.recursive(
 )
 
 
+STRING_DICTS = st.dictionaries(st.text(), st.text(), min_size=1)
+
+
+@st.composite
+def aliased_json_values(draw):
+    """JSON values in which the same dict and list objects recur at several
+    depths, as shared path nodes do in a report."""
+    nodes = draw(st.lists(STRING_DICTS, min_size=1, max_size=4))
+    leaves = st.sampled_from(nodes) | st.none() | st.booleans() | st.integers() | st.text()
+    containers = draw(st.lists(st.lists(leaves) | st.dictionaries(st.text(), leaves), max_size=3))
+    return draw(
+        st.recursive(
+            leaves | st.sampled_from(nodes + containers),
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+        )
+    )
+
+
+NODE = {"method": "app.A#m()", "entry": "app.B#n()/0"}
+
+
 # the sibling dicts compare equal (1 == True == 1.0, 0 == False) but print
-# differently, so a writer that reuses text keyed on values alone fails it
-@given(JSON_VALUES)
+# differently, so a writer that reuses text keyed on values alone fails it;
+# NODE recurs at depths 1 and 3 and in a list the join fast path must refuse
+@given(JSON_VALUES | aliased_json_values())
 @example([{"a": 1}, {"a": True}, {"a": 1.0}, {"k": 0}, {"k": False}, {"k": "0"}])
+@example([NODE, {"nodes": [NODE]}])
+@example(["s", NODE, {}, 3, [NODE, "t", [NODE]], NODE, True])
 def test_report_writer_matches_stdlib_json(value):
     assert _dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
 

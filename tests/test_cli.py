@@ -88,6 +88,20 @@ def test_analyze_dump_callgraph(paths, tmp_path):
     assert all(set(e) == {"site", "target", "provenance"} for e in edges)
 
 
+def stdlib_json(data: bytes) -> bytes:
+    return (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("app", ["threads", "viewstub"])
+def test_json_outputs_match_stdlib(paths, tmp_path, app):
+    report, cg, part = tmp_path / "r.json", tmp_path / "cg.json", tmp_path / "part.json"
+    assert run(analyze_args(paths, app, extra=["-o", str(report), "--dump-callgraph", str(cg)])) == 0
+    argv = ["cha-reach", paths[app], "--spec", paths["spec"], "--framework", paths["framework"]]
+    assert run([*argv, "-o", str(part)]) == 0
+    for out in (report, cg, part):
+        assert out.read_bytes() == stdlib_json(out.read_bytes()), out.name
+
+
 def test_bad_cfa_value_is_usage_error(paths, capsys):
     assert run(analyze_args(paths, extra=["--cfa", "2"])) == 2
 
@@ -254,6 +268,7 @@ def test_collect(paths, tmp_path):
     assert lines[0] == "app,permission,label,group,sites"
     assert len(lines) == 7  # five apps, six (app, permission) rows
     data = json.loads(summary.read_text())
+    assert summary.read_bytes() == stdlib_json(summary.read_bytes())
     assert data["apps"] == 5
     assert data["coverage"]["percent"] == 67
 
@@ -307,6 +322,7 @@ def test_compare_specs(paths, tmp_path):
     )
     assert code == 0
     result = json.loads(out.read_text())
+    assert out.read_bytes() == stdlib_json(out.read_bytes())
     assert result["a"] == result["b"]
     assert result["diff"]["unique_to_a"] == []
 

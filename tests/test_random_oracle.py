@@ -2,6 +2,7 @@
 against the naive fixpoint oracle, and capped DFS traversal against
 exhaustive path enumeration."""
 
+import json
 import tracemalloc
 from collections import Counter
 
@@ -9,7 +10,7 @@ import pytest
 
 from oracles import assert_matches_oracle, detected_oracle, filter_edges_oracle
 from permplace import analysis, pipeline
-from permplace.analysis import Limits, detected_sensitives
+from permplace.analysis import Limits, detected_sensitives, report_to_dict, write_report
 from permplace.cfa1 import Context
 from permplace.hierarchy import ClassHierarchy
 from permplace.model import LinkedProgram, SiteId, app_from_dict
@@ -172,6 +173,39 @@ def test_filter_edges_runs_once_per_state(
         assert [key for key, n in calls.items() if n > 1] == [], prepared.program.name
     d_call = (SiteId("app.U#d()", 1), Context(entrySite=SiteId("app.U#c()", 0)))
     assert d_call in calls and report.summary["paths"] == 2
+
+
+def path_nodes(report):
+    return [
+        node
+        for cb in report.callbacks
+        for ip in cb["insertionPoints"]
+        for s in ip["sensitives"]
+        for p in s["paths"]
+        for node in p["nodes"]
+    ]
+
+
+def test_paths_share_one_node_per_state(diamond_programs, threads):
+    # a work counter: every path through a (method, entering site) state
+    # holds that state's one node dict, so the writer renders it once
+    diamond = diamond_programs[19]  # 16 path nodes over 7 states
+    for prepared in (diamond, threads):
+        for mode in ("cfa0", "cfa1"):
+            nodes = path_nodes(pipeline.analyze(prepared, mode=mode))
+            states = {(n["method"], n["entry"]) for n in nodes}
+            assert len({id(n) for n in nodes}) == len(states), (prepared.program.name, mode)
+            assert prepared is threads or len(nodes) > len(states)
+
+
+def test_write_report_matches_stdlib_on_generated(
+    prepared_programs, diamond_programs, split_programs
+):
+    for prepared in [*prepared_programs, *diamond_programs, *split_programs]:
+        for mode in ("cfa0", "cfa1"):
+            report = pipeline.analyze(prepared, mode=mode)
+            want = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+            assert write_report(report) == want.encode(), (prepared.program.name, mode)
 
 
 def test_filter_edges_matches_oracle(
