@@ -14,7 +14,7 @@ from .hierarchy import ClassHierarchy
 from .intraflow import intraproc_values
 from .model import Invoke, LinkedProgram, SiteId, parse_method_sig
 from .permspec import PermissionSpec
-from .pointsto import CallGraph, PointsToSolution
+from .pointsto import CallGraph, PointsToSolution, components
 
 
 @dataclass(frozen=True, order=True)
@@ -127,30 +127,51 @@ def traverse(
     reported in-band as ``truncated`` flags, never as errors. The callees
     of a (method, entering site) state depend on the state alone, so each
     state's call sites are context-filtered once per call and reused by
-    every later visit, from any callback. Each state has one path node
-    dict, shared by every reported path through it: callers must not
+    every later visit, from any callback. A callee is skipped when every
+    sensitive it can reach is already truncated for this callback and no
+    walk below it can newly set the depth flag: such a subtree records
+    nothing. Each state has one path node dict, made when it is first
+    entered and shared by every reported path through it: callers must not
     mutate the nodes of a report."""
     assert mode in ("cfa0", "cfa1")
+    max_depth, max_paths = limits.maxDepth, limits.maxPathsPerSensitive
+    bit_of = {s: 1 << i for i, s in enumerate(sensitives)}
     sens_by_method = defaultdict(list)
     for s in sensitives:
-        sens_by_method[s.site.method].append(s)
+        sens_by_method[s.site.method].append((s, bit_of[s]))
+
+    # Context-insensitive summaries over the call edges to bodied targets
+    # (cfa1 only removes edges, so they bound every state of a method):
+    # ``reach``, the bits of the sensitives a method can reach, and
+    # ``height``, the most nodes a call chain from it can add, as
+    # ``max_depth`` when it can reach a cycle. Self-edges are never walked.
+    calls = defaultdict(set)
+    for site, targets in cg.edges.items():
+        for target, _prov in targets:
+            if target != site.method and program.body_of(target) is not None:
+                calls[site.method].add(target)
+    reach, height = {}, {}
+    for comp in components(calls, calls):
+        bits = longest = 0
+        for m in comp:
+            for _s, b in sens_by_method.get(m, ()):
+                bits |= b
+            for target in calls.get(m, ()):
+                bits |= reach.get(target, 0)
+                # only a member of a cycle has no height yet
+                longest = max(longest, height.get(target, max_depth))
+        for m in comp:
+            reach[m], height[m] = bits, min(longest + 1, max_depth)
 
     report = AnalysisReport(app=program.name, mode=mode, augment=augment)
     total_paths = 0
     flagged = set()
     # (method, entering site's method, stmt) -> the state's report node,
-    # shared by every path through the state
+    # shared by every path through the state; it keeps the node's id valid
     nodes = {}
-    # id(state node) -> [(callee, callee node, callee's context, ambiguous)]
-    # in visit order, bodyless callees dropped
+    # id(state node) -> [(callee, its node key, its context, ambiguous,
+    # its reach, its height)] in visit order, bodyless callees dropped
     successors = {}
-
-    def node_of(method, site):
-        key = (method, site.method, site.stmt)
-        node = nodes.get(key)
-        if node is None:
-            node = nodes[key] = {"method": method, "entry": str(site)}
-        return node
 
     def successors_of(node, method, ctx):
         out = successors.get(id(node))
@@ -171,7 +192,8 @@ def traverse(
             callee_ctx = Context(entrySite=site)
             for target, _prov in sorted(surviving):
                 if program.body_of(target) is not None:
-                    out.append((target, node_of(target, site), callee_ctx, amb))
+                    key = (target, method, i)
+                    out.append((target, key, callee_ctx, amb, reach[target], height[target]))
         return out
 
     for entry_site in program.entry_sites:
@@ -182,45 +204,52 @@ def traverse(
         cls, mname, mparams = parse_method_sig(cb_sig)
         # sensitive -> [(insertion stmt, report path)] in path order
         paths_by_sensitive = defaultdict(list)
-        truncated_sensitives = set()
+        truncated = 0  # bits of the sensitives whose paths were capped
         depth_truncated = False
 
         def enter(node, method, ctx, ambiguous):
             # records the sensitives of ``method``, reached along ``path``;
             # returns an iterator over the callees to visit from it
-            nonlocal depth_truncated
-            for s in sens_by_method.get(method, ()):
+            nonlocal truncated, depth_truncated
+            for s, b in sens_by_method.get(method, ()):
                 recorded = paths_by_sensitive[s]
-                if len(recorded) >= limits.maxPathsPerSensitive:
-                    truncated_sensitives.add(s)
+                if len(recorded) >= max_paths:
+                    truncated |= b
                     continue
                 # insertion point = first-call statement inside the callback
                 # body (or the sensitive itself when it sits in the callback)
                 stmt = first_stmt if len(path) > 1 else s.site.stmt
                 recorded.append((stmt, {"nodes": list(path), "ambiguous": ambiguous}))
-            if len(path) >= limits.maxDepth:
+            if len(path) >= max_depth:
                 depth_truncated = True
                 return iter(())
             return iter(successors_of(node, method, ctx))
 
         # a callee's frame runs to completion before its caller resumes, so
         # ``path`` and ``on_path`` always describe the top frame
-        root = node_of(cb_sig, entry_site)
+        root = {"method": cb_sig, "entry": str(entry_site)}
+        nodes[cb_sig, entry_site.method, entry_site.stmt] = root
         path = [root]
         on_path = {cb_sig}
         first_stmt = None  # the callback's statement that starts ``path``
         frames = [(enter(root, cb_sig, Context(entrySite=entry_site), False), False)]
         while frames:
             callees, ambiguous = frames[-1]
-            for target, node, ctx, amb in callees:
-                if target not in on_path:
-                    if len(path) == 1:
-                        first_stmt = ctx.entrySite.stmt
-                    path.append(node)
-                    on_path.add(target)
-                    amb = ambiguous or amb
-                    frames.append((enter(node, target, ctx, amb), amb))
-                    break
+            for target, key, ctx, amb, bits, tall in callees:
+                if target in on_path or not bits & ~truncated and (
+                    depth_truncated or len(path) + tall < max_depth
+                ):
+                    continue
+                node = nodes.get(key)
+                if node is None:
+                    node = nodes[key] = {"method": target, "entry": str(ctx.entrySite)}
+                if len(path) == 1:
+                    first_stmt = ctx.entrySite.stmt
+                path.append(node)
+                on_path.add(target)
+                amb = ambiguous or amb
+                frames.append((enter(node, target, ctx, amb), amb))
+                break
             else:
                 frames.pop()
                 on_path.discard(path.pop()["method"])
@@ -250,7 +279,7 @@ def traverse(
                         "keys": list(s.matchedKeys),
                         "permissions": sorted(s.permissions),
                         "viaParametric": s.viaParametric,
-                        "truncated": s in truncated_sensitives,
+                        "truncated": bool(truncated & bit_of[s]),
                         "paths": paths,
                     }
                 )

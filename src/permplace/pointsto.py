@@ -151,7 +151,7 @@ class _Solver:
             self.pts[n] = old | bits
 
     def add_edge(self, src, dst):
-        if dst not in self.succ[src]:
+        if src != dst and dst not in self.succ[src]:
             self.succ[src].add(dst)
             if self.pts[src]:
                 self.add_pts(dst, self.pts[src])
@@ -204,6 +204,15 @@ class _Solver:
         if sig not in self.reachable:
             self.reachable.add(sig)
             self.pending.append(sig)
+            # off-line variable substitution: the locals of a copy cycle end
+            # with one set, so they share one node from the start
+            copies = {}
+            for stmt in self.program.body_of(sig) or ():
+                if type(stmt) is Assign:
+                    copies.setdefault(stmt.source, []).append(stmt.target)
+            for comp in components(copies, copies) if len(copies) > 1 else ():
+                for local in comp[1:]:
+                    self.vars[sig, local] = self.var(sig, comp[0])
 
     def process_body(self, sig: str):
         body = self.program.body_of(sig)
@@ -280,6 +289,39 @@ def members(bits: int) -> list:
         low = bits & -bits
         found.append(low.bit_length() - 1)
         bits ^= low
+    return found
+
+
+def components(roots, succ) -> list:
+    """Strongly connected components, as lists, of the graph ``succ`` (node
+    -> successor nodes) reachable from ``roots``, by Tarjan's algorithm on
+    an explicit stack. A component comes after every component it reaches."""
+    # the roots are the successors of a virtual node None, below every index
+    index, low, stack, found = {}, {None: -1}, [], []
+    work = [(None, iter(roots))]
+    while work:
+        v, it = work[-1]
+        for w in it:
+            if w not in index:
+                index[w] = low[w] = len(index)
+                stack.append(w)
+                work.append((w, iter(succ.get(w, ()))))
+                break
+            if w in low:  # still on the stack
+                low[v] = min(low[v], index[w])
+        else:
+            work.pop()
+            if v is None:
+                break
+            u = work[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                comp = [stack.pop()]
+                while comp[-1] != v:
+                    comp.append(stack.pop())
+                for w in comp:
+                    del low[w]
+                found.append(comp)
     return found
 
 

@@ -2,7 +2,8 @@
 
 These are deliberately naive: whole-state fixpoint iteration instead of a
 worklist, recursion over frozensets instead of bitsets, and exhaustive path
-enumeration instead of capped DFS. They share no code with the production
+enumeration, or a recursive capped DFS without pruning, instead of the
+pruned DFS on an explicit stack. They share no code with the production
 analyses beyond the IR data model.
 """
 
@@ -335,3 +336,97 @@ def detected_oracle(program, cg, sol, sensitives, mode, visits=None):
         cb_sig = sorted(entry_edges)[0][0]
         walk(cb_sig, entry_site, {cb_sig})
     return found
+
+
+def report_oracle(prepared, mode, max_depth, max_paths):
+    """The report ``analysis.traverse`` writes, as a dict, by a recursive,
+    unpruned, method-simple DFS over every callback: each call site in body
+    order, its surviving edges sorted, at most ``max_paths`` paths per
+    sensitive and ``max_depth`` nodes per path. A callback is ``truncated``
+    when some path reaches ``max_depth`` nodes, a sensitive when it is
+    reached with ``max_paths`` paths already recorded. cfa1 filters with
+    ``filter_edges_oracle``."""
+    program, cg, sol = prepared.program, prepared.cg, prepared.sol
+    callbacks, flagged = [], set()
+
+    for entry_site in program.entry_sites:
+        entry_edges = cg.edges_at(entry_site)
+        if not entry_edges:
+            continue
+        cb_sig = sorted(entry_edges)[0][0]
+        paths = defaultdict(list)  # sensitive -> [(insertion stmt, path)]
+        capped = set()
+        depth_cut = []
+
+        def walk(method, entry_site, path, ambiguous):
+            path = path + [(method, entry_site)]
+            for s in prepared.sensitives:
+                if s.site.method != method:
+                    continue
+                if len(paths[s]) >= max_paths:
+                    capped.add(s)
+                    continue
+                stmt = path[1][1].stmt if len(path) > 1 else s.site.stmt
+                nodes = [{"method": m, "entry": str(e)} for m, e in path]
+                paths[s].append((stmt, {"nodes": nodes, "ambiguous": ambiguous}))
+            if len(path) >= max_depth:
+                depth_cut.append(True)
+                return
+            for i, stmt in enumerate(program.body_of(method) or ()):
+                site = SiteId(method, i)
+                edges = cg.edges_at(site)
+                if not isinstance(stmt, Invoke) or not edges:
+                    continue
+                if mode == "cfa1":
+                    surviving, amb = filter_edges_oracle(cg, sol, program, site, entry_site)
+                else:
+                    surviving, amb = edges, len(edges) > 1
+                for target, _prov in sorted(surviving):
+                    if program.body_of(target) is not None and all(target != m for m, _ in path):
+                        walk(target, site, path, ambiguous or amb)
+
+        walk(cb_sig, entry_site, [], False)
+        if not paths:
+            continue
+        by_stmt = defaultdict(list)
+        for s in sorted(paths):
+            for stmt in sorted({stmt for stmt, _ in paths[s]}):
+                flagged.add(s)
+                by_stmt[stmt].append({
+                    "site": str(s.site),
+                    "kind": s.kind,
+                    "keys": list(s.matchedKeys),
+                    "permissions": sorted(s.permissions),
+                    "viaParametric": s.viaParametric,
+                    "truncated": s in capped,
+                    "paths": [p for at, p in paths[s] if at == stmt],
+                })
+        callbacks.append({
+            "class": parse_method_sig(cb_sig)[0],
+            "method": cb_sig,
+            "entrySite": str(entry_site),
+            "truncated": bool(depth_cut),
+            "insertionPoints": [
+                {
+                    "stmt": stmt,
+                    "permissions": sorted({p for s in sens for p in s["permissions"]}),
+                    "sensitives": sens,
+                }
+                for stmt, sens in sorted(by_stmt.items())
+            ],
+        })
+    return {
+        "app": program.name,
+        "mode": mode,
+        "augment": prepared.augmented,
+        "callbacks": callbacks,
+        "summary": {
+            "callbacksFlagged": len(callbacks),
+            "sensitivesDetected": len(flagged),
+            "paths": sum(
+                len(s["paths"]) for cb in callbacks for ip in cb["insertionPoints"]
+                for s in ip["sensitives"]
+            ),
+            "permissions": sorted({p for s in flagged for p in s.permissions}),
+        },
+    }

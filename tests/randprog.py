@@ -15,7 +15,8 @@ subtype no callback passes, whose override only cfa0 then reaches.
 
 ``gen_heap_app`` makes the other shape: many allocations merged through
 copy cycles, a hot static and one shared field, so points-to sets hold
-dozens to hundreds of objects.
+dozens to hundreds of objects. ``ladder_app`` has as many call paths as a
+program of its size can have: their number doubles with each level.
 """
 
 import random
@@ -268,4 +269,30 @@ def gen_heap_app(seed: int, workers: int = 12, allocs: int = 6):
         "name": f"heap-{seed}-{workers}x{allocs}",
         "manifest": {"targetApi": 23, "permissions": []},
         "classes": classes,
+    })
+
+
+def ladder_app(levels: int):
+    """``levels`` levels of two static methods, rnd.Ladder#L{i} and R{i},
+    each calling both methods of the next level; both methods of the last
+    level open the camera, and one Activity's onCreate calls L0. Each of
+    the two sensitives has 2**(levels - 1) call paths of ``levels + 1``
+    nodes."""
+
+    def calls(*targets):
+        return [{"op": "invoke", "kind": "static", "method": t} for t in targets]
+
+    methods = []
+    for i in range(levels):
+        below = (f"rnd.Ladder#L{i + 1}()", f"rnd.Ladder#R{i + 1}()")
+        body = calls(*below) if i + 1 < levels else calls("android.hardware.Camera#open()")
+        methods += [{"name": f"{side}{i}", "static": True, "body": body} for side in "LR"]
+    return app_from_dict({
+        "name": f"ladder-{levels}",
+        "manifest": {"targetApi": 23, "permissions": []},
+        "classes": [
+            {"name": "rnd.Host", "super": "android.app.Activity",
+             "methods": [{"name": "onCreate", "body": calls("rnd.Ladder#L0()")}]},
+            {"name": "rnd.Ladder", "methods": methods},
+        ],
     })

@@ -7,11 +7,17 @@ what grows with the square of its depth."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from permplace import model
 from permplace.cli import run
+from randprog import ladder_app
 
 ACTIVITY = "android.app.Activity"
 LOCATION = "android.location.LocationManager#getLastKnownLocation(java.lang.String)"
@@ -31,10 +37,11 @@ def _activity(name, body):
     return {"name": name, "kind": "class", "super": ACTIVITY, "methods": [_method("onCreate", body)]}
 
 
-def assign_chain_app(n):
+def assign_chain_app(n, cycle=False):
     """onCreate copies a LocationManager and a protected field value through
     ``n`` assigns each, then calls getLastKnownLocation on the one and
-    passes the other to ``Intent#<init>(String)``."""
+    passes the other to ``Intent#<init>(String)``. With ``cycle``, two last
+    assigns close each chain into a cycle of ``n + 1`` locals."""
     body = [
         {"op": "new", "target": "l0", "type": "android.location.LocationManager"},
         {"op": "load_static", "target": "c0", "field": "android.provider.Contacts#SENSITIVE_FIELD"},
@@ -49,6 +56,8 @@ def assign_chain_app(n):
         {"op": "invoke", "kind": "special", "method": INTENT_INIT, "receiver": "intent",
          "args": [f"c{n}"]},
     ]
+    if cycle:
+        body += [{"op": "assign", "target": f"{v}0", "source": f"{v}{n}"} for v in "lc"]
     return _app("assignchain", [_activity("app.Chain", body)])
 
 
@@ -121,6 +130,41 @@ def test_assign_chain_analyze(write_app, common, tmp_path, extra):
     on_create = "app.Chain#onCreate()"
     location_site = 2 + 2 * n + 1
     assert _detected(out) == {f"{on_create}/{location_site}", f"{on_create}/{location_site + 2}"}
+
+
+@pytest.mark.parametrize("extra", [[], ["--cfa", "0"]], ids=["cfa1", "cfa0"])
+def test_assign_cycle_analyze(write_app, common, tmp_path, extra):
+    # the solver finds the copy cycles of each method it reaches; one of
+    # 3,001 locals must not exhaust the recursion limit
+    n = 3000
+    app = write_app(assign_chain_app(n, cycle=True))
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(app), *common, *extra, "-o", str(out)]) == 0
+    on_create = "app.Chain#onCreate()"
+    location_site = 2 + 2 * n + 1
+    assert _detected(out) == {f"{on_create}/{location_site}", f"{on_create}/{location_site + 2}"}
+
+
+def test_ladder_analyze_within_seconds(tmp_path, common):
+    # 2**39 call paths reach each sensitive of a 40-level ladder: once both
+    # have 100 paths, no walk below can add a path or a truncation, so the
+    # traversal must leave them unwalked
+    app = tmp_path / "ladder.json"
+    app.write_text(model.serialize(ladder_app(40)), encoding="utf-8")
+    out = tmp_path / "report.json"
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "permplace.cli", "analyze", str(app), *common, "-o", str(out)],
+        capture_output=True, text=True, timeout=5,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    sensitives = [s for cb in report["callbacks"] for ip in cb["insertionPoints"]
+                  for s in ip["sensitives"]]
+    assert report["summary"]["paths"] == 200
+    assert len(sensitives) == 2 and all(s["truncated"] for s in sensitives)
 
 
 def test_assign_chain_collect(write_app, common, tmp_path, fixtures_dir):

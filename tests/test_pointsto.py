@@ -1,8 +1,18 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import assert_matches_oracle
-from permplace.model import SiteId
-from permplace.pointsto import augment_call_graph, reachable_methods, solve_0cfa
+from permplace import pipeline
+from permplace.model import SiteId, app_from_dict
+from permplace.pointsto import (
+    _Solver,
+    augment_call_graph,
+    components,
+    reachable_methods,
+    solve_0cfa,
+)
+from randprog import gen_heap_app
 
 CB1 = "app.Host#callback1()"
 CB2 = "app.Host#callback2()"
@@ -128,3 +138,98 @@ def test_solver_requires_entry(threads, framework):
     program = link_program(app, [framework])
     with pytest.raises(ValueError):
         solve_0cfa(program, build_hierarchy(program))
+
+
+# -- copy cycles -------------------------------------------------------------
+
+
+graphs = st.dictionaries(st.integers(0, 9), st.lists(st.integers(0, 9), max_size=4), max_size=10)
+
+
+@given(graphs, st.lists(st.integers(0, 9), max_size=4))
+def test_components_match_mutual_reachability(succ, roots):
+    def closure(node):
+        seen, todo = {node}, [node]
+        while todo:
+            for w in succ.get(todo.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    found = components(roots, succ)
+    order = {v: i for i, comp in enumerate(found) for v in comp}
+    assert len(order) == sum(map(len, found))  # each node in one component
+    assert set(order) == set().union(*map(closure, roots))
+    for v in order:
+        for w in closure(v):
+            # one component when each reaches the other, else w's comes first
+            assert order[w] == order[v] if v in closure(w) else order[w] < order[v]
+
+
+def solved(prepared):
+    solver = _Solver(prepared.program, prepared.hierarchy)
+    solver.run()
+    return solver
+
+
+def test_heap_copy_cycles_share_nodes(framework):
+    # a count gate: each worker's assign cycle is one node, not one per local
+    prepared = pipeline.prepare(gen_heap_app(0), [framework])
+    solver = solved(prepared)
+    assert len(set(solver.vars.values())) < len(solver.vars)
+    assert set(prepared.sol.vars) == {k for k, n in solver.vars.items() if solver.pts[n]}
+
+
+def cycle_app():
+    """app.Box#swap(app.Item) copies p0 to r, r to this, this to p0 and
+    returns r, calling run() on r: one cycle holds a parameter, the receiver
+    and a returned local. Two callers pass different boxes and items."""
+
+    def assign(target, source):
+        return {"op": "assign", "target": target, "source": source}
+
+    def new(target, type_):
+        return {"op": "new", "target": target, "type": type_}
+
+    def call(receiver, arg, target):
+        return {"op": "invoke", "kind": "virtual", "method": "app.Box#swap(app.Item)",
+                "receiver": receiver, "args": [arg], "target": target}
+
+    return app_from_dict({
+        "name": "copy-cycle",
+        "manifest": {"targetApi": 23, "permissions": []},
+        "classes": [
+            {"name": "app.Host", "super": "android.app.Activity", "methods": [
+                {"name": "onCreate", "body": [new("b", "app.Box"), new("i", "app.ItemA"),
+                                              call("b", "i", "x")]},
+                {"name": "callback1", "body": [new("b", "app.BigBox"), new("i", "app.ItemB"),
+                                              call("b", "i", "y"), assign("z", "y")]},
+            ]},
+            {"name": "app.Box", "methods": [
+                {"name": "swap", "params": ["app.Item"], "returnType": "app.Item", "body": [
+                    assign("r", "p0"), assign("this", "r"), assign("p0", "this"),
+                    {"op": "invoke", "kind": "virtual", "method": "app.Item#run()",
+                     "receiver": "r"},
+                    {"op": "return", "value": "r"},
+                ]},
+            ]},
+            {"name": "app.BigBox", "super": "app.Box", "methods": []},
+            {"name": "app.Item", "methods": [{"name": "run", "body": []}]},
+            {"name": "app.ItemA", "super": "app.Item", "methods": [{"name": "run", "body": []}]},
+            {"name": "app.ItemB", "super": "app.Item", "methods": []},
+        ],
+    })
+
+
+def test_copy_cycle_through_parameter_receiver_and_return(framework):
+    prepared = pipeline.prepare(cycle_app(), [framework])
+    assert_matches_oracle(prepared)
+    solver = solved(prepared)
+    swap = "app.Box#swap(app.Item)"
+    assert len({solver.vars[swap, v] for v in ("p0", "this", "r")}) == 1
+    assert len(prepared.sol.pts(swap, "this")) == 4  # both boxes and both items
+    run_site = SiteId(swap, 3)
+    assert {t for t, _p in prepared.cg_raw.edges_at(run_site)} == {
+        "app.ItemA#run()", "app.Item#run()"
+    }

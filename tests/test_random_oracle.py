@@ -1,6 +1,6 @@
 """Differential testing on seeded random programs: the production solver
 against the naive fixpoint oracle, and capped DFS traversal against
-exhaustive path enumeration."""
+exhaustive path enumeration and a naive capped DFS."""
 
 import json
 import tracemalloc
@@ -8,14 +8,19 @@ from collections import Counter
 
 import pytest
 
-from oracles import assert_matches_oracle, detected_oracle, filter_edges_oracle
+from oracles import (
+    assert_matches_oracle,
+    detected_oracle,
+    filter_edges_oracle,
+    report_oracle,
+)
 from permplace import analysis, pipeline
 from permplace.analysis import Limits, detected_sensitives, report_to_dict, write_report
 from permplace.cfa1 import Context
 from permplace.hierarchy import ClassHierarchy
 from permplace.model import LinkedProgram, SiteId, app_from_dict
 from permplace.pointsto import augment_call_graph, solve_0cfa
-from randprog import gen_app, gen_heap_app
+from randprog import gen_app, gen_heap_app, ladder_app
 
 SEEDS = range(60)
 DIAMOND_SEEDS = range(20)
@@ -23,6 +28,9 @@ SPLIT_SEEDS = range(20)
 # (seed, workers, allocations per worker): 74 to 386 allocation sites
 HEAP_INSTANCES = [(0, 12, 6), (1, 12, 6), (2, 12, 6), (0, 24, 6), (1, 24, 6), (0, 48, 8)]
 LARGEST_HEAP = (0, 96, 8)  # 770 allocation sites
+# (maxDepth, maxPathsPerSensitive): neither cap, the depth cap, the path
+# cap, and both
+BINDING_CAPS = [(50, 100), (3, 100), (50, 1), (4, 2)]
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +116,71 @@ def test_detection_matches_enumeration(prepared_programs, diamond_programs, spli
     # each diamond makes the enumeration enter some callee twice from one
     # site, so the comparison covers traversal states met more than once
     assert all(repeated[:len(diamond_programs)])
+
+
+def assert_report_matches_oracle(prepared, mode, max_depth, max_paths):
+    """``write_report`` bytes equal the capped oracle's; returns the report."""
+    report = pipeline.analyze(prepared, mode=mode, limits=Limits(max_depth, max_paths))
+    want = report_oracle(prepared, mode, max_depth, max_paths)
+    got = write_report(report)
+    assert got == (json.dumps(want, indent=2, sort_keys=True) + "\n").encode(), (
+        prepared.program.name, mode, max_depth, max_paths
+    )
+    return report
+
+
+@pytest.mark.parametrize("mode", ["cfa0", "cfa1"])
+@pytest.mark.parametrize("max_depth,max_paths", BINDING_CAPS)
+def test_report_matches_capped_oracle(
+    prepared_programs, diamond_programs, split_programs, mode, max_depth, max_paths
+):
+    # the traversal skips callees that cannot change the report; the oracle
+    # walks every method-simple path, so a skip that drops a path or a
+    # truncated flag shows as a byte difference
+    depth_cut = sensitive_cut = 0
+    for prepared in [*prepared_programs, *diamond_programs, *split_programs]:
+        report = assert_report_matches_oracle(prepared, mode, max_depth, max_paths)
+        depth_cut += sum(cb["truncated"] for cb in report.callbacks)
+        sensitive_cut += sum(
+            s["truncated"]
+            for cb in report.callbacks
+            for ip in cb["insertionPoints"]
+            for s in ip["sensitives"]
+        )
+    assert bool(depth_cut) == (max_depth < 50)
+    assert bool(sensitive_cut) == (max_paths < 100)
+
+
+def recursion_app():
+    """onCreate opens the camera and calls a, a calls b, and b calls a back
+    and calls c. The longest walk, onCreate a b c, has four nodes: one more
+    than a chain from a has when the a-b cycle is not counted."""
+
+    def calls(*targets):
+        return [{"op": "invoke", "kind": "static", "method": t} for t in targets]
+
+    return app_from_dict({
+        "name": "recursion",
+        "manifest": {"targetApi": 23, "permissions": []},
+        "classes": [
+            {"name": "app.Host", "super": "android.app.Activity", "methods": [
+                {"name": "onCreate", "body": calls("android.hardware.Camera#open()", "app.U#a()")},
+            ]},
+            {"name": "app.U", "methods": [
+                {"name": "a", "static": True, "body": calls("app.U#b()")},
+                {"name": "b", "static": True, "body": calls("app.U#a()", "app.U#c()")},
+                {"name": "c", "static": True, "body": []},
+            ]},
+        ],
+    })
+
+
+@pytest.mark.parametrize("app", [ladder_app(1), ladder_app(2), ladder_app(3), ladder_app(5),
+                                 recursion_app()], ids=lambda app: app.name)
+@pytest.mark.parametrize("max_depth,max_paths", [*BINDING_CAPS, (5, 3), (6, 3)])
+def test_hand_built_report_matches_capped_oracle(framework, spec, app, max_depth, max_paths):
+    prepared = pipeline.prepare(app, [framework], spec=spec)
+    assert_report_matches_oracle(prepared, "cfa1", max_depth, max_paths)
 
 
 def test_split_programs_detect_less_under_cfa1(split_programs):
