@@ -44,6 +44,6 @@ from .permspec import (
     merge_specs,
     mine_doc_candidates,
 )
-from .pointsto import CallGraph, PointsToSolution, augment_call_graph, reachable_methods, solve_0cfa
+from .pointsto import CallGraph, PointsToSolution, augment_call_graph, solve_0cfa
 
 __version__ = "0.1.0"

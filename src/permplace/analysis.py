@@ -10,11 +10,12 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .cfa1 import Context, filter_edges
 from .errors import InconsistentInput, UnknownType
+from .graph import closure, components
 from .hierarchy import ClassHierarchy
 from .intraflow import intraproc_values
 from .model import Invoke, LinkedProgram, SiteId, parse_method_sig
 from .permspec import PermissionSpec
-from .pointsto import CallGraph, PointsToSolution, components
+from .pointsto import CallGraph, PointsToSolution
 
 
 @dataclass(frozen=True, order=True)
@@ -256,19 +257,17 @@ def traverse(
 
         if not paths_by_sensitive:
             continue
-        by_stmt = defaultdict(list)  # stmt index -> [(sensitive, paths)]
+        # stmt index -> sensitive -> paths, sensitives in sorted order and
+        # paths in path order
+        by_stmt = defaultdict(dict)
         for s in sorted(paths_by_sensitive):
-            groups = defaultdict(list)  # stmt index -> paths, in path order
             for idx, p in paths_by_sensitive[s]:
-                groups[idx].append(p)
-            for idx in sorted(groups):
-                by_stmt[idx].append((s, groups[idx]))
+                by_stmt[idx].setdefault(s, []).append(p)
         insertion_points = []
         for idx in sorted(by_stmt):
-            entries = by_stmt[idx]
             perms = set()
             sens_out = []
-            for s, paths in entries:
+            for s, paths in by_stmt[idx].items():
                 perms |= s.permissions
                 flagged.add(s)
                 total_paths += len(paths)
@@ -322,30 +321,16 @@ def detected_sensitives(report: AnalysisReport):
 def cha_reachable_methods(program: LinkedProgram, hierarchy: ClassHierarchy):
     """Closure from the dummy main using class hierarchy data alone: every
     virtual site expands to all bodied CHA targets."""
+    calls = defaultdict(set)  # method sig -> CHA targets of its call sites
+    for _decl, m, sig in program.iter_methods():
+        for stmt in m.body or ():
+            if isinstance(stmt, Invoke):
+                try:
+                    calls[sig] |= hierarchy.cha_targets(stmt)
+                except UnknownType:
+                    continue
     main = program.entry_main_sig
-    if main is None:
-        return frozenset()
-    seen = set()
-    queue = [main]
-    while queue:
-        m = queue.pop()
-        if m in seen:
-            continue
-        seen.add(m)
-        body = program.body_of(m)
-        if body is None:
-            continue
-        for stmt in body:
-            if not isinstance(stmt, Invoke):
-                continue
-            try:
-                targets = hierarchy.cha_targets(stmt)
-            except UnknownType:
-                continue
-            for t in targets:
-                if t not in seen:
-                    queue.append(t)
-    return frozenset(seen)
+    return closure([main] if main else (), calls)
 
 
 def cha_reach_partition(

@@ -130,8 +130,9 @@ def filter_edges(
 ):
     """Context-filter the edges at a call site; returns (edges, ambiguous).
 
-    Augmented and entry edges pass unchanged (unique by construction), as
-    do static/special edges. For points-to edges at virtual/interface
+    Augmented edges pass unchanged (unique by construction), as do
+    static/special edges. Entry edges sit only at dummy-main sites, which
+    no traversal state filters. For points-to edges at virtual/interface
     sites, only edges compatible with the refined receiver set survive; an
     empty refined set keeps all edges (never drop reachability on
     refinement gaps). ``ambiguous`` is true when more than one points-to
@@ -143,7 +144,7 @@ def filter_edges(
         return frozenset(), False
     if stmt.kind in ("static", "special"):
         return edges, False
-    passthrough = {e for e in edges if e[1] in ("augmented",)}
+    passthrough = {e for e in edges if e[1] == "augmented"}
     pointsto = edges - passthrough
     if not pointsto:
         return edges, False

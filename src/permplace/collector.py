@@ -113,10 +113,7 @@ def coverage(corpus_labels) -> tuple:
                 mcs += 1
             elif label == "MC":
                 mc += 1
-    if mcs + mc == 0:
-        raise UndefinedCoverage("corpus has no MC or MCS instances")
-    ratio = mcs / (mcs + mc)
-    return ratio, _percent(mcs, mcs + mc)
+    return coverage_from_counts(mcs, mc)
 
 
 def coverage_from_counts(mcs: int, mc: int) -> tuple:

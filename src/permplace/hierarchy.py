@@ -6,12 +6,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CycleError, UnknownType
+from .graph import closure, components
 from .model import Invoke, LinkedProgram, parse_method_sig
 
 
 @dataclass
 class ClassHierarchy:
     program: LinkedProgram
+    parents: dict = field(default_factory=dict)  # name -> direct supertypes
     children: dict = field(default_factory=dict)  # name -> direct subtypes
     _dispatch_cache: dict = field(default_factory=dict)
     _declarations: dict = field(default_factory=dict)  # invoke signature -> visible declaration
@@ -19,23 +21,15 @@ class ClassHierarchy:
 
     # -- queries ------------------------------------------------------------
 
-    def _closure(self, name: str, step) -> frozenset:
-        # reflexive-transitive closure of ``step``; empty for an unknown name
-        seen, todo = set(), [name] if name in self.program.classes else []
-        while todo:
-            n = todo.pop()
-            if n not in seen:
-                seen.add(n)
-                todo.extend(step(n))
-        return frozenset(seen)
+    def supertypes(self, name: str) -> set:
+        """``name`` and every type it extends or implements, transitively;
+        empty for an unknown name."""
+        return closure([name] if name in self.parents else (), self.parents)
 
-    def supertypes(self, name: str) -> frozenset:
-        """``name`` and every type it extends or implements, transitively."""
-        return self._closure(name, lambda n: self.program.classes[n].parents)
-
-    def subtypes(self, name: str) -> frozenset:
-        """``name`` and every type that extends or implements it, transitively."""
-        return self._closure(name, self.children.__getitem__)
+    def subtypes(self, name: str) -> set:
+        """``name`` and every type that extends or implements it,
+        transitively; empty for an unknown name."""
+        return closure([name] if name in self.children else (), self.children)
 
     def is_subtype(self, sub: str, sup: str) -> bool:
         key = (sub, sup)
@@ -68,14 +62,14 @@ class ClassHierarchy:
         self._dispatch_cache[key] = result
         return result
 
-    def cha_targets(self, invoke: Invoke, include_stubs: bool = False):
+    def cha_targets(self, invoke: Invoke):
         """CHA target signature set for a call site.
 
         static/special sites yield the single direct target. virtual and
         interface sites yield the dispatch result of every concrete subtype
-        of the declared receiver type. By default only bodied declarations
-        are returned (stub-only targets are useless for reachability and
-        for augmentation candidacy); ``include_stubs`` lifts that.
+        of the declared receiver type. Only bodied declarations are
+        returned: stub-only targets are useless for reachability and for
+        augmentation candidacy.
         """
         cls, name, params = parse_method_sig(invoke.method)
         if self.program.get_class(cls) is None:
@@ -85,7 +79,7 @@ class ClassHierarchy:
             if direct is None:
                 return set()
             found = self.program.lookup_method(direct)
-            if found is None or (found[1].body is None and not include_stubs):
+            if found is None or found[1].body is None:
                 return set()
             return {direct}
         targets = set()
@@ -97,7 +91,7 @@ class ClassHierarchy:
             if hit is None:
                 continue
             owner, m = hit
-            if m.body is None and not include_stubs:
+            if m.body is None:
                 continue
             targets.add(m.sig(owner))
         return targets
@@ -139,32 +133,22 @@ class ClassHierarchy:
 
 def build_hierarchy(program: LinkedProgram) -> ClassHierarchy:
     """Index direct subtypes; raises CycleError on an inheritance cycle."""
-    classes = program.classes
-    closed = set()
-    for root in sorted(classes):
-        if root in closed:
-            continue
-        # depth-first over parents along an explicit path; a name is closed
-        # once all its parents are
-        path, todo, on_path = [root], [iter(classes[root].parents)], {root}
-        while path:
-            for p in todo[-1]:
-                if p in closed:
-                    continue
-                if p in on_path:
-                    raise CycleError(" -> ".join(path[path.index(p):] + [p]))
-                path.append(p)
-                todo.append(iter(classes[p].parents))
-                on_path.add(p)
-                break
-            else:
-                name = path.pop()
-                todo.pop()
-                on_path.discard(name)
-                closed.add(name)
-
-    children = {name: [] for name in classes}
-    for name, decl in classes.items():
-        for p in decl.parents:
+    parents = {name: decl.parents for name, decl in program.classes.items()}
+    children = {name: [] for name in parents}
+    for name, ps in parents.items():
+        for p in ps:
             children[p].append(name)
-    return ClassHierarchy(program=program, children=children)
+    # a type on a cycle has a parent and a child on it
+    inner = sorted(name for name, ps in parents.items() if ps and children[name])
+    for comp in components(inner, parents):
+        if len(comp) > 1 or comp[0] in parents[comp[0]]:
+            # every member has a parent inside the component: follow the
+            # first one until a name repeats
+            members, path, at = set(comp), [], {}
+            name = min(comp)
+            while name not in at:
+                at[name] = len(path)
+                path.append(name)
+                name = next(p for p in parents[name] if p in members)
+            raise CycleError(" -> ".join(path[at[name]:] + [name]))
+    return ClassHierarchy(program=program, parents=parents, children=children)

@@ -69,7 +69,6 @@ class SpecEntry:
 @dataclass(frozen=True)
 class PermissionSpec:
     entries: dict  # (kind, key, argIndex) -> SpecEntry
-    provenance: tuple = ()
 
     def __len__(self):
         return len(self.entries)
@@ -130,7 +129,7 @@ def spec_from_list(items, where: str = "<spec>") -> PermissionSpec:
                 )
             continue  # identical duplicates collapse
         entries[entry.entry_key] = entry
-    return PermissionSpec(entries=entries, provenance=(where,))
+    return PermissionSpec(entries=entries)
 
 
 def load_spec(path) -> PermissionSpec:
@@ -180,10 +179,7 @@ def merge_specs(a: PermissionSpec, b: PermissionSpec):
         "unique_to_a": sorted(set(a.entries) - set(b.entries)),
         "unique_to_b": sorted(set(b.entries) - set(a.entries)),
     }
-    return (
-        PermissionSpec(entries=merged, provenance=a.provenance + b.provenance),
-        report,
-    )
+    return PermissionSpec(entries=merged), report
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +238,7 @@ def filter_dangerous(spec: PermissionSpec, groups: GroupTable) -> PermissionSpec
         kept = frozenset(p for p in e.permissions if groups.is_dangerous(p))
         if kept:
             entries[key] = replace(e, permissions=kept)
-    return PermissionSpec(entries=entries, provenance=spec.provenance)
+    return PermissionSpec(entries=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ zero edges — the incompleteness that augmentation repairs.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import UnknownType
+from .graph import closure, components
 from .hierarchy import ClassHierarchy
 from .model import (
     Assign,
@@ -292,39 +293,6 @@ def members(bits: int) -> list:
     return found
 
 
-def components(roots, succ) -> list:
-    """Strongly connected components, as lists, of the graph ``succ`` (node
-    -> successor nodes) reachable from ``roots``, by Tarjan's algorithm on
-    an explicit stack. A component comes after every component it reaches."""
-    # the roots are the successors of a virtual node None, below every index
-    index, low, stack, found = {}, {None: -1}, [], []
-    work = [(None, iter(roots))]
-    while work:
-        v, it = work[-1]
-        for w in it:
-            if w not in index:
-                index[w] = low[w] = len(index)
-                stack.append(w)
-                work.append((w, iter(succ.get(w, ()))))
-                break
-            if w in low:  # still on the stack
-                low[v] = min(low[v], index[w])
-        else:
-            work.pop()
-            if v is None:
-                break
-            u = work[-1][0]
-            low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = [stack.pop()]
-                while comp[-1] != v:
-                    comp.append(stack.pop())
-                for w in comp:
-                    del low[w]
-                found.append(comp)
-    return found
-
-
 def by_runtime_type(bits: int, type_allocs: dict, alloc_type) -> list:
     """Split the allocs ``bits`` into (runtime type, its allocs in ``bits``)
     pairs: per type when the set outnumbers the types (merged heaps), else
@@ -356,25 +324,6 @@ def solve_0cfa(program: LinkedProgram, hierarchy: ClassHierarchy):
     return sol, cg
 
 
-def reachable_methods(edges: dict, roots) -> frozenset:
-    """Transitive closure over call edges from root method sigs."""
-    by_method = defaultdict(list)
-    for site, targets in edges.items():
-        by_method[site.method].append(targets)
-    seen = set()
-    queue = deque(roots)
-    while queue:
-        m = queue.popleft()
-        if m in seen:
-            continue
-        seen.add(m)
-        for targets in by_method.get(m, ()):
-            for target, _prov in targets:
-                if target not in seen:
-                    queue.append(target)
-    return frozenset(seen)
-
-
 def augment_call_graph(
     cg: CallGraph,
     program: LinkedProgram,
@@ -386,19 +335,20 @@ def augment_call_graph(
     code until fixpoint (``passes`` caps the iterations; 1 reproduces a
     single post-processing sweep). Points-to sets are never recomputed."""
     edges = dict(cg.edges)
-    roots = [program.entry_main_sig] if program.entry_main_sig else []
-    reachable = reachable_methods(edges, roots)
+    callees = defaultdict(set)  # method sig -> targets of its call edges
+    for site, targets in edges.items():
+        out = callees[site.method]
+        for target, _prov in targets:
+            out.add(target)
+    reachable = closure([program.entry_main_sig] if program.entry_main_sig else (), callees)
     # a site's CHA targets never change and edges only grow, so each pass
-    # scans only the methods the previous one made reachable
-    fresh = reachable
-    done = 0
-    while passes is None or done < passes:
-        changed = False
+    # scans only the methods the previous one made reachable: the closure of
+    # its new targets, stopped at the methods already scanned
+    fresh, done = reachable, 0
+    while fresh and (passes is None or done < passes):
+        new = set()
         for m in sorted(fresh):
-            body = program.body_of(m)
-            if body is None:
-                continue
-            for i, stmt in enumerate(body):
+            for i, stmt in enumerate(program.body_of(m) or ()):
                 if not isinstance(stmt, Invoke):
                     continue
                 site = SiteId(m, i)
@@ -409,11 +359,11 @@ def augment_call_graph(
                 except UnknownType:
                     continue
                 if len(targets) == 1:
-                    edges[site] = frozenset({(next(iter(targets)), "augmented")})
-                    changed = True
+                    (target,) = targets
+                    edges[site] = frozenset({(target, "augmented")})
+                    callees[m].add(target)
+                    new.add(target)
         done += 1
-        if not changed:
-            break
-        fresh = reachable_methods(edges, roots) - reachable
+        fresh = closure(new, callees, stop=reachable)
         reachable |= fresh
-    return CallGraph(edges=edges, reachable=reachable)
+    return CallGraph(edges=edges, reachable=frozenset(reachable))

@@ -4,10 +4,13 @@ These are deliberately naive: whole-state fixpoint iteration instead of a
 worklist, recursion over frozensets instead of bitsets, and exhaustive path
 enumeration, or a recursive capped DFS without pruning, instead of the
 pruned DFS on an explicit stack. They share no code with the production
-analyses beyond the IR data model.
+analyses beyond the IR data model, except that ``augment_oracle`` asks the
+hierarchy for CHA targets, which ``cha_oracle`` checks on its own.
 """
 
-from collections import defaultdict
+from collections import defaultdict, deque
+
+from permplace.errors import UnknownType
 
 from permplace.model import (
     Assign,
@@ -100,9 +103,9 @@ def supertype_oracle(program):
     return sups
 
 
-def cha_oracle(program, invoke, include_stubs=False):
-    """CHA targets of a call site: the visible declaration for static and
-    special sites, else the dispatch result of every class whose
+def cha_oracle(program, invoke):
+    """Bodied CHA targets of a call site: the visible declaration for static
+    and special sites, else the dispatch result of every class whose
     supertypes include the declared receiver type."""
     cls, name, params = parse_method_sig(invoke.method)
     if invoke.kind in ("static", "special"):
@@ -116,7 +119,7 @@ def cha_oracle(program, invoke, include_stubs=False):
     return {
         sig
         for sig in found
-        if sig is not None and (include_stubs or program.lookup_method(sig)[1].body is not None)
+        if sig is not None and program.lookup_method(sig)[1].body is not None
     }
 
 
@@ -228,6 +231,62 @@ def assert_matches_oracle(prepared):
     assert prepared.sol.spts0 == sfld
     assert prepared.cg_raw.edges == edges
     assert prepared.cg_raw.reachable == reachable
+
+
+def _reachable_methods(edges: dict, roots) -> frozenset:
+    """Transitive closure over call edges from root method sigs."""
+    by_method = defaultdict(list)
+    for site, targets in edges.items():
+        by_method[site.method].append(targets)
+    seen = set()
+    queue = deque(roots)
+    while queue:
+        m = queue.popleft()
+        if m in seen:
+            continue
+        seen.add(m)
+        for targets in by_method.get(m, ()):
+            for target, _prov in targets:
+                if target not in seen:
+                    queue.append(target)
+    return frozenset(seen)
+
+
+def augment_oracle(cg, program, hierarchy, passes=None):
+    """Safe-edge augmentation pass by pass, recomputing reachability from
+    the root after each pass; returns (edges, reachable). This is the
+    earlier production algorithm, kept as the reference for the layered
+    worklist of ``augment_call_graph``."""
+    edges = dict(cg.edges)
+    roots = [program.entry_main_sig] if program.entry_main_sig else []
+    reachable = _reachable_methods(edges, roots)
+    fresh = reachable
+    done = 0
+    while passes is None or done < passes:
+        changed = False
+        for m in sorted(fresh):
+            body = program.body_of(m)
+            if body is None:
+                continue
+            for i, stmt in enumerate(body):
+                if not isinstance(stmt, Invoke):
+                    continue
+                site = SiteId(m, i)
+                if edges.get(site):
+                    continue
+                try:
+                    targets = hierarchy.cha_targets(stmt)
+                except UnknownType:
+                    continue
+                if len(targets) == 1:
+                    edges[site] = frozenset({(next(iter(targets)), "augmented")})
+                    changed = True
+        done += 1
+        if not changed:
+            break
+        fresh = _reachable_methods(edges, roots) - reachable
+        reachable |= fresh
+    return edges, reachable
 
 
 def refine_oracle(sol, program, method, var, entry_site):

@@ -96,7 +96,6 @@ def test_cha_targets_static(threads_hier):
     site = Invoke(kind="static", method="android.test.Api#SENSITIVE()", receiver=None)
     # the framework stub has no body, so the bodied-only view is empty
     assert threads_hier.cha_targets(site) == set()
-    assert threads_hier.cha_targets(site, include_stubs=True) == {"android.test.Api#SENSITIVE()"}
 
 
 def test_cha_targets_unknown_declared_type(threads_hier):
@@ -232,8 +231,7 @@ def test_random_hierarchies_match_oracle():
             for kind in (*kinds, "static", "special"):
                 for name in ("f", "g"):
                     site = Invoke(kind=kind, method=f"{a}#{name}()", receiver="x")
-                    for stubs in (False, True):
-                        assert h.cha_targets(site, stubs) == cha_oracle(program, site, stubs)
+                    assert h.cha_targets(site) == cha_oracle(program, site)
 
 
 def test_resolve_declaration_matches_uncached_walk(framework, threads, viewstub, parametric):

@@ -4,14 +4,9 @@ from hypothesis import strategies as st
 
 from oracles import assert_matches_oracle
 from permplace import pipeline
+from permplace.graph import closure, components
 from permplace.model import SiteId, app_from_dict
-from permplace.pointsto import (
-    _Solver,
-    augment_call_graph,
-    components,
-    reachable_methods,
-    solve_0cfa,
-)
+from permplace.pointsto import _Solver, augment_call_graph, solve_0cfa
 from randprog import gen_heap_app
 
 CB1 = "app.Host#callback1()"
@@ -78,7 +73,11 @@ def test_alloc_types_recorded(threads):
 
 def test_reachable_methods_closure(threads):
     main = threads.program.entry_main_sig
-    r = reachable_methods(threads.cg_raw.edges, [main])
+    callees = {}
+    for site, targets in threads.cg_raw.edges.items():
+        callees.setdefault(site.method, set()).update(t for t, _prov in targets)
+    r = closure([main], callees)
+    assert r == threads.cg_raw.reachable
     assert main in r
     assert CB1 in r and CB2 in r
     assert "app.Host$Run1#run()" in r
@@ -146,9 +145,21 @@ def test_solver_requires_entry(threads, framework):
 graphs = st.dictionaries(st.integers(0, 9), st.lists(st.integers(0, 9), max_size=4), max_size=10)
 
 
+@given(graphs, st.lists(st.integers(0, 9), max_size=4), st.sets(st.integers(0, 9), max_size=4))
+def test_closure_matches_fixpoint(succ, roots, stop):
+    # naive whole-graph fixpoint: add every successor of a reached node
+    # until nothing changes, never adding a node of ``stop``
+    reached = set(roots) - stop
+    changed = True
+    while changed:
+        grown = reached | {w for v in reached for w in succ.get(v, ()) if w not in stop}
+        changed, reached = grown != reached, grown
+    assert closure(roots, succ, stop) == reached
+
+
 @given(graphs, st.lists(st.integers(0, 9), max_size=4))
 def test_components_match_mutual_reachability(succ, roots):
-    def closure(node):
+    def reached_from(node):
         seen, todo = {node}, [node]
         while todo:
             for w in succ.get(todo.pop(), ()):
@@ -160,11 +171,11 @@ def test_components_match_mutual_reachability(succ, roots):
     found = components(roots, succ)
     order = {v: i for i, comp in enumerate(found) for v in comp}
     assert len(order) == sum(map(len, found))  # each node in one component
-    assert set(order) == set().union(*map(closure, roots))
+    assert set(order) == set().union(*map(reached_from, roots))
     for v in order:
-        for w in closure(v):
+        for w in reached_from(v):
             # one component when each reaches the other, else w's comes first
-            assert order[w] == order[v] if v in closure(w) else order[w] < order[v]
+            assert order[w] == order[v] if v in reached_from(w) else order[w] < order[v]
 
 
 def solved(prepared):
