@@ -109,7 +109,8 @@ class _Solver:
         self.succ = defaultdict(set)  # copy edges between nodes
         self.load_deps = defaultdict(list)  # base node -> [(field, target node)]
         self.store_deps = defaultdict(list)  # base node -> [(field, source node)]
-        self.call_deps = defaultdict(list)  # receiver node -> [(site, stmt, cls, name, params)]
+        # receiver node -> [(site, stmt, cls, name, params, targets linked at the site)]
+        self.call_deps = defaultdict(list)
         self.sites = []  # alloc -> SiteId
         self.alloc_type = []  # alloc -> class name
         self.type_allocs = defaultdict(int)  # class name -> bitset of its allocs
@@ -117,7 +118,6 @@ class _Solver:
         self.edges = defaultdict(set)  # SiteId -> {(target, provenance)}
         self.reachable = set()
         self.pending = []  # reachable methods whose bodies are not processed yet
-        self.linked = set()  # (site, target) pairs with an edge
 
     # nodes ----------------------------------------------------------------
 
@@ -161,10 +161,8 @@ class _Solver:
 
     def link_call(self, site: SiteId, stmt: Invoke, target: str):
         """The call edge, with its arg -> param and return -> target copy
-        edges, once per (site, target) pair."""
-        if (site, target) in self.linked:
-            return
-        self.linked.add((site, target))
+        edges. Called once per (site, target) pair: a body is processed
+        once, and a virtual site links only targets new to it."""
         caller = site.method
         self.edges[site].add((target, "entry" if caller == self.main else "pointsto"))
         self.make_reachable(target)
@@ -180,8 +178,8 @@ class _Solver:
     def dispatch_call(self, call, bits):
         """Dispatch a virtual call on the receiver allocs ``bits``: one
         ``this`` update per distinct target, and the edge with its
-        arg/return links once per (site, target) pair."""
-        site, stmt, cls, name, params = call
+        arg/return links for each target new to the site."""
+        site, stmt, cls, name, params, linked = call
         by_target = defaultdict(int)
         for rtype, recv in by_runtime_type(bits, self.type_allocs, self.alloc_type):
             key = (rtype, stmt.method)
@@ -196,7 +194,9 @@ class _Solver:
             if self.targets[key] is not None:
                 by_target[self.targets[key]] |= recv
         for target, recv in by_target.items():
-            self.link_call(site, stmt, target)
+            if target not in linked:
+                linked.add(target)
+                self.link_call(site, stmt, target)
             self.add_pts(self.var(target, "this"), recv)
 
     # body processing ------------------------------------------------------
@@ -255,7 +255,7 @@ class _Solver:
                             )
                 else:
                     recv = self.var(sig, stmt.receiver)
-                    call = (site, stmt, *parse_method_sig(stmt.method))
+                    call = (site, stmt, *parse_method_sig(stmt.method), set())
                     self.call_deps[recv].append(call)
                     self.dispatch_call(call, self.pts[recv])
 
@@ -336,7 +336,12 @@ def augment_call_graph(
     single post-processing sweep). Points-to sets are never recomputed."""
     edges = dict(cg.edges)
     callees = defaultdict(set)  # method sig -> targets of its call edges
+    # method sig -> stmt indices of its sites with an edge; no pass adds to
+    # it, since each method is scanned once, by the pass that reaches it
+    edged = defaultdict(set)
     for site, targets in edges.items():
+        if targets:
+            edged[site.method].add(site.stmt)
         out = callees[site.method]
         for target, _prov in targets:
             out.add(target)
@@ -348,11 +353,9 @@ def augment_call_graph(
     while fresh and (passes is None or done < passes):
         new = set()
         for m in sorted(fresh):
+            have = edged.get(m, ())
             for i, stmt in enumerate(program.body_of(m) or ()):
-                if not isinstance(stmt, Invoke):
-                    continue
-                site = SiteId(m, i)
-                if edges.get(site):
+                if i in have or not isinstance(stmt, Invoke):
                     continue
                 try:
                     targets = hierarchy.cha_targets(stmt)
@@ -360,7 +363,7 @@ def augment_call_graph(
                     continue
                 if len(targets) == 1:
                     (target,) = targets
-                    edges[site] = frozenset({(target, "augmented")})
+                    edges[SiteId(m, i)] = frozenset({(target, "augmented")})
                     callees[m].add(target)
                     new.add(target)
         done += 1

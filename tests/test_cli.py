@@ -1,7 +1,9 @@
+import gc
 import json
 
 import pytest
 
+from permplace import cli
 from permplace.cli import _load_config, build_parser, run
 from permplace.model import LinkConfig
 
@@ -386,6 +388,7 @@ def test_spec_merge(paths, tmp_path, capsys):
     assert run(["spec", "merge", str(a), str(b), "-o", str(out)]) == 0
     merged = json.loads(out.read_text())
     assert {e["key"] for e in merged} == {"A#f()", "A#g()"}
+    assert out.read_bytes() == stdlib_json(out.read_bytes())
 
 
 def test_spec_merge_conflict_is_input_error(tmp_path, capsys):
@@ -400,6 +403,53 @@ def test_spec_merge_conflict_is_input_error(tmp_path, capsys):
         )
     )
     assert run(["spec", "merge", str(a), str(b)]) == 1
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_append_defaults_are_not_shared_across_runs(paths, monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "analyze", lambda args: seen.append(args) or 0)
+    assert run(analyze_args(paths)) == 0
+    assert run(["analyze", paths["threads"]]) == 0
+    assert seen[0].spec == [paths["spec"]]
+    assert seen[0].framework == [paths["framework"]]
+    assert seen[1].spec == [] and seen[1].framework == []
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Runs the test with the collector on or off, and restores it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(None, 0), (["analyze", "/no/such/file.json"], 1), (["analyze", "--cfa", "2"], 2)],
+    ids=["ok", "input-error", "usage-error"],
+)
+def test_run_leaves_collector_as_found(paths, capsys, collector, argv, code):
+    assert run(argv or analyze_args(paths)) == code
+    assert gc.isenabled() is collector
+
+
+def test_run_leaves_collector_as_found_when_command_raises(paths, monkeypatch, collector):
+    during = []
+
+    def command(args):
+        during.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", command)
+    with pytest.raises(RuntimeError, match="boom"):
+        run(analyze_args(paths))
+    assert during == [False]  # paused while the command runs
+    assert gc.isenabled() is collector
 
 
 def test_console_script_installed(tmp_path):

@@ -192,6 +192,18 @@ def test_heap_copy_cycles_share_nodes(framework):
     assert set(prepared.sol.vars) == {k for k, n in solver.vars.items() if solver.pts[n]}
 
 
+def test_each_call_edge_is_linked_once(framework, monkeypatch):
+    # a count gate: link_call runs once per (site, target) pair, not once
+    # per receiver delta that dispatches to the target
+    prepared = pipeline.prepare(gen_heap_app(0), [framework])
+    link, calls = _Solver.link_call, []
+    monkeypatch.setattr(
+        _Solver, "link_call", lambda self, *args: calls.append(args) or link(self, *args)
+    )
+    solver = solved(prepared)
+    assert len(calls) == sum(len(targets) for targets in solver.edges.values())
+
+
 def cycle_app():
     """app.Box#swap(app.Item) copies p0 to r, r to this, this to p0 and
     returns r, calling run() on r: one cycle holds a parameter, the receiver
