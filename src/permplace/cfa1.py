@@ -48,24 +48,20 @@ def _check_context(program: LinkedProgram, method: str, ctx: Context) -> Invoke:
     return stmt
 
 
-def refine_pts(
+def refine_bits(
     sol: PointsToSolution,
     program: LinkedProgram,
     method: str,
     var: str,
     ctx: Context,
-) -> frozenset:
-    """Context-refined points-to set for a local of ``method`` under ``ctx``.
+) -> int:
+    """Context-refined points-to set, as a bitset over the solution's
+    allocations, for a local of ``method`` under ``ctx``.
 
     Always a subset of the context-insensitive set; falls back to it on
     local-assignment cycles and at the depth-1 cutoff (call returns,
     arguments evaluated in the caller).
     """
-    return sol.frozen(_refine_bits(sol, program, method, var, ctx))
-
-
-def _refine_bits(sol, program, method, var, ctx) -> int:
-    """:func:`refine_pts` as a bitset over the solution's allocations."""
     entry = _check_context(program, method, ctx)
     index = program.defs_index(method) or {}
     caller = ctx.entrySite.method
@@ -148,7 +144,7 @@ def filter_edges(
     pointsto = edges - passthrough
     if not pointsto:
         return edges, False
-    refined = _refine_bits(sol, program, site.method, stmt.receiver, ctx)
+    refined = refine_bits(sol, program, site.method, stmt.receiver, ctx)
     if refined:
         _, name, params = parse_method_sig(stmt.method)
         allowed = set()

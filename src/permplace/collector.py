@@ -1,5 +1,5 @@
 """Permission Collector and derived corpus studies: usage classification,
-coverage, over-privilege, spec comparison, and precision/recall arithmetic."""
+coverage, over-privilege and spec comparison."""
 
 from __future__ import annotations
 
@@ -183,38 +183,6 @@ def compare_specs(programs, spec_a: PermissionSpec, spec_b: PermissionSpec, grou
             "conflicting": [k[1] for k in conflicting],
         },
     }
-
-
-@dataclass(frozen=True)
-class EvalLabels:
-    detected: int
-    undetectedValid: int = 0
-    undetectedInvalid: int = 0
-    chaUnreachable: int = 0
-    invalidPathSensitives: int = 0
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-
-def eval_metrics(labels: EvalLabels) -> dict:
-    """Recall/precision over labeled sensitives, as rounded percentages.
-
-    recall = detected / (detected + undetectedValid);
-    precision = (detected - invalidPathSensitives) / detected.
-    Undefined ratios are reported as None."""
-    out = {"recall": None, "precision": None, "recall_pct": None, "precision_pct": None}
-    denom = labels.detected + labels.undetectedValid
-    if denom > 0:
-        out["recall"] = labels.detected / denom
-        out["recall_pct"] = _percent(labels.detected, denom)
-    if labels.detected > 0:
-        valid = labels.detected - labels.invalidPathSensitives
-        out["precision"] = valid / labels.detected
-        out["precision_pct"] = _percent(valid, labels.detected)
-    return out
 
 
 # ---------------------------------------------------------------------------

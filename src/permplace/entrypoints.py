@@ -148,4 +148,4 @@ def generate_dummy_main(program: LinkedProgram, callbacks) -> LinkedProgram:
         origin="app",
         methods=(MethodDecl(name="main", static=True, body=tuple(body)),),
     )
-    return program.with_entry(entry_decl, entry_sites, callbacks)
+    return program.with_entry(entry_decl, entry_sites)

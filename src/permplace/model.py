@@ -75,11 +75,6 @@ class SiteId:
     def __str__(self) -> str:
         return f"{self.method}/{self.stmt}"
 
-    @classmethod
-    def parse(cls, text: str) -> "SiteId":
-        m, _, i = text.rpartition("/")
-        return cls(m, int(i))
-
 
 # ---------------------------------------------------------------------------
 # JSON records: each record dataclass is its own schema
@@ -87,9 +82,8 @@ class SiteId:
 # Keys, JSON types and defaults come from the field annotations, read once
 # per class into that class's reader. A reader rejects unknown keys, missing
 # required keys and values of another JSON type (nothing is coerced), then
-# runs the record's ``_check(where)``: the rules that span fields.
-# ``to_dict`` is its inverse. Records nest only as deep as the schema (app,
-# class, method, statement).
+# runs the record's ``_check(where)``: the rules that span fields. Records
+# nest only as deep as the schema (app, class, method, statement).
 #
 # Statements are interned (hash-consed): equal statements read with one
 # table are one record. Their fields are strings, nulls and lists of
@@ -121,8 +115,8 @@ def _record_reader(tp):
     return read
 
 
-def _list_codec(container, elem, key: str):
-    """Reader, writer and description of a JSON list held as ``container``."""
+def _list_reader(container, elem, key: str):
+    """Reader and description of a JSON list held as ``container``."""
     if elem is str:
 
         def read(v, where, interned):
@@ -130,7 +124,7 @@ def _list_codec(container, elem, key: str):
                 return container(v)
             raise _mistyped(where, key, "a list of strings", v)
 
-        return read, list if container is tuple else sorted, "a list of strings"
+        return read, "a list of strings"
     read_one = _record_reader(elem)
     named = is_dataclass(elem) and "name" in elem.__dataclass_fields__
 
@@ -143,45 +137,32 @@ def _list_codec(container, elem, key: str):
             out.append(read_one(d, at, interned))
         return tuple(out)
 
-    return read, lambda v: [to_dict(r) for r in v], "a list of objects"
-
-
-@dataclass(frozen=True)
-class _Schema:
-    reads: tuple  # (key, JSON type, nullable, default, reader, path suffix, description)
-    writes: tuple  # (key, default, writer)
-    tagged: bool  # records of a union carry an ``op`` key first
-
-
-@functools.cache
-def _schema(cls) -> _Schema:
-    hints = get_type_hints(cls)
-    reads, writes = [], []
-    for f in fields(cls):
-        tp, nullable = hints[f.name], False
-        if get_origin(tp) in (Union, UnionType) and type(None) in get_args(tp):
-            nullable, tp = True, next(a for a in get_args(tp) if a is not type(None))
-        if tp in _JSON_TYPES:
-            jtype, read, write, desc = tp, None, None, _JSON_TYPES[tp]
-        elif get_origin(tp) in (tuple, frozenset):
-            jtype = list
-            read, write, desc = _list_codec(get_origin(tp), get_args(tp)[0], f.name)
-        else:
-            jtype, read, write, desc = dict, _record_reader(tp), to_dict, "an object"
-        suffix = f.metadata.get("where", f".{f.name}" if jtype is dict else "")
-        desc += " or null" if nullable else ""
-        reads.append((f.name, jtype, nullable, f.default, read, suffix, desc))
-        writes.append((f.name, f.default, write))
-    return _Schema(tuple(reads), tuple(writes), "op" in cls.__dict__)
+    return read, "a list of objects"
 
 
 @functools.cache
 def _reader(cls):
     """The reader of record ``cls``: (object, where, interned) -> record,
-    built once per class; statement records come from ``interned``."""
-    schema = _schema(cls)
-    reads = schema.reads
-    known = frozenset(r[0] for r in reads) | ({"op"} if schema.tagged else set())
+    built once per class from its field annotations; statement records come
+    from ``interned``."""
+    hints = get_type_hints(cls)
+    reads = []  # (key, JSON type, nullable, default, reader, path suffix, description)
+    for f in fields(cls):
+        tp, nullable = hints[f.name], False
+        if get_origin(tp) in (Union, UnionType) and type(None) in get_args(tp):
+            nullable, tp = True, next(a for a in get_args(tp) if a is not type(None))
+        if tp in _JSON_TYPES:
+            jtype, reader, desc = tp, None, _JSON_TYPES[tp]
+        elif get_origin(tp) in (tuple, frozenset):
+            jtype = list
+            reader, desc = _list_reader(get_origin(tp), get_args(tp)[0], f.name)
+        else:
+            jtype, reader, desc = dict, _record_reader(tp), "an object"
+        suffix = f.metadata.get("where", f".{f.name}" if jtype is dict else "")
+        desc += " or null" if nullable else ""
+        reads.append((f.name, jtype, nullable, f.default, reader, suffix, desc))
+    # records of a union carry an ``op`` key
+    known = frozenset(r[0] for r in reads) | ({"op"} if "op" in cls.__dict__ else set())
     check = getattr(cls, "_check", None)
     shared = cls in get_args(Stmt)
 
@@ -221,18 +202,6 @@ def _reader(cls):
 def from_dict(cls, d, where: str):
     """Build record ``cls`` from the JSON object ``d``; errors name ``where``."""
     return _reader(cls)(d, where, {})
-
-
-def to_dict(record) -> dict:
-    """The JSON object of ``record``: ``op`` first, fields at their default
-    left out, tuples as lists and sets as sorted lists."""
-    schema = _schema(type(record))
-    d = {"op": record.op} if schema.tagged else {}
-    for key, default, write in schema.writes:
-        v = getattr(record, key)
-        if v != default:
-            d[key] = v if write is None else write(v)
-    return d
 
 
 def _duplicate(keys):
@@ -466,13 +435,6 @@ def load_app(path, interned: Optional[dict] = None) -> AppModel:
     return app_from_dict(read_json(path), str(path), interned)
 
 
-app_to_dict = to_dict
-
-
-def serialize(model: AppModel) -> str:
-    return json.dumps(to_dict(model), indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # linking
 
@@ -502,8 +464,8 @@ class LinkedProgram:
     """One merged class table plus analysis configuration.
 
     Immutable apart from the :meth:`lookup_method` and :meth:`defs_index`
-    caches; the entry class / callback roots are filled in by the
-    entrypoints module via :func:`with_entry`, which starts fresh caches.
+    caches; the entry class and its callback call sites are filled in by
+    the entrypoints module via :func:`with_entry`, which starts fresh caches.
     """
 
     name: str
@@ -512,7 +474,6 @@ class LinkedProgram:
     config: LinkConfig = LinkConfig()
     entry_class: Optional[str] = None
     entry_sites: tuple = ()  # SiteIds of callback invocations in the dummy main
-    callbacks: tuple = ()  # CallbackRefs, parallel to nothing (sorted)
     _defs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _methods: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -593,7 +554,7 @@ class LinkedProgram:
             return None
         return method_sig(self.entry_class, "main", ())
 
-    def with_entry(self, entry_decl: ClassDecl, entry_sites, callbacks) -> "LinkedProgram":
+    def with_entry(self, entry_decl: ClassDecl, entry_sites) -> "LinkedProgram":
         classes = dict(self.classes)
         classes[entry_decl.name] = entry_decl
         return replace(
@@ -601,7 +562,6 @@ class LinkedProgram:
             classes=classes,
             entry_class=entry_decl.name,
             entry_sites=tuple(entry_sites),
-            callbacks=tuple(callbacks),
         )
 
 

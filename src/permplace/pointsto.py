@@ -39,8 +39,8 @@ JAVA_STRING = "java.lang.String"
 class PointsToSolution:
     """The solver's tables. A points-to set is an int whose bit ``a`` stands
     for allocation ``a``; the ``frozenset[SiteId]`` views ``pts0``,
-    ``fpts0``, ``spts0`` and ``alloc_type`` are built on first access, with
-    one frozenset shared by every key holding the same set."""
+    ``fpts0`` and ``spts0`` are built on first access, with one frozenset
+    shared by every key holding the same set."""
 
     vars: dict  # (method sig, local) -> bitset
     fields: dict  # (alloc, field name) -> bitset
@@ -68,16 +68,6 @@ class PointsToSolution:
     @cached_property
     def spts0(self) -> dict:  # static field id -> frozenset[SiteId]
         return {key: self.frozen(bits) for key, bits in self.statics.items()}
-
-    @cached_property
-    def alloc_type(self) -> dict:  # SiteId -> class name
-        return dict(zip(self.sites, self.types))
-
-    def pts(self, method: str, var: str) -> frozenset:
-        return self.pts0.get((method, var), frozenset())
-
-    def fpts(self, site: SiteId, fname: str) -> frozenset:
-        return self.fpts0.get((site, fname), frozenset())
 
 
 @dataclass(frozen=True)

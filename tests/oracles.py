@@ -301,14 +301,14 @@ def refine_oracle(sol, program, method, var, entry_site):
     def refine(v):
         if v in memo:
             return memo[v]
-        pts0 = memo[v] = sol.pts(method, v)
+        pts0 = memo[v] = sol.pts0.get((method, v), frozenset())
         defs = [(i, s) for i, s in enumerate(body) if getattr(s, "target", None) == v]
         param = int(v[1:]) if v[:1] == "p" and v[1:].isdigit() else None
         result = set()
         if v == "this" and entry.receiver is not None:
-            result |= sol.pts(caller, entry.receiver)
+            result |= sol.pts0.get((caller, entry.receiver), frozenset())
         elif param is not None and param < len(entry.args):
-            result |= sol.pts(caller, entry.args[param])
+            result |= sol.pts0.get((caller, entry.args[param]), frozenset())
         elif not defs and param is None and v != "this":
             result |= pts0
         for i, stmt in defs:
@@ -318,7 +318,7 @@ def refine_oracle(sol, program, method, var, entry_site):
                 result |= refine(stmt.source)
             elif isinstance(stmt, LoadField):
                 for a in refine(stmt.base):
-                    result |= sol.fpts(a, stmt.field)
+                    result |= sol.fpts0.get((a, stmt.field), frozenset())
             elif isinstance(stmt, LoadStatic):
                 result |= sol.spts0.get(stmt.field, frozenset())
             elif isinstance(stmt, Invoke):
@@ -345,8 +345,9 @@ def filter_edges_oracle(cg, sol, program, site, entry_site):
     if not pointsto:
         return edges, False
     _cls, name, params = parse_method_sig(stmt.method)
+    alloc_type = dict(zip(sol.sites, sol.types))
     allowed = {
-        _naive_dispatch(program, sol.alloc_type[a], name, params)
+        _naive_dispatch(program, alloc_type[a], name, params)
         for a in refine_oracle(sol, program, site.method, stmt.receiver, entry_site)
     }
     surviving = frozenset(e for e in pointsto if e[0] in allowed) or pointsto

@@ -17,15 +17,43 @@ subtype no callback passes, whose override only cfa0 then reaches.
 copy cycles, a hot static and one shared field, so points-to sets hold
 dozens to hundreds of objects. ``ladder_app`` has as many call paths as a
 program of its size can have: their number doubles with each level.
+``app_json`` writes a model back as the JSON the loader reads.
 """
 
+import json
 import random
+from dataclasses import fields, is_dataclass
 
 from permplace.model import app_from_dict
 
 SENSITIVE_CALL = "android.test.Api#SENSITIVE()"
 SAFE_CALL = "android.test.Api#safe()"
 LOCALS = ["v0", "v1", "v2", "v3"]
+
+
+def to_dict(record) -> dict:
+    """The JSON object of a model record: ``op`` first, fields at their
+    default left out, tuples as lists and sets as sorted lists."""
+    d = {"op": record.op} if hasattr(record, "op") else {}
+    for f in fields(record):
+        v = getattr(record, f.name)
+        if v != f.default:
+            d[f.name] = _json_value(v)
+    return d
+
+
+def _json_value(v):
+    if is_dataclass(v):
+        return to_dict(v)
+    if isinstance(v, frozenset):
+        return sorted(v)
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return v
+
+
+def app_json(app) -> str:
+    return json.dumps(to_dict(app))
 
 
 def gen_app(

@@ -1,13 +1,18 @@
 import pytest
 
 from permplace import pipeline
-from permplace.cfa1 import Context, filter_edges, refine_pts
+from permplace.cfa1 import Context, filter_edges, refine_bits
+from permplace.entrypoints import detect_callbacks
 from permplace.errors import InvalidContext
 from permplace.model import SiteId, app_from_dict
 
 CB1 = "app.Host#callback1()"
 CB2 = "app.Host#callback2()"
 START = "java.lang.Thread#start()"
+
+
+def refine_pts(sol, program, method, var, ctx):
+    return sol.frozen(refine_bits(sol, program, method, var, ctx))
 
 
 def entry_ctx(prepared, cb_sig):
@@ -37,13 +42,13 @@ def test_refine_new_is_own_site(threads):
 def test_refine_subset_of_insensitive(threads, viewstub, parametric):
     for prepared in (threads, viewstub, parametric):
         program = prepared.program
-        for cb in program.callbacks:
+        for cb in detect_callbacks(program, prepared.hierarchy):
             ctx = entry_ctx(prepared, cb.sig)
             body = program.body_of(cb.sig) or ()
             vars_seen = {getattr(s, "target", None) for s in body} - {None}
             for v in sorted(vars_seen):
                 refined = refine_pts(prepared.sol, program, cb.sig, v, ctx)
-                assert refined <= prepared.sol.pts(cb.sig, v)
+                assert refined <= prepared.sol.pts0.get((cb.sig, v), frozenset())
 
 
 def test_refine_discriminates_field_through_receiver(threads):
@@ -63,7 +68,7 @@ def test_refine_discriminates_field_through_receiver(threads):
 
 def test_insensitive_set_merges_both(threads):
     """Contrast: the 0-CFA set for the same variable has both sites."""
-    assert len(threads.sol.pts(START, "r")) == 2
+    assert len(threads.sol.pts0[START, "r"]) == 2
 
 
 def test_invalid_context_wrong_method(threads):
@@ -140,7 +145,7 @@ def test_filter_edges_static_site_passthrough(threads):
 def test_filter_edges_never_empties_a_live_site(threads, viewstub, parametric):
     """An edge-bearing site always keeps at least one edge after filtering."""
     for prepared in (threads, viewstub, parametric):
-        for cb in prepared.program.callbacks:
+        for cb in detect_callbacks(prepared.program, prepared.hierarchy):
             ctx = entry_ctx(prepared, cb.sig)
             body = prepared.program.body_of(cb.sig) or ()
             for i, stmt in enumerate(body):
@@ -189,8 +194,8 @@ def test_refine_field_load_cycle_reads_insensitive_set_in_progress(framework, sp
     sol, program = prepared.sol, prepared.program
     a, b = SiteId(CB1, 0), SiteId(CB1, 1)  # x and y of callback1
     c, d = SiteId(CB2, 0), SiteId(CB2, 1)  # x and y of callback2
-    assert sol.pts(cycle, "b") == {a, b, c, d}
-    assert sol.pts(cycle, "a") == {b, d}
+    assert sol.pts0[cycle, "b"] == {a, b, c, d}
+    assert sol.pts0[cycle, "a"] == {b, d}
     ctx1 = Context(entrySite=SiteId(CB1, 3))
     ctx2 = Context(entrySite=SiteId(CB2, 3))
     assert refine_pts(sol, program, cycle, "a", ctx1) == {b}

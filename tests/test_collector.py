@@ -2,12 +2,10 @@ import pytest
 
 from permplace import collector
 from permplace.collector import (
-    EvalLabels,
     classify,
     collect_usage,
     coverage,
     coverage_from_counts,
-    eval_metrics,
     overprivilege_report,
     usage_csv,
 )
@@ -145,24 +143,3 @@ def test_compare_specs_prefers_richer_spec(fixtures_dir, framework, spec, groups
     assert result["b"]["permissions_covered"] == 1
     assert result["diff"]["unique_to_b"] == []
     assert len(result["diff"]["common"]) == 1
-
-
-# -- evaluation arithmetic ---------------------------------------------------
-
-
-def test_eval_metrics_basic():
-    m = eval_metrics(EvalLabels(detected=8, undetectedValid=2, invalidPathSensitives=1))
-    assert m["recall"] == pytest.approx(0.8)
-    assert m["recall_pct"] == 80
-    assert m["precision"] == pytest.approx(7 / 8)
-    assert m["precision_pct"] == 88
-
-
-def test_eval_metrics_undefined():
-    m = eval_metrics(EvalLabels(detected=0, undetectedValid=0))
-    assert m["recall"] is None and m["precision"] is None
-
-
-def test_eval_labels_reject_negative():
-    with pytest.raises(ValueError):
-        EvalLabels(detected=-1)

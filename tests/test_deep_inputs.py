@@ -15,9 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from permplace import model
 from permplace.cli import run
-from randprog import ladder_app
+from randprog import app_json, ladder_app
 
 ACTIVITY = "android.app.Activity"
 LOCATION = "android.location.LocationManager#getLastKnownLocation(java.lang.String)"
@@ -150,7 +149,7 @@ def test_ladder_analyze_within_seconds(tmp_path, common):
     # have 100 paths, no walk below can add a path or a truncation, so the
     # traversal must leave them unwalked
     app = tmp_path / "ladder.json"
-    app.write_text(model.serialize(ladder_app(40)), encoding="utf-8")
+    app.write_text(app_json(ladder_app(40)), encoding="utf-8")
     out = tmp_path / "report.json"
     src = Path(__file__).resolve().parents[1] / "src"
     pythonpath = filter(None, [str(src), os.environ.get("PYTHONPATH")])

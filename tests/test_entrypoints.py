@@ -14,7 +14,7 @@ def prep(classes, overlays=()):
 
 
 def test_threads_callbacks(threads):
-    by_sig = {cb.sig: cb for cb in threads.program.callbacks}
+    by_sig = {cb.sig: cb for cb in detect_callbacks(threads.program, threads.hierarchy)}
     assert set(by_sig) == {
         "app.Host#callback1()",
         "app.Host#callback2()",
@@ -24,7 +24,7 @@ def test_threads_callbacks(threads):
 
 def test_runnable_run_is_not_a_callback(threads):
     """Runnable is an async construct; its run() never anchors a callback."""
-    sigs = {cb.sig for cb in threads.program.callbacks}
+    sigs = {cb.sig for cb in detect_callbacks(threads.program, threads.hierarchy)}
     assert not any("run()" in s for s in sigs)
 
 

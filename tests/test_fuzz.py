@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permplace.cli import run
-from permplace.model import serialize
-from randprog import gen_app
+from randprog import gen_app, to_dict
 
 # values a mutation writes over a key: each JSON type, empty and negative
 # values, and a well-formed signature that names nothing
@@ -29,7 +28,7 @@ def inputs(fixtures_dir, tmp_path_factory):
         return json.loads((fixtures_dir / name).read_text(encoding="utf-8"))
 
     docs = {name: load(f"{name}.app.json") for name in TARGETS[:3]}
-    docs["randprog"] = json.loads(serialize(gen_app(7)))
+    docs["randprog"] = to_dict(gen_app(7))
     docs["spec"] = load("fixture.spec.json")
     docs["config"] = CONFIG
     return docs, tmp_path_factory.mktemp("fuzz"), str(fixtures_dir / "framework.json")

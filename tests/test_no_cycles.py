@@ -1,7 +1,9 @@
 """A command creates no reference cycles, on valid input or malformed, so
 ``cli.run`` pauses the cyclic collector without holding on to memory: once
 the run ends, reference counting has freed everything it made. And no
-module but ``cli`` touches ``gc``, so the pause lives in one place."""
+module but ``cli`` touches ``gc``, so the pause lives in one place.
+``test_reached.py`` runs the same command table to show that every
+function of the package is entered."""
 
 import ast
 import gc
@@ -13,8 +15,7 @@ import pytest
 
 import permplace
 from permplace.cli import run
-from permplace.model import to_dict
-from randprog import gen_app, gen_heap_app
+from randprog import app_json, gen_app, gen_heap_app
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,21 +34,51 @@ def cyclic_garbage(argv) -> tuple:
         gc.garbage.clear()
 
 
-@pytest.fixture(scope="module")
-def files(fixtures_dir, tmp_path_factory):
-    """Name -> path of each input: the fixtures, two random programs of each
-    generator and one malformed app per way an app can be wrong."""
-    tmp = tmp_path_factory.mktemp("inputs")
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+# one library class declared by two overlays: one a model, with and without
+# a body of its own for the method both declare
+LIBRARY = {"name": "lib.Util", "origin": "library", "methods": [
+    {"name": "f", "static": True, "body": [{"op": "return"}]}]}
+MODEL = {**LIBRARY, "model": True, "methods": [
+    {"name": "f", "static": True}, {"name": "g", "static": True, "body": []}]}
+
+# a listener anchored by its registration, and a parametric sink fed a literal
+LISTENER = "android.location.LocationListener"
+LISTENER_APP = {"name": "listener", "manifest": {}, "classes": [
+    {"name": "app.Listener", "interfaces": [LISTENER], "methods": [
+        {"name": "onLocationChanged", "params": ["android.location.Location"], "body": [
+            {"op": "invoke", "kind": "static", "method": "android.hardware.Camera#open()"}]}]},
+    {"name": "app.Main", "super": "android.app.Activity", "methods": [{"name": "onCreate", "body": [
+        {"op": "new", "target": "l", "type": "app.Listener"},
+        {"op": "new", "target": "m", "type": "android.location.LocationManager"},
+        {"op": "invoke", "kind": "virtual", "receiver": "m", "args": ["l"],
+         "method": f"android.location.LocationManager#requestLocationUpdates({LISTENER})"},
+        {"op": "const_str", "target": "s", "value": "content://sensitive"},
+        {"op": "new", "target": "i", "type": "android.content.Intent"},
+        {"op": "invoke", "kind": "special", "receiver": "i", "args": ["s"],
+         "method": "android.content.Intent#<init>(java.lang.String)"}]}]},
+]}
+
+
+def overlay(cls) -> str:
+    return json.dumps({"name": "lib", "manifest": {}, "classes": [cls]})
+
+
+def write_inputs(tmp) -> dict:
+    """Name -> path of each input, written under ``tmp``: the fixtures, two
+    random programs of each generator, a listener app, library overlays, a
+    spec that conflicts with the fixture spec and one malformed app per way
+    an app can be wrong."""
     paths = {
-        name: str(fixtures_dir / f"{name}.app.json")
+        name: str(FIXTURES / f"{name}.app.json")
         for name in ("threads", "viewstub", "parametric")
     }
     paths.update(
-        framework=str(fixtures_dir / "framework.json"),
-        spec=str(fixtures_dir / "fixture.spec.json"),
-        groups=str(fixtures_dir / "groups.json"),
-        corpus=str(fixtures_dir / "corpus"),
-        ident=str(fixtures_dir / "ident_table.json"),
+        framework=str(FIXTURES / "framework.json"),
+        spec=str(FIXTURES / "fixture.spec.json"),
+        groups=str(FIXTURES / "groups.json"),
+        corpus=str(FIXTURES / "corpus"),
+        ident=str(FIXTURES / "ident_table.json"),
         out=str(tmp / "out"),
     )
 
@@ -57,8 +88,15 @@ def files(fixtures_dir, tmp_path_factory):
         paths[name] = str(path)
 
     for seed in (0, 1):
-        write(f"rand{seed}", json.dumps(to_dict(gen_app(seed, diamond=True))))
-        write(f"heap{seed}", json.dumps(to_dict(gen_heap_app(seed))))
+        write(f"rand{seed}", app_json(gen_app(seed, diamond=True)))
+        write(f"heap{seed}", app_json(gen_heap_app(seed)))
+    write("listener", json.dumps(LISTENER_APP))
+    write("library", overlay(LIBRARY))
+    write("library-model", overlay(MODEL))
+    write("library-model-body", overlay({**MODEL, "methods": LIBRARY["methods"]}))
+    write("conflicting-spec", json.dumps([{
+        "kind": "method", "key": "android.hardware.Camera#open()",
+        "permissions": ["android.permission.RECORD_AUDIO"]}]))
     bad_classes = {
         "self-super": [{"name": "A", "super": "A", "methods": []}],
         "unresolved-type": [{"name": "A", "super": "missing.B", "methods": []}],
@@ -69,8 +107,19 @@ def files(fixtures_dir, tmp_path_factory):
     }
     for name, classes in bad_classes.items():
         write(name, json.dumps({"name": "t", "manifest": {}, "classes": classes}))
+    write("mistyped-name", json.dumps({"name": 1, "manifest": {}, "classes": []}))
     write("invalid-json", "{not json")
     return paths
+
+
+def resolve(files, argv) -> list:
+    """``argv`` with each argument "@name" replaced by the input files["name"]."""
+    return [files[a[1:]] if a[0] == "@" else a for a in argv]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("inputs"))
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -100,13 +149,19 @@ COMMANDS = {
     "mine-doc": ["mine-doc", "@framework", "--ident-table", "@ident"],
     "spec-validate": ["spec", "validate", "@spec"],
     "spec-merge": ["spec", "merge", "@spec", "@spec", "-o", "@out"],
+    "analyze-listener-capped": analyze("@listener", "--max-depth", "3", "--max-paths", "1"),
+    "analyze-model-overlay": analyze("@threads", "--overlay", "@library",
+                                     "--overlay", "@library-model"),
     **{f"analyze-{app}{seed}-cfa{cfa}": analyze(f"@{app}{seed}", "--cfa", str(cfa))
        for app in ("rand", "heap") for seed in (0, 1) for cfa in (0, 1)},
 }
 MALFORMED = {
     **{f"analyze-{bad}": analyze(f"@{bad}")
        for bad in ("self-super", "unresolved-type", "bad-invoke", "unknown-key",
-                   "duplicate-class", "invalid-json")},
+                   "duplicate-class", "mistyped-name", "invalid-json")},
+    "analyze-two-overlay-bodies": analyze("@threads", "--overlay", "@library",
+                                          "--overlay", "@library-model-body"),
+    "spec-merge-conflict": ["spec", "merge", "@spec", "@conflicting-spec", "-o", "@out"],
     "collect-malformed-spec": ["collect", "@corpus", "--spec", "@invalid-json"],
     "spec-validate-malformed": ["spec", "validate", "@unknown-key"],
 }
@@ -118,8 +173,7 @@ MALFORMED = {
     ids=[*COMMANDS, *MALFORMED],
 )
 def test_command_leaves_no_cyclic_garbage(files, capsys, code, argv):
-    argv = [files[a[1:]] if a[0] == "@" else a for a in argv]
-    assert cyclic_garbage(argv) == (code, {})
+    assert cyclic_garbage(resolve(files, argv)) == (code, {})
 
 
 @pytest.mark.parametrize("key", ["deep-dispatch/0", "heap-dense/80/0", "corpus-audit/0"])

@@ -40,7 +40,7 @@ def test_threads_thread_targets_merge(threads):
 def test_threads_receiver_allocs_distinct(threads):
     """Each callback's Thread variable points at exactly its own site."""
     for cb in (CB1, CB2):
-        t_sites = threads.sol.pts(cb, "t")
+        t_sites = threads.sol.pts0[cb, "t"]
         assert len(t_sites) == 1
         assert next(iter(t_sites)).method == cb
 
@@ -61,7 +61,7 @@ def test_unreachable_body_not_processed(threads):
 
 
 def test_alloc_types_recorded(threads):
-    for site, t in threads.sol.alloc_type.items():
+    for site, t in zip(threads.sol.sites, threads.sol.types):
         stmt = threads.program.stmt_at(site)
         kind = type(stmt).__name__
         assert kind in ("New", "ConstStr")
@@ -251,7 +251,7 @@ def test_copy_cycle_through_parameter_receiver_and_return(framework):
     solver = solved(prepared)
     swap = "app.Box#swap(app.Item)"
     assert len({solver.vars[swap, v] for v in ("p0", "this", "r")}) == 1
-    assert len(prepared.sol.pts(swap, "this")) == 4  # both boxes and both items
+    assert len(prepared.sol.pts0[swap, "this"]) == 4  # both boxes and both items
     run_site = SiteId(swap, 3)
     assert {t for t, _p in prepared.cg_raw.edges_at(run_site)} == {
         "app.ItemA#run()", "app.Item#run()"

@@ -69,7 +69,7 @@ def test_points_to_matches_oracle(seed, framework, spec):
 @pytest.mark.parametrize("seed,workers,allocs", HEAP_INSTANCES)
 def test_heap_points_to_matches_oracle(seed, workers, allocs, framework, spec):
     prepared = pipeline.prepare(gen_heap_app(seed, workers, allocs), [framework], spec=spec)
-    assert len(prepared.sol.alloc_type) > 64
+    assert len(prepared.sol.sites) > 64
     assert_matches_oracle(prepared)
 
 
@@ -77,7 +77,7 @@ def test_views_stay_lazy(framework, spec):
     # analyze reads the bitsets; the frozenset views are for the oracles
     prepared = pipeline.prepare(gen_heap_app(*HEAP_INSTANCES[0]), [framework], spec=spec)
     pipeline.analyze(prepared, mode="cfa1")
-    assert {"pts0", "fpts0", "spts0", "alloc_type"}.isdisjoint(vars(prepared.sol))
+    assert {"pts0", "fpts0", "spts0"}.isdisjoint(vars(prepared.sol))
     assert_matches_oracle(prepared)
 
 
