@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -132,20 +134,94 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _corpus_apps(corpus_dir):
-    paths = sorted(Path(corpus_dir).glob("*.json"))
-    if not paths:
-        raise PermplaceError(f"no app model files in {corpus_dir}")
-    return paths
+def _cpu_count() -> int:
+    """CPUs the process may run on; 1 where it cannot fork or cannot tell."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
 
 
-def _corpus_programs(args, config: LinkConfig):
-    """Link each corpus app with the overlays; yields (program, hierarchy)."""
-    interned = {}  # one statement table for the whole corpus
+def _corpus_map(args, config: LinkConfig, per_app) -> list:
+    """``per_app(program, hierarchy)`` for each app of the corpus, linked
+    with the overlays, in sorted path order.
+
+    The apps are dealt into one strided share per CPU. Shares past the
+    first run in forked children, each sending its pickled results back
+    over a pipe and leaving through ``os._exit``; a child that crashes
+    sends its traceback text and a non-zero status instead. Results are
+    merged by app index, so the output does not depend on the split, and
+    the first app to fail in path order fails the command. Forking copies
+    only the calling thread, so the caller runs no other threads."""
+    import pickle  # only the corpus commands pay for this import
+
+    interned = {}  # the overlays' statements; each share reads on into its own copy
     overlays = [load_app(p, interned) for p in args.framework + args.overlay]
-    for path in _corpus_apps(args.corpus):
-        program = link_program(load_app(path, interned), overlays, config)
-        yield program, build_hierarchy(program)
+    paths = sorted(Path(args.corpus).glob("*.json"))
+    if not paths:
+        raise PermplaceError(f"no app model files in {args.corpus}")
+    n = min(_cpu_count(), len(paths))
+
+    def share(k) -> list:
+        """(index, result, None) for each app of share ``k`` in turn; the
+        first app that fails ends the list as (index, None, message)."""
+        done = []
+        for i in range(k, len(paths), n):
+            try:
+                program = link_program(load_app(paths[i], interned), overlays, config)
+                done.append((i, per_app(program, build_hierarchy(program)), None))
+            except (PermplaceError, OSError) as exc:
+                done.append((i, None, str(exc)))
+                break
+        return done
+
+    readers = {}  # child pid -> read end of its pipe
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the child: never returns into the caller's frames
+                status = 1
+                try:
+                    try:
+                        os.close(r)
+                        for sibling in readers.values():
+                            sibling.close()
+                        payload = pickle.dumps(share(k))
+                        status = 0
+                    except BaseException:  # interrupts too: the parent gets them as text
+                        payload = traceback.format_exc().encode("utf-8", "replace")
+                    with open(w, "wb") as out:
+                        out.write(payload)
+                finally:
+                    os._exit(status)
+            os.close(w)
+            readers[pid] = open(r, "rb")
+        done = share(0)
+        for pid, reader in list(readers.items()):
+            payload = reader.read()
+            reader.close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del readers[pid]
+            if status:
+                text = payload.decode("utf-8", "replace")
+                raise RuntimeError(f"corpus share in child {pid} failed (status {status}):\n{text}")
+            done += pickle.loads(payload)
+    finally:
+        for reader in readers.values():
+            reader.close()
+        for pid in readers:
+            os.waitpid(pid, 0)
+    results = []
+    for _i, result, error in sorted(done, key=lambda entry: entry[0]):
+        if error is not None:
+            raise PermplaceError(error)
+        results.append(result)
+    return results
 
 
 def _prepare(args) -> pipeline.Prepared:
@@ -181,10 +257,10 @@ def _cmd_collect(args) -> int:
     config = _load_config(args)
     spec = _load_specs(args)
     groups = permspec.load_groups(args.groups) if args.groups else None
-    corpus = [
-        collector.collect_usage(program, spec, hierarchy, groups)
-        for program, hierarchy in _corpus_programs(args, config)
-    ]
+    corpus = _corpus_map(
+        args, config,
+        lambda program, hierarchy: collector.collect_usage(program, spec, hierarchy, groups),
+    )
     _emit(collector.usage_csv(corpus, groups).encode("utf-8"), args.output)
     if args.summary:
         summary = collector.corpus_summary(corpus, groups)
@@ -214,8 +290,11 @@ def _cmd_compare_specs(args) -> int:
     spec_a = permspec.load_spec(args.spec_a)
     spec_b = permspec.load_spec(args.spec_b)
     groups = permspec.load_groups(args.groups) if args.groups else None
-    programs = list(_corpus_programs(args, config))
-    result = collector.compare_specs(programs, spec_a, spec_b, groups)
+    label_pairs = _corpus_map(args, config, lambda program, hierarchy: tuple(
+        collector.classify(collector.collect_usage(program, spec, hierarchy, groups))
+        for spec in (spec_a, spec_b)
+    ))
+    result = collector.compare_specs(label_pairs, spec_a, spec_b)
     _emit(write_json(result), args.output)
     return 0
 

@@ -148,24 +148,23 @@ def overprivilege_report(corpus, groups: GroupTable) -> dict:
     return out
 
 
-def compare_specs(programs, spec_a: PermissionSpec, spec_b: PermissionSpec, groups=None):
-    """Coverage-style comparison of two specs over one corpus of linked
-    programs (each paired with its hierarchy): MCS instance counts, distinct
-    covered permissions, and a key diff."""
+def compare_specs(label_pairs, spec_a: PermissionSpec, spec_b: PermissionSpec):
+    """Coverage-style comparison of two specs over one corpus: MCS instance
+    counts, distinct covered permissions, and a key diff. ``label_pairs``
+    holds, per app, the classify() maps of its usage under spec_a and under
+    spec_b."""
     stats = {}
-    for label, spec in (("a", spec_a), ("b", spec_b)):
-        mcs_instances = 0
-        covered = set()
-        for program, hierarchy in programs:
-            usage = collect_usage(program, spec, hierarchy, groups)
-            for perm, cls_label in classify(usage).items():
-                if cls_label == "MCS":
-                    mcs_instances += 1
-                    covered.add(perm)
-        stats[label] = {
-            "mcs_instances": mcs_instances,
-            "permissions_covered": len(covered),
-            "permissions": sorted(covered),
+    for side, name in enumerate("ab"):
+        covered = [
+            perm
+            for pair in label_pairs
+            for perm, label in pair[side].items()
+            if label == "MCS"
+        ]
+        stats[name] = {
+            "mcs_instances": len(covered),
+            "permissions_covered": len(set(covered)),
+            "permissions": sorted(set(covered)),
         }
     keys_a, keys_b = set(spec_a.entries), set(spec_b.entries)
     conflicting = sorted(

@@ -1,5 +1,10 @@
+import contextlib
 import gc
 import json
+import os
+import signal
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -490,3 +495,160 @@ def test_console_script_installed(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: permplace")
     assert "analyze" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# corpus commands split across CPUs
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def write_corpus(root, name, apps) -> str:
+    """A corpus directory ``root/name`` of file name -> app: a file to copy,
+    a dict to write as JSON or the text itself."""
+    corpus = root / name
+    corpus.mkdir()
+    for file_name, app in apps.items():
+        text = (app.read_text() if isinstance(app, Path)
+                else json.dumps(app) if isinstance(app, dict) else app)
+        (corpus / file_name).write_text(text, encoding="utf-8")
+    return str(corpus)
+
+
+@pytest.fixture(scope="module")
+def corpora(fixtures_dir, workloads, tmp_path_factory):
+    """Name -> corpus directory; "camera-spec" is a second spec for
+    compare-specs."""
+    root = tmp_path_factory.mktemp("corpora")
+    fixtures = {p.name: p for p in sorted((fixtures_dir / "corpus").glob("*.json"))}
+    charlie = json.loads(fixtures["charlie.json"].read_text())
+
+    def missing_super(name):
+        return {"name": "t", "manifest": {},
+                "classes": [{"name": "A", "super": name, "methods": []}]}
+
+    # malformed apps that sort first, fourth and last among the fixtures
+    first = {"aa.json": missing_super("missing.First")}
+    middle = {"corrupt.json": "{"}
+    last = {"zz.json": missing_super("missing.Last")}
+    camera = root / "camera.spec.json"
+    camera.write_text(json.dumps([{"kind": "method", "key": "android.hardware.Camera#open()",
+                                   "permissions": ["android.permission.CAMERA"]}]))
+    return {
+        "camera-spec": str(camera),
+        "fixtures": str(fixtures_dir / "corpus"),
+        "corpus-audit-0": write_corpus(root, "corpus-audit-0", {
+            f"{a['name']}.json": a for a in workloads.instance("corpus-audit/0").apps}),
+        # files 1 and 2 carry one app name: outputs sort by name, ties in file order
+        "same-name": write_corpus(root, "same-name", {
+            **fixtures, "bravo2.json": {**charlie, "name": "bravo"}}),
+        "bad-first": write_corpus(root, "bad-first", {**fixtures, **first}),
+        "bad-middle": write_corpus(root, "bad-middle", {**fixtures, **middle}),
+        "bad-last": write_corpus(root, "bad-last", {**fixtures, **last}),
+        "bad-middle-and-last": write_corpus(root, "bad-middle-and-last",
+                                            {**fixtures, **middle, **last}),
+    }
+
+
+def corpus_run(paths, tmp_path, capsys, command, corpus, spec_b=None) -> tuple:
+    """(exit code, stderr, output bytes) of one corpus command; a missing
+    output file reads as None."""
+    outputs = [tmp_path / "out", tmp_path / "summary.json"]
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    argv = [command, corpus, "--framework", paths["framework"], "--groups", paths["groups"],
+            "-o", str(outputs[0])]
+    if command == "collect":
+        argv += ["--spec", paths["spec"], "--summary", str(outputs[1])]
+    else:
+        argv += ["--spec-a", paths["spec"], "--spec-b", spec_b]
+    capsys.readouterr()
+    with deadline(60):
+        code = run(argv)
+    err = capsys.readouterr().err
+    return code, err, [p.read_bytes() if p.exists() else None for p in outputs]
+
+
+@pytest.mark.parametrize("command", ["collect", "compare-specs"])
+@pytest.mark.parametrize("name, error", [
+    ("fixtures", None), ("corpus-audit-0", None), ("same-name", None),
+    ("bad-first", "missing.First"), ("bad-middle", "corrupt.json"), ("bad-last", "missing.Last"),
+    ("bad-middle-and-last", "corrupt.json"),
+])
+def test_corpus_output_does_not_depend_on_share_count(
+    paths, corpora, tmp_path, capsys, monkeypatch, command, name, error
+):
+    runs = {}
+    for cpus in (1, 2, 5):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        runs[cpus] = corpus_run(paths, tmp_path, capsys, command, corpora[name],
+                                corpora["camera-spec"])
+        assert_no_children()
+    assert runs[2] == runs[1] and runs[5] == runs[1]
+    code, err, outputs = runs[1]
+    if error:
+        assert (code, outputs) == (1, [None, None])
+        assert err.startswith("permplace: error: ") and error in err
+    else:
+        assert (code, err) == (0, "") and outputs[0]
+
+
+@pytest.mark.parametrize("bad", ["alpha", "bravo"], ids=["parent-share", "child-share"])
+def test_crashing_share_fails_the_run_and_leaves_no_child(
+    paths, tmp_path, capsys, monkeypatch, bad
+):
+    """One app's collect_usage raises; every other app's result is too
+    large for a pipe's buffer, so a parent that reaped before it read or
+    closed would hang."""
+    collect_usage = cli.collector.collect_usage
+
+    def crash_on_bad(program, spec, hierarchy, groups=None):
+        if program.name == bad:
+            raise RuntimeError(f"boom in {bad}")
+        usage = collect_usage(program, spec, hierarchy, groups)
+        return replace(usage, sites={**usage.sites, "padding": "x" * 200_000})
+
+    monkeypatch.setattr(cli.collector, "collect_usage", crash_on_bad)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match=f"boom in {bad}"):
+        corpus_run(paths, tmp_path, capsys, "collect", paths["corpus"])
+    assert_no_children()
+    assert not (tmp_path / "out").exists() and not (tmp_path / "summary.json").exists()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("machine", ["no-fork", "one-cpu"])
+def test_one_share_forks_nothing(paths, tmp_path, capsys, monkeypatch, machine):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    want = corpus_run(paths, tmp_path, capsys, "collect", paths["corpus"])
+    monkeypatch.undo()
+    if machine == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+        def no_fork():
+            raise AssertionError("forked with one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    assert cli._cpu_count() == 1
+    assert corpus_run(paths, tmp_path, capsys, "collect", paths["corpus"]) == want

@@ -124,10 +124,6 @@ def test_corpus_summary(corpus, groups):
 def test_compare_specs_prefers_richer_spec(fixtures_dir, framework, spec, groups):
     from permplace.permspec import PermissionSpec, spec_from_list
 
-    programs = []
-    for path in sorted((fixtures_dir / "corpus").glob("*.json")):
-        program = link_program(load_app(path), [framework])
-        programs.append((program, build_hierarchy(program)))
     small = spec_from_list(
         [
             {
@@ -137,7 +133,15 @@ def test_compare_specs_prefers_richer_spec(fixtures_dir, framework, spec, groups
             }
         ]
     )
-    result = collector.compare_specs(programs, spec, small, groups)
+    label_pairs = []
+    for path in sorted((fixtures_dir / "corpus").glob("*.json")):
+        program = link_program(load_app(path), [framework])
+        hierarchy = build_hierarchy(program)
+        label_pairs.append(tuple(
+            collector.classify(collector.collect_usage(program, s, hierarchy, groups))
+            for s in (spec, small)
+        ))
+    result = collector.compare_specs(label_pairs, spec, small)
     assert result["a"]["mcs_instances"] >= result["b"]["mcs_instances"]
     assert result["a"]["permissions_covered"] == 2
     assert result["b"]["permissions_covered"] == 1

@@ -8,6 +8,7 @@ function of the package is entered."""
 import ast
 import gc
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -67,8 +68,8 @@ def overlay(cls) -> str:
 def write_inputs(tmp) -> dict:
     """Name -> path of each input, written under ``tmp``: the fixtures, two
     random programs of each generator, a listener app, library overlays, a
-    spec that conflicts with the fixture spec and one malformed app per way
-    an app can be wrong."""
+    spec that conflicts with the fixture spec, one malformed app per way
+    an app can be wrong and a corpus with one of them inside."""
     paths = {
         name: str(FIXTURES / f"{name}.app.json")
         for name in ("threads", "viewstub", "parametric")
@@ -109,6 +110,13 @@ def write_inputs(tmp) -> dict:
         write(name, json.dumps({"name": "t", "manifest": {}, "classes": classes}))
     write("mistyped-name", json.dumps({"name": 1, "manifest": {}, "classes": []}))
     write("invalid-json", "{not json")
+    # the fixture corpus with a malformed app sorted into its middle
+    corpus = tmp / "malformed-corpus"
+    corpus.mkdir()
+    for app in Path(paths["corpus"]).glob("*.json"):
+        shutil.copy(app, corpus)
+    shutil.copy(paths["unresolved-type"], corpus / "corrupt.json")
+    paths["malformed-corpus"] = str(corpus)
     return paths
 
 
@@ -163,6 +171,8 @@ MALFORMED = {
                                           "--overlay", "@library-model-body"),
     "spec-merge-conflict": ["spec", "merge", "@spec", "@conflicting-spec", "-o", "@out"],
     "collect-malformed-spec": ["collect", "@corpus", "--spec", "@invalid-json"],
+    "collect-malformed-app": ["collect", "@malformed-corpus", "--spec", "@spec",
+                              "--framework", "@framework", "--summary", "@out"],
     "spec-validate-malformed": ["spec", "validate", "@unknown-key"],
 }
 

@@ -4,7 +4,8 @@ by the benchmark: no API without a caller. The commands are
 ``cli.run``; the benchmark part is ``perfbench/run.py``'s
 ``oracle_mismatches``, called as the benchmark calls it. Both run in a fresh
 interpreter under ``sys.setprofile``, so functions entered at import and
-builders cached once per process count.
+builders cached once per process count, and so do functions entered only
+in the children a corpus command forks.
 
 Run as a script, this file is that interpreter: ``python -B
 tests/test_reached.py OUT`` writes to ``OUT`` the lines of the ``def``s it
@@ -12,6 +13,7 @@ entered, by module."""
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -60,9 +62,27 @@ def probe(out: Path) -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         files = table.write_inputs(Path(tmp))
-        for code, argvs in ((0, table.COMMANDS), (1, table.MALFORMED)):
-            for name, argv in argvs.items():
-                assert table.run(table.resolve(files, argv)) == code, name
+        # a corpus command runs shares in forked children, which leave
+        # through os._exit: have them hand back what they entered first
+        children = Path(tmp) / "children"
+        children.mkdir()
+        exit_now = os._exit
+
+        def exit_child(status):
+            try:
+                (children / f"{os.getpid()}.json").write_text(json.dumps(sorted(entered)))
+            finally:
+                exit_now(status)
+
+        os._exit = exit_child
+        try:
+            for code, argvs in ((0, table.COMMANDS), (1, table.MALFORMED)):
+                for name, argv in argvs.items():
+                    assert table.run(table.resolve(files, argv)) == code, name
+        finally:
+            os._exit = exit_now
+        for path in children.iterdir():
+            entered.update(map(tuple, json.loads(path.read_text())))
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
