@@ -8,8 +8,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .cfa1 import Context, filter_edges
-from .errors import InconsistentInput, UnknownType
+from .cfa1 import filter_edges
+from .errors import InconsistentInput
 from .graph import closure, components
 from .hierarchy import ClassHierarchy
 from .intraflow import intraproc_values
@@ -62,10 +62,7 @@ def find_sensitive_sites(
             if not isinstance(stmt, Invoke):
                 continue
             site = SiteId(sig, i)
-            try:
-                visible = hierarchy.resolve_declaration(stmt)
-            except UnknownType:
-                visible = None
+            visible = hierarchy.resolve_declaration(stmt)
             if visible is None:
                 continue
             entry = spec.method_entry(visible)
@@ -170,11 +167,12 @@ def traverse(
     # (method, entering site's method, stmt) -> the state's report node,
     # shared by every path through the state; it keeps the node's id valid
     nodes = {}
-    # id(state node) -> [(callee, its node key, its context, ambiguous,
-    # its reach, its height)] in visit order, bodyless callees dropped
+    # id(state node) -> [(callee, its node key, the site entering it,
+    # ambiguous, its reach, its height)] in visit order, bodyless callees
+    # dropped
     successors = {}
 
-    def successors_of(node, method, ctx):
+    def successors_of(node, method, entered_at):
         out = successors.get(id(node))
         if out is not None:
             return out
@@ -187,14 +185,13 @@ def traverse(
             if not edges:
                 continue
             if mode == "cfa1":
-                surviving, amb = filter_edges(cg, sol, program, hierarchy, site, ctx)
+                surviving, amb = filter_edges(cg, sol, program, hierarchy, site, entered_at)
             else:
                 surviving, amb = edges, len(edges) > 1
-            callee_ctx = Context(entrySite=site)
             for target, _prov in sorted(surviving):
                 if program.body_of(target) is not None:
                     key = (target, method, i)
-                    out.append((target, key, callee_ctx, amb, reach[target], height[target]))
+                    out.append((target, key, site, amb, reach[target], height[target]))
         return out
 
     for entry_site in program.entry_sites:
@@ -208,7 +205,7 @@ def traverse(
         truncated = 0  # bits of the sensitives whose paths were capped
         depth_truncated = False
 
-        def enter(node, method, ctx, ambiguous):
+        def enter(node, method, entered_at, ambiguous):
             # records the sensitives of ``method``, reached along ``path``;
             # returns an iterator over the callees to visit from it
             nonlocal truncated, depth_truncated
@@ -224,7 +221,7 @@ def traverse(
             if len(path) >= max_depth:
                 depth_truncated = True
                 return iter(())
-            return iter(successors_of(node, method, ctx))
+            return iter(successors_of(node, method, entered_at))
 
         # a callee's frame runs to completion before its caller resumes, so
         # ``path`` and ``on_path`` always describe the top frame
@@ -233,23 +230,23 @@ def traverse(
         path = [root]
         on_path = {cb_sig}
         first_stmt = None  # the callback's statement that starts ``path``
-        frames = [(enter(root, cb_sig, Context(entrySite=entry_site), False), False)]
+        frames = [(enter(root, cb_sig, entry_site, False), False)]
         while frames:
             callees, ambiguous = frames[-1]
-            for target, key, ctx, amb, bits, tall in callees:
+            for target, key, site, amb, bits, tall in callees:
                 if target in on_path or not bits & ~truncated and (
                     depth_truncated or len(path) + tall < max_depth
                 ):
                     continue
                 node = nodes.get(key)
                 if node is None:
-                    node = nodes[key] = {"method": target, "entry": str(ctx.entrySite)}
+                    node = nodes[key] = {"method": target, "entry": str(site)}
                 if len(path) == 1:
-                    first_stmt = ctx.entrySite.stmt
+                    first_stmt = site.stmt
                 path.append(node)
                 on_path.add(target)
                 amb = ambiguous or amb
-                frames.append((enter(node, target, ctx, amb), amb))
+                frames.append((enter(node, target, site, amb), amb))
                 break
             else:
                 frames.pop()
@@ -325,10 +322,7 @@ def cha_reachable_methods(program: LinkedProgram, hierarchy: ClassHierarchy):
     for _decl, m, sig in program.iter_methods():
         for stmt in m.body or ():
             if isinstance(stmt, Invoke):
-                try:
-                    calls[sig] |= hierarchy.cha_targets(stmt)
-                except UnknownType:
-                    continue
+                calls[sig] |= hierarchy.cha_targets(stmt)
     main = program.entry_main_sig
     return closure([main] if main else (), calls)
 

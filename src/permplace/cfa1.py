@@ -1,7 +1,10 @@
 """1-CFA context-sensitive refinement, realized as query-time filtering over
 the 0-CFA solution.
 
-A context is the call site that entered the current method (depth 1).
+A context is the call site that entered the current method (depth 1),
+passed as that invoke's ``SiteId``. Every edge a traversal follows
+resolves the invoke's own name and parameters, so the site calls the
+method it enters.
 Actual arguments and call returns are evaluated context-insensitively in
 the caller; instance-field contents use context-insensitive field sets but
 through a context-refined base set, which is what lets one call site's
@@ -10,9 +13,6 @@ receiver discriminate between otherwise-merged heap objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InvalidContext
 from .hierarchy import ClassHierarchy
 from .intraflow import _param_index
 from .model import (
@@ -29,42 +29,24 @@ from .model import (
 from .pointsto import CallGraph, PointsToSolution, by_runtime_type, members
 
 
-@dataclass(frozen=True, order=True)
-class Context:
-    entrySite: SiteId
-
-
-def _check_context(program: LinkedProgram, method: str, ctx: Context) -> Invoke:
-    try:
-        stmt = program.stmt_at(ctx.entrySite)
-    except KeyError:
-        raise InvalidContext(f"{ctx.entrySite} is not a statement")
-    if not isinstance(stmt, Invoke):
-        raise InvalidContext(f"{ctx.entrySite} is not an invoke")
-    _, cname, cparams = parse_method_sig(stmt.method)
-    _, mname, mparams = parse_method_sig(method)
-    if (cname, cparams) != (mname, mparams):
-        raise InvalidContext(f"{ctx.entrySite} does not call {method}")
-    return stmt
-
-
 def refine_bits(
     sol: PointsToSolution,
     program: LinkedProgram,
     method: str,
     var: str,
-    ctx: Context,
+    entry_site: SiteId,
 ) -> int:
     """Context-refined points-to set, as a bitset over the solution's
-    allocations, for a local of ``method`` under ``ctx``.
+    allocations, for a local of ``method`` entered at the invoke
+    ``entry_site``.
 
     Always a subset of the context-insensitive set; falls back to it on
     local-assignment cycles and at the depth-1 cutoff (call returns,
     arguments evaluated in the caller).
     """
-    entry = _check_context(program, method, ctx)
+    entry = program.stmt_at(entry_site)
     index = program.defs_index(method) or {}
-    caller = ctx.entrySite.method
+    caller = entry_site.method
     pts, fpts = sol.vars, sol.fields
     memo = {}
 
@@ -122,7 +104,7 @@ def filter_edges(
     program: LinkedProgram,
     hierarchy: ClassHierarchy,
     site: SiteId,
-    ctx: Context,
+    entry_site: SiteId,
 ):
     """Context-filter the edges at a call site; returns (edges, ambiguous).
 
@@ -144,7 +126,7 @@ def filter_edges(
     pointsto = edges - passthrough
     if not pointsto:
         return edges, False
-    refined = refine_bits(sol, program, site.method, stmt.receiver, ctx)
+    refined = refine_bits(sol, program, site.method, stmt.receiver, entry_site)
     if refined:
         _, name, params = parse_method_sig(stmt.method)
         allowed = set()

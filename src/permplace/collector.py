@@ -9,7 +9,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .analysis import find_sensitive_sites
-from .errors import UndefinedCoverage
 from .hierarchy import ClassHierarchy
 from .model import ConstStr, LinkedProgram, LoadStatic, SiteId, parse_field_id
 from .permspec import GroupTable, PermissionSpec
@@ -102,10 +101,10 @@ def _percent(num: float, den: float) -> int:
     return math.floor(num / den * 100 + 0.5)
 
 
-def coverage(corpus_labels) -> tuple:
+def coverage(corpus_labels) -> tuple | None:
     """Spec coverage over a corpus: MCS / (MC + MCS), per (app, permission)
     instance. ``corpus_labels`` is an iterable of per-app classify() maps.
-    Returns (ratio, percent)."""
+    Returns (ratio, percent), or None when there is no MC or MCS instance."""
     mcs = mc = 0
     for labels in corpus_labels:
         for label in labels.values():
@@ -116,9 +115,9 @@ def coverage(corpus_labels) -> tuple:
     return coverage_from_counts(mcs, mc)
 
 
-def coverage_from_counts(mcs: int, mc: int) -> tuple:
+def coverage_from_counts(mcs: int, mc: int) -> tuple | None:
     if mcs + mc == 0:
-        raise UndefinedCoverage("no MC or MCS instances")
+        return None
     return mcs / (mcs + mc), _percent(mcs, mcs + mc)
 
 
@@ -210,11 +209,8 @@ def corpus_summary(corpus, groups: GroupTable | None = None) -> dict:
         for label in labels.values():
             counts[label] += 1
     summary = {"apps": len(label_maps), "instances": dict(sorted(counts.items()))}
-    try:
-        ratio, pct = coverage(label_maps)
-        summary["coverage"] = {"ratio": ratio, "percent": pct}
-    except UndefinedCoverage:
-        summary["coverage"] = None
+    cov = coverage(label_maps)
+    summary["coverage"] = None if cov is None else {"ratio": cov[0], "percent": cov[1]}
     if groups is not None:
         summary["overprivilege"] = overprivilege_report(corpus, groups)
     return summary

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .hierarchy import ClassHierarchy
@@ -24,8 +25,6 @@ ENTRY_CLASS = "synthetic.Main"
 class CallbackRef:
     hostClass: str
     sig: str
-    basis: str  # override | interface-registration
-    registrationSites: tuple = ()
 
 
 def _excluded_anchors(program: LinkedProgram, hierarchy: ClassHierarchy):
@@ -38,13 +37,12 @@ def _excluded_anchors(program: LinkedProgram, hierarchy: ClassHierarchy):
     return excluded
 
 
-def _registration_evidence(program, hierarchy, host: str, anchors):
-    """Invoke sites passing an object of type ``host`` at a parameter
+def _registered(program, hierarchy, host: str, anchors) -> bool:
+    """Whether some invoke passes an object of type ``host`` at a parameter
     position whose declared type is one of ``anchors``."""
-    sites = []
-    for decl, m, sig in program.iter_app_bodies():
+    for _decl, m, sig in program.iter_app_bodies():
         types_cache = {}
-        for i, stmt in enumerate(m.body):
+        for stmt in m.body:
             if not isinstance(stmt, Invoke):
                 continue
             _, _, params = parse_method_sig(stmt.method)
@@ -56,19 +54,15 @@ def _registration_evidence(program, hierarchy, host: str, anchors):
                     types_cache[arg] = possible_types(program, sig, arg)
                 for tname, exact in types_cache[arg]:
                     if (tname == host) if exact else hierarchy.is_subtype(host, tname):
-                        sites.append(SiteId(sig, i))
-                        break
-                else:
-                    continue
-                break
-    return tuple(sorted(set(sites)))
+                        return True
+    return False
 
 
 def detect_callbacks(program: LinkedProgram, hierarchy: ClassHierarchy):
     """Find app/library methods invoked by the framework.
 
     A bodied instance method C.f is a callback when a framework superclass
-    declares a matching signature (override basis), or C implements a
+    declares a matching signature (an override), or C implements a
     framework interface declaring f and an instance of C is registered by
     being passed at a parameter position of that interface type. Async
     constructs (Thread, Runnable, ...) never anchor a callback.
@@ -78,36 +72,28 @@ def detect_callbacks(program: LinkedProgram, hierarchy: ClassHierarchy):
     for decl, m, sig in program.iter_methods(origins=("app", "library")):
         if m.body is None or m.static or decl.name == program.entry_class:
             continue
-        basis = None
-        reg_sites = ()
-        for sup in hierarchy.superclass_chain(decl.name):
-            if sup.name == decl.name or sup.name in excluded:
+        if any(
+            sup.name != decl.name
+            and sup.name not in excluded
+            and program.is_framework(sup)
+            and sup.method_by_key(m.name, m.params)
+            for sup in hierarchy.superclass_chain(decl.name)
+        ):
+            out.append(CallbackRef(hostClass=decl.name, sig=sig))
+            continue
+        anchors = set()
+        for iname in hierarchy.supertypes(decl.name):
+            idecl = program.classes[iname]
+            if idecl.kind != "interface" or not program.is_framework(idecl):
                 continue
-            if program.is_framework(sup) and sup.method_by_key(m.name, m.params):
-                basis = "override"
-                break
-        if basis is None:
-            anchors = set()
-            for iname in hierarchy.supertypes(decl.name):
-                idecl = program.classes[iname]
-                if idecl.kind != "interface" or not program.is_framework(idecl):
-                    continue
-                # every supertype of an interface is an interface (link_program)
-                if iname not in excluded and any(
-                    program.classes[s].method_by_key(m.name, m.params)
-                    for s in hierarchy.supertypes(iname)
-                ):
-                    anchors.add(iname)
-            if anchors:
-                reg_sites = _registration_evidence(program, hierarchy, decl.name, anchors)
-                if reg_sites:
-                    basis = "interface-registration"
-        if basis is not None:
-            out.append(
-                CallbackRef(
-                    hostClass=decl.name, sig=sig, basis=basis, registrationSites=reg_sites
-                )
-            )
+            # every supertype of an interface is an interface (link_program)
+            if iname not in excluded and any(
+                program.classes[s].method_by_key(m.name, m.params)
+                for s in hierarchy.supertypes(iname)
+            ):
+                anchors.add(iname)
+        if anchors and _registered(program, hierarchy, decl.name, anchors):
+            out.append(CallbackRef(hostClass=decl.name, sig=sig))
     return sorted(out)
 
 
@@ -117,7 +103,7 @@ def generate_dummy_main(program: LinkedProgram, callbacks) -> LinkedProgram:
     allocations synthesized for every parameter."""
     body = []
     entry_sites = []
-    fresh = iter(range(10**6))
+    fresh = itertools.count()
     main_sig = method_sig(ENTRY_CLASS, "main", ())
     hosts = sorted({cb.hostClass for cb in callbacks})
     host_var = {}

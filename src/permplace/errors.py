@@ -6,10 +6,10 @@ class PermplaceError(Exception):
 
 
 class ParseError(PermplaceError):
-    """A file could not be parsed. Carries a locus (file/field) when known."""
+    """A file could not be parsed; the message names the locus (file/field)
+    when known."""
 
     def __init__(self, message, locus=None):
-        self.locus = locus
         super().__init__(f"{locus}: {message}" if locus else message)
 
 
@@ -25,27 +25,14 @@ class CycleError(PermplaceError):
     """Inheritance cycle detected while building the class hierarchy."""
 
 
-class UnknownType(PermplaceError):
-    """A declared receiver type is not present in the linked program."""
-
-
 class ConflictError(PermplaceError):
     """Two specs map the same key to different permission sets."""
 
     def __init__(self, conflicts):
-        self.conflicts = list(conflicts)
         super().__init__(
-            "conflicting permission sets for: " + ", ".join(str(k) for k in self.conflicts)
+            "conflicting permission sets for: " + ", ".join(str(k) for k in conflicts)
         )
-
-
-class InvalidContext(PermplaceError):
-    """A 1-CFA context does not actually call the queried method."""
 
 
 class InconsistentInput(PermplaceError):
     """A detected sensitive is not CHA-reachable (partition precondition)."""
-
-
-class UndefinedCoverage(PermplaceError):
-    """Coverage requested over a corpus with no MC/MCS instances."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import CycleError, UnknownType
+from .errors import CycleError
 from .graph import closure, components
 from .model import Invoke, LinkedProgram, parse_method_sig
 
@@ -69,11 +69,9 @@ class ClassHierarchy:
         interface sites yield the dispatch result of every concrete subtype
         of the declared receiver type. Only bodied declarations are
         returned: stub-only targets are useless for reachability and for
-        augmentation candidacy.
+        augmentation candidacy. An unknown receiver type has none.
         """
         cls, name, params = parse_method_sig(invoke.method)
-        if self.program.get_class(cls) is None:
-            raise UnknownType(cls)
         if invoke.kind in ("static", "special"):
             direct = self.resolve_declaration(invoke)
             if direct is None:
@@ -101,13 +99,12 @@ class ClassHierarchy:
 
         Walks upward (superclasses first, then interfaces) from the declared
         receiver type; this is the key used for spec matching, so it works
-        even when points-to is empty. The answer is cached per signature.
+        even when points-to is empty. None when nothing is visible, an
+        unknown receiver type included. The answer is cached per signature.
         """
         sig = invoke.method
         if sig not in self._declarations:
             cls, name, params = parse_method_sig(sig)
-            if self.program.get_class(cls) is None:
-                raise UnknownType(cls)
             self._declarations[sig] = self._visible_declaration(cls, name, params)
         return self._declarations[sig]
 

@@ -13,7 +13,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import UnknownType
 from .graph import closure, components
 from .hierarchy import ClassHierarchy
 from .model import (
@@ -233,10 +232,7 @@ class _Solver:
             elif isinstance(stmt, Invoke):
                 site = SiteId(sig, i)
                 if stmt.kind in ("static", "special"):
-                    try:
-                        target = self.hierarchy.resolve_declaration(stmt)
-                    except UnknownType:
-                        target = None
+                    target = self.hierarchy.resolve_declaration(stmt)
                     if target is not None:
                         self.link_call(site, stmt, target)
                         if stmt.kind == "special" and stmt.receiver is not None:
@@ -347,10 +343,7 @@ def augment_call_graph(
             for i, stmt in enumerate(program.body_of(m) or ()):
                 if i in have or not isinstance(stmt, Invoke):
                     continue
-                try:
-                    targets = hierarchy.cha_targets(stmt)
-                except UnknownType:
-                    continue
+                targets = hierarchy.cha_targets(stmt)
                 if len(targets) == 1:
                     (target,) = targets
                     edges[SiteId(m, i)] = frozenset({(target, "augmented")})

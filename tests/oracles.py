@@ -10,8 +10,6 @@ hierarchy for CHA targets, which ``cha_oracle`` checks on its own.
 
 from collections import defaultdict, deque
 
-from permplace.errors import UnknownType
-
 from permplace.model import (
     Assign,
     ConstStr,
@@ -274,10 +272,7 @@ def augment_oracle(cg, program, hierarchy, passes=None):
                 site = SiteId(m, i)
                 if edges.get(site):
                     continue
-                try:
-                    targets = hierarchy.cha_targets(stmt)
-                except UnknownType:
-                    continue
+                targets = hierarchy.cha_targets(stmt)
                 if len(targets) == 1:
                     edges[site] = frozenset({(next(iter(targets)), "augmented")})
                     changed = True

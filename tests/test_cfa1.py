@@ -1,9 +1,6 @@
-import pytest
-
 from permplace import pipeline
-from permplace.cfa1 import Context, filter_edges, refine_bits
+from permplace.cfa1 import filter_edges, refine_bits
 from permplace.entrypoints import detect_callbacks
-from permplace.errors import InvalidContext
 from permplace.model import SiteId, app_from_dict
 
 CB1 = "app.Host#callback1()"
@@ -11,16 +8,16 @@ CB2 = "app.Host#callback2()"
 START = "java.lang.Thread#start()"
 
 
-def refine_pts(sol, program, method, var, ctx):
-    return sol.frozen(refine_bits(sol, program, method, var, ctx))
+def refine_pts(sol, program, method, var, entry_site):
+    return sol.frozen(refine_bits(sol, program, method, var, entry_site))
 
 
 def entry_ctx(prepared, cb_sig):
-    """Context for the dummy-main invocation of a callback."""
+    """The context of a callback: its dummy-main invocation site."""
     for site in prepared.program.entry_sites:
         stmt = prepared.program.stmt_at(site)
         if stmt.method == cb_sig:
-            return Context(entrySite=site)
+            return site
     raise AssertionError(f"no entry site for {cb_sig}")
 
 
@@ -54,12 +51,12 @@ def test_refine_subset_of_insensitive(threads, viewstub, parametric):
 def test_refine_discriminates_field_through_receiver(threads):
     """The heart of the refinement: Thread#start() entered from callback1
     sees only Run1 in its receiver's target field."""
-    ctx1 = Context(entrySite=start_site(threads, CB1))
+    ctx1 = start_site(threads, CB1)
     refined = refine_pts(threads.sol, threads.program, START, "r", ctx1)
     assert len(refined) == 1
     assert next(iter(refined)).method == CB1
 
-    ctx2 = Context(entrySite=start_site(threads, CB2))
+    ctx2 = start_site(threads, CB2)
     refined2 = refine_pts(threads.sol, threads.program, START, "r", ctx2)
     assert len(refined2) == 1
     assert next(iter(refined2)).method == CB2
@@ -71,24 +68,6 @@ def test_insensitive_set_merges_both(threads):
     assert len(threads.sol.pts0[START, "r"]) == 2
 
 
-def test_invalid_context_wrong_method(threads):
-    ctx = entry_ctx(threads, CB1)
-    with pytest.raises(InvalidContext):
-        refine_pts(threads.sol, threads.program, START, "r", ctx)
-
-
-def test_invalid_context_not_an_invoke(threads):
-    ctx = Context(entrySite=SiteId(CB1, 0))  # a `new`, not an invoke
-    with pytest.raises(InvalidContext):
-        refine_pts(threads.sol, threads.program, CB1, "t", ctx)
-
-
-def test_invalid_context_no_such_statement(threads):
-    ctx = Context(entrySite=SiteId(CB1, 999))
-    with pytest.raises(InvalidContext):
-        refine_pts(threads.sol, threads.program, CB1, "t", ctx)
-
-
 def test_filter_edges_run_site(threads):
     """Under callback1's context the run() dispatch keeps only Run1."""
     body = threads.program.body_of(START)
@@ -97,7 +76,7 @@ def test_filter_edges_run_site(threads):
     )
     run_site = SiteId(START, run_idx)
     for cb, expect in ((CB1, "app.Host$Run1#run()"), (CB2, "app.Host$Run2#run()")):
-        ctx = Context(entrySite=start_site(threads, cb))
+        ctx = start_site(threads, cb)
         surviving, ambiguous = filter_edges(
             threads.cg, threads.sol, threads.program, threads.hierarchy, run_site, ctx
         )
@@ -134,7 +113,7 @@ def test_filter_edges_static_site_passthrough(threads):
     run_idx = next(
         i for i, s in enumerate(body_start) if getattr(s, "method", "") == "java.lang.Runnable#run()"
     )
-    ctx = Context(entrySite=SiteId(START, run_idx))
+    ctx = SiteId(START, run_idx)
     surviving, ambiguous = filter_edges(
         threads.cg, threads.sol, threads.program, threads.hierarchy, site, ctx
     )
@@ -196,8 +175,8 @@ def test_refine_field_load_cycle_reads_insensitive_set_in_progress(framework, sp
     c, d = SiteId(CB2, 0), SiteId(CB2, 1)  # x and y of callback2
     assert sol.pts0[cycle, "b"] == {a, b, c, d}
     assert sol.pts0[cycle, "a"] == {b, d}
-    ctx1 = Context(entrySite=SiteId(CB1, 3))
-    ctx2 = Context(entrySite=SiteId(CB2, 3))
+    ctx1 = SiteId(CB1, 3)
+    ctx2 = SiteId(CB2, 3)
     assert refine_pts(sol, program, cycle, "a", ctx1) == {b}
     assert refine_pts(sol, program, cycle, "b", ctx1) == {a, b, d}
     assert refine_pts(sol, program, cycle, "a", ctx2) == {d}

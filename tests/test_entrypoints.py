@@ -1,6 +1,6 @@
 import pytest
 
-from permplace.entrypoints import ENTRY_CLASS, detect_callbacks, generate_dummy_main
+from permplace.entrypoints import ENTRY_CLASS, CallbackRef, detect_callbacks, generate_dummy_main
 from permplace.hierarchy import build_hierarchy
 from permplace.model import Invoke, New, app_from_dict, link_program, load_app
 
@@ -19,7 +19,7 @@ def test_threads_callbacks(threads):
         "app.Host#callback1()",
         "app.Host#callback2()",
     }
-    assert all(cb.basis == "override" for cb in by_sig.values())
+    assert {cb.hostClass for cb in by_sig.values()} == {"app.Host"}
 
 
 def test_runnable_run_is_not_a_callback(threads):
@@ -59,11 +59,8 @@ def test_interface_registration_basis(framework):
         [framework],
     )
     cbs = detect_callbacks(program, hierarchy)
-    reg = [cb for cb in cbs if cb.basis == "interface-registration"]
-    assert len(reg) == 1
-    assert reg[0].sig == "app.L#onLocationChanged(android.location.Location)"
-    assert len(reg[0].registrationSites) == 1
-    assert str(reg[0].registrationSites[0]).endswith("app.Host#onCreate()/1")
+    listener = CallbackRef("app.L", "app.L#onLocationChanged(android.location.Location)")
+    assert [cb for cb in cbs if cb.hostClass == "app.L"] == [listener]
 
 
 def test_unregistered_listener_is_not_a_callback(framework):

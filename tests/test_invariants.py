@@ -15,10 +15,9 @@ from permplace.analysis import (
     detected_sensitives,
     write_report,
 )
-from permplace.cfa1 import Context, filter_edges, refine_bits
+from permplace.cfa1 import filter_edges, refine_bits
 from permplace.collector import coverage_from_counts
-from permplace.errors import UndefinedCoverage
-from permplace.model import Invoke, SiteId
+from permplace.model import Invoke, SiteId, parse_method_sig
 from permplace.pointsto import augment_call_graph
 from randprog import gen_app
 
@@ -34,21 +33,35 @@ def subjects(threads, viewstub, parametric, framework, spec):
 
 
 def _contexts(prepared):
-    """(method, ctx) pairs realizable during traversal: each callback under
-    its dummy-main entry, and each bodied call-graph target under the call
-    site that reaches it."""
+    """(method, context) pairs realizable during traversal, a context being
+    the entering call site: each callback under its dummy-main entry, and
+    each bodied call-graph target under the call site that reaches it."""
     program = prepared.program
     pairs = []
     for entry_site in program.entry_sites:
         for target, _p in prepared.cg.edges_at(entry_site):
-            pairs.append((target, Context(entrySite=entry_site)))
+            pairs.append((target, entry_site))
     for site, targets in prepared.cg.edges.items():
         if site.method == program.entry_main_sig:
             continue
         for target, _p in targets:
             if program.body_of(target) is not None:
-                pairs.append((target, Context(entrySite=site)))
+                pairs.append((target, site))
     return pairs
+
+
+def test_every_context_invokes_its_method(subjects):
+    """Each context is an invoke of its method's name and parameters: entry,
+    points-to, augmented and static/special edges all resolve the invoke's
+    own name and parameters, so cfa1 needs no check of its own."""
+    checked = 0
+    for prepared in subjects:
+        for method, entry in _contexts(prepared):
+            stmt = prepared.program.stmt_at(entry)
+            assert isinstance(stmt, Invoke), entry
+            assert parse_method_sig(stmt.method)[1:] == parse_method_sig(method)[1:], entry
+            checked += 1
+    assert checked > len(subjects)
 
 
 def test_refinement_never_widens(subjects):
@@ -154,7 +167,7 @@ def test_reported_paths_replay(subjects):
                                         prepared.program,
                                         prepared.hierarchy,
                                         site,
-                                        Context(entrySite=site_id(prev["entry"])),
+                                        site_id(prev["entry"]),
                                     )
                                 assert node["method"] in {t for t, _p in edges}
 
@@ -184,8 +197,7 @@ def test_limits_only_shrink_detections(subjects):
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6))
 def test_coverage_counts_properties(mcs, mc):
     if mcs + mc == 0:
-        with pytest.raises(UndefinedCoverage):
-            coverage_from_counts(mcs, mc)
+        assert coverage_from_counts(mcs, mc) is None
         return
     ratio, pct = coverage_from_counts(mcs, mc)
     assert 0.0 <= ratio <= 1.0

@@ -17,7 +17,6 @@ from oracles import (
 )
 from permplace import analysis, pipeline
 from permplace.analysis import Limits, detected_sensitives, report_to_dict, write_report
-from permplace.cfa1 import Context
 from permplace.hierarchy import ClassHierarchy
 from permplace.model import LinkedProgram, SiteId, app_from_dict
 from permplace.pointsto import CallGraph, augment_call_graph, solve_0cfa
@@ -245,7 +244,7 @@ def test_filter_edges_runs_once_per_state(
         calls.clear()
         report = pipeline.analyze(prepared, mode="cfa1", limits=Limits(50, 10000))
         assert [key for key, n in calls.items() if n > 1] == [], prepared.program.name
-    d_call = (SiteId("app.U#d()", 1), Context(entrySite=SiteId("app.U#c()", 0)))
+    d_call = (SiteId("app.U#d()", 1), SiteId("app.U#c()", 0))
     assert d_call in calls and report.summary["paths"] == 2
 
 
@@ -302,9 +301,9 @@ def test_filter_edges_matches_oracle(
         pruned_here = 0
         for (site, ctx), got in seen.items():
             want = filter_edges_oracle(
-                prepared.cg, prepared.sol, prepared.program, site, ctx.entrySite
+                prepared.cg, prepared.sol, prepared.program, site, ctx
             )
-            assert got == want, f"{prepared.program.name}: {site} under {ctx.entrySite}"
+            assert got == want, f"{prepared.program.name}: {site} under {ctx}"
             pruned_here += len(got[0]) < len(prepared.cg.edges_at(site))
             ambiguous += got[1]
         # every split program's helper has its edges pruned per entering site

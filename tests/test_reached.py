@@ -5,7 +5,8 @@ by the benchmark: no API without a caller. The commands are
 ``oracle_mismatches``, called as the benchmark calls it. Both run in a fresh
 interpreter under ``sys.setprofile``, so functions entered at import and
 builders cached once per process count, and so do functions entered only
-in the children a corpus command forks.
+in the children a corpus command forks. Likewise no package error is
+raised only to be caught: each is raised, and only the CLI catches one.
 
 Run as a script, this file is that interpreter: ``python -B
 tests/test_reached.py OUT`` writes to ``OUT`` the lines of the ``def``s it
@@ -117,6 +118,38 @@ def test_every_function_is_entered(tmp_path):
     assert ALLOWED <= set(missing), "an allowed function is entered: drop it from ALLOWED"
     unentered = sorted(set(missing) - ALLOWED)
     assert not unentered, "never entered: " + ", ".join(unentered)
+
+
+def test_package_errors_are_raised_and_caught_only_by_the_cli():
+    """No package error is raised only to be caught: every class in
+    ``errors.py`` is raised somewhere under ``src/permplace``, and only
+    ``cli.py``, which turns one into exit code 1, names one in an
+    ``except`` clause."""
+    package = ROOT / "src" / "permplace"
+
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    errors = {
+        node.name
+        for node in ast.parse((package / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised, caught = set(), {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.add(name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                for t in types:
+                    if name(t) in errors and path.stem != "cli":
+                        caught.setdefault(name(t), set()).add(path.stem)
+    assert errors, "no error classes found"
+    assert errors <= raised, "never raised: " + ", ".join(sorted(errors - raised))
+    assert not caught, "caught outside cli.py: " + "; ".join(
+        f"{err} in {', '.join(sorted(where))}" for err, where in sorted(caught.items())
+    )
 
 
 def test_finds_nested_methods_and_decorated_defs():
