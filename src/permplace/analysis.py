@@ -128,15 +128,18 @@ def traverse(
     every later visit, from any callback. A callee is skipped when every
     sensitive it can reach is already truncated for this callback and no
     walk below it can newly set the depth flag: such a subtree records
-    nothing. Each state has one path node dict, made when it is first
-    entered and shared by every reported path through it: callers must not
-    mutate the nodes of a report."""
+    nothing. Each state has one path node dict, made when its caller's
+    call sites are first listed and shared by every reported path through
+    it: callers must not mutate the nodes of a report, whose writer renders
+    each node once."""
     assert mode in ("cfa0", "cfa1")
     max_depth, max_paths = limits.maxDepth, limits.maxPathsPerSensitive
     bit_of = {s: 1 << i for i, s in enumerate(sensitives)}
+    ranked = sorted(bit_of)  # distinct sensitives, in report order
+    # method -> [(the sensitive's stmt, its bit)]
     sens_by_method = defaultdict(list)
     for s in sensitives:
-        sens_by_method[s.site.method].append((s, bit_of[s]))
+        sens_by_method[s.site.method].append((s.site.stmt, bit_of[s]))
 
     # Context-insensitive summaries over the call edges to bodied targets
     # (cfa1 only removes edges, so they bound every state of a method):
@@ -152,7 +155,7 @@ def traverse(
     for comp in components(calls, calls):
         bits = longest = 0
         for m in comp:
-            for _s, b in sens_by_method.get(m, ()):
+            for _stmt, b in sens_by_method.get(m, ()):
                 bits |= b
             for target in calls.get(m, ()):
                 bits |= reach.get(target, 0)
@@ -167,15 +170,13 @@ def traverse(
     # (method, entering site's method, stmt) -> the state's report node,
     # shared by every path through the state; it keeps the node's id valid
     nodes = {}
-    # id(state node) -> [(callee, its node key, the site entering it,
-    # ambiguous, its reach, its height)] in visit order, bodyless callees
-    # dropped
+    # id(state node) -> [(callee, its node, the site entering it, ambiguous,
+    # its reach, its height, its sensitives)] in visit order, bodyless
+    # callees dropped. No entry refers to a list, so the states of recursive
+    # code form no reference cycle.
     successors = {}
 
     def successors_of(node, method, entered_at):
-        out = successors.get(id(node))
-        if out is not None:
-            return out
         out = successors[id(node)] = []
         for i, stmt in enumerate(program.body_of(method) or ()):
             if not isinstance(stmt, Invoke):
@@ -191,7 +192,20 @@ def traverse(
             for target, _prov in sorted(surviving):
                 if program.body_of(target) is not None:
                     key = (target, method, i)
-                    out.append((target, key, site, amb, reach[target], height[target]))
+                    callee = nodes.get(key)
+                    if callee is None:
+                        callee = nodes[key] = {"method": target, "entry": str(site)}
+                    out.append(
+                        (
+                            target,
+                            callee,
+                            site,
+                            amb,
+                            reach[target],
+                            height[target],
+                            sens_by_method.get(target, ()),
+                        )
+                    )
         return out
 
     for entry_site in program.entry_sites:
@@ -200,65 +214,69 @@ def traverse(
             continue
         (cb_sig, _prov) = sorted(entry_edges)[0]
         cls, mname, mparams = parse_method_sig(cb_sig)
-        # sensitive -> [(insertion stmt, report path)] in path order
-        paths_by_sensitive = defaultdict(list)
+        # sensitive's bit -> [(insertion stmt, report path)] in path order
+        paths_by_bit = defaultdict(list)
         truncated = 0  # bits of the sensitives whose paths were capped
         depth_truncated = False
 
-        def enter(node, method, entered_at, ambiguous):
-            # records the sensitives of ``method``, reached along ``path``;
-            # returns an iterator over the callees to visit from it
-            nonlocal truncated, depth_truncated
-            for s, b in sens_by_method.get(method, ()):
-                recorded = paths_by_sensitive[s]
-                if len(recorded) >= max_paths:
-                    truncated |= b
-                    continue
-                # insertion point = first-call statement inside the callback
-                # body (or the sensitive itself when it sits in the callback)
-                stmt = first_stmt if len(path) > 1 else s.site.stmt
-                recorded.append((stmt, {"nodes": list(path), "ambiguous": ambiguous}))
-            if len(path) >= max_depth:
-                depth_truncated = True
-                return iter(())
-            return iter(successors_of(node, method, entered_at))
-
         # a callee's frame runs to completion before its caller resumes, so
-        # ``path`` and ``on_path`` always describe the top frame
+        # ``path`` and ``on_path`` always describe the top frame: its callees
+        # iterator, whether its path is ambiguous and its method. The bottom
+        # frame lists the callback alone, as a callee no check skips.
         root = {"method": cb_sig, "entry": str(entry_site)}
         nodes[cb_sig, entry_site.method, entry_site.stmt] = root
-        path = [root]
-        on_path = {cb_sig}
+        callees = iter([(cb_sig, root, entry_site, False, -1, 0, sens_by_method.get(cb_sig, ()))])
+        ambiguous, method = False, None
+        frames = []  # the frames below the top one
+        path = []
+        on_path = set()
         first_stmt = None  # the callback's statement that starts ``path``
-        frames = [(enter(root, cb_sig, entry_site, False), False)]
-        while frames:
-            callees, ambiguous = frames[-1]
-            for target, key, site, amb, bits, tall in callees:
+        while True:
+            for target, node, site, amb, bits, tall, sens in callees:
                 if target in on_path or not bits & ~truncated and (
                     depth_truncated or len(path) + tall < max_depth
                 ):
                     continue
-                node = nodes.get(key)
-                if node is None:
-                    node = nodes[key] = {"method": target, "entry": str(site)}
-                if len(path) == 1:
-                    first_stmt = site.stmt
                 path.append(node)
-                on_path.add(target)
+                if len(path) == 2:
+                    first_stmt = site.stmt
                 amb = ambiguous or amb
-                frames.append((enter(node, target, site, amb), amb))
+                for stmt, b in sens:
+                    recorded = paths_by_bit[b]
+                    if len(recorded) >= max_paths:
+                        truncated |= b
+                        continue
+                    # insertion point = first-call statement inside the
+                    # callback body (or the sensitive itself when it sits in
+                    # the callback)
+                    recorded.append(
+                        (first_stmt if len(path) > 1 else stmt, {"nodes": list(path), "ambiguous": amb})
+                    )
+                if len(path) >= max_depth:
+                    depth_truncated = True
+                    path.pop()
+                    continue
+                out = successors.get(id(node))
+                if out is None:
+                    out = successors_of(node, target, site)
+                on_path.add(target)
+                frames.append((callees, ambiguous, method))
+                callees, ambiguous, method = iter(out), amb, target
                 break
             else:
-                frames.pop()
-                on_path.discard(path.pop()["method"])
+                if not frames:
+                    break
+                on_path.discard(method)
+                path.pop()
+                callees, ambiguous, method = frames.pop()
 
-        if not paths_by_sensitive:
+        if not paths_by_bit:
             continue
         # stmt index -> sensitive -> paths, sensitives in sorted order and
         # paths in path order
         by_stmt = defaultdict(dict)
-        for s in sorted(paths_by_sensitive):
-            for idx, p in paths_by_sensitive[s]:
+        for s in ranked:
+            for idx, p in paths_by_bit.get(bit_of[s], ()):
                 by_stmt[idx].setdefault(s, []).append(p)
         insertion_points = []
         for idx in sorted(by_stmt):
@@ -365,45 +383,25 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-def _dumps_indented(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, written without the
-    stdlib's pure-Python encoder (which it uses whenever ``indent`` is set)
-    and without recursion.
+class _PathList:
+    """A sensitive's report paths, which :func:`_indented_pieces` writes
+    with :func:`_path_pieces` at the depth where it meets them."""
 
-    A non-empty dict whose values are all strings, such as a path node, is
-    rendered once per object and depth and its text reused; a list of such
-    dicts and strings, such as a path's nodes, is joined in one step. The
-    value is only read, so object ids are stable for the whole call. Keying
-    on content instead would be safe only for strings: ``1 == True == 1.0``
-    would share one text between values that print differently."""
+    __slots__ = ("paths", "node_texts")
+
+    def __init__(self, paths, node_texts):
+        self.paths, self.node_texts = paths, node_texts
+
+
+def _indented_pieces(value, depth: int = 0) -> list:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, for
+    ``value`` nested ``depth`` levels deep, as a list of strings; written
+    without the stdlib's pure-Python encoder (which it uses whenever
+    ``indent`` is set) and without recursion."""
     out = []
-    rendered = {}  # (depth, id) -> text of a string-valued dict, else None
-
-    def flat_text(v, depth):
-        # text of a str or of a non-empty string-valued dict; None otherwise
-        if type(v) is str:
-            return _encode_str(v)
-        if not isinstance(v, dict) or not v:
-            return None
-        key = (depth, id(v))
-        if key in rendered:
-            return rendered[key]
-        text = None
-        if all(type(x) is str for x in v.values()):
-            inner = "\n" + "  " * (depth + 1)
-            text = (
-                "{"
-                + ",".join(
-                    f"{inner}{_encode_str(k)}: {_encode_str(x)}" for k, x in sorted(v.items())
-                )
-                + "\n" + "  " * depth + "}"
-            )
-        rendered[key] = text
-        return text
-
     # popped in output order: a str is literal text, a (value, depth) pair a
     # value still to render
-    stack = [(value, 0)]
+    stack = [(value, depth)]
     while stack:
         item = stack.pop()
         if type(item) is str:
@@ -415,10 +413,6 @@ def _dumps_indented(value) -> str:
         elif isinstance(v, dict):
             if not v:
                 out.append("{}")
-                continue
-            text = flat_text(v, depth)
-            if text is not None:
-                out.append(text)
                 continue
             inner = "\n" + "  " * (depth + 1)
             out.append("{")
@@ -433,16 +427,6 @@ def _dumps_indented(value) -> str:
                 out.append("[]")
                 continue
             inner = "\n" + "  " * (depth + 1)
-            texts = []
-            for x in v:
-                # the inline memo lookup saves a call per repeated node
-                text = rendered.get((depth + 1, id(x))) or flat_text(x, depth + 1)
-                if text is None:
-                    break
-                texts.append(text)
-            else:
-                out.append(f"[{inner}{(',' + inner).join(texts)}\n{'  ' * depth}]")
-                continue
             out.append("[")
             stack.append("\n" + "  " * depth + "]")
             for i in range(len(v) - 1, -1, -1):
@@ -452,23 +436,94 @@ def _dumps_indented(value) -> str:
             out.append("true")
         elif v is False:
             out.append("false")
+        elif type(v) is _PathList:
+            out += _path_pieces(v.paths, v.node_texts, depth)
         else:
             out.append(json.dumps(v))
-    return "".join(out)
+    return out
+
+
+def _dumps_indented(value, depth: int = 0) -> str:
+    return "".join(_indented_pieces(value, depth))
 
 
 def write_json(value) -> bytes:
     """``json.dumps(value, indent=2, sort_keys=True)`` and a newline, as
     UTF-8, for values whose dict keys are strings: the one indented-JSON
     writer of reports and CLI outputs."""
-    return (_dumps_indented(value) + "\n").encode("utf-8")
+    pieces = _indented_pieces(value)
+    pieces.append("\n")
+    return "".join(pieces).encode("utf-8")
+
+
+def _path_pieces(paths, node_texts, depth: int) -> list:
+    """``_indented_pieces(paths, depth)`` for a sensitive's report paths,
+    from the texts of their nodes. ``node_texts`` maps a depth to
+    {id(node): the node's text after its separator}; traverse shares one
+    node dict per state, so each is rendered once per report. A path has
+    its two keys and at least its callback's node."""
+    if not paths:
+        return ["[]"]
+    ind = "\n" + "  " * (depth + 1)  # a path's braces
+    key_ind = ind + "  "  # its keys and the brackets of its nodes
+    sep = "," + key_ind + "  "  # what comes before a node
+    head = f'{ind}{{{key_ind}"ambiguous": %s,{key_ind}"nodes": ['
+    tail = f"{key_ind}]{ind}}}"
+    # what comes before a path's nodes: the list's bracket or the previous
+    # path's end, then the path's head
+    first = {False: "[" + head % "false", True: "[" + head % "true"}
+    later = {False: tail + "," + head % "false", True: tail + "," + head % "true"}
+    texts = node_texts.setdefault(depth, {})
+    text_of = texts.__getitem__
+    out = []
+    before = first
+    for p in paths:
+        nodes = p["nodes"]
+        out.append(before[p["ambiguous"]])
+        before = later
+        mark = len(out)
+        try:
+            out += map(text_of, map(id, nodes))
+        except KeyError:
+            del out[mark:]
+            for n in nodes:
+                if id(n) not in texts:
+                    texts[id(n)] = sep + _dumps_indented(n, depth + 3)
+            out += map(text_of, map(id, nodes))
+        out[mark] = out[mark][1:]  # no comma before the first node
+    out.append(f"{tail}\n{'  ' * depth}]")
+    return out
+
+
+def _report_for_writing(report: AnalysisReport) -> dict:
+    """``report_to_dict(report)`` with each sensitive's path list rendered
+    by :func:`_path_pieces`; the report itself is not changed. The ids of
+    the nodes of one report stay valid while it is written."""
+    node_texts = {}
+    callbacks = [
+        {
+            **cb,
+            "insertionPoints": [
+                {
+                    **ip,
+                    "sensitives": [
+                        {**s, "paths": _PathList(s["paths"], node_texts)}
+                        for s in ip["sensitives"]
+                    ],
+                }
+                for ip in cb["insertionPoints"]
+            ],
+        }
+        for cb in report.callbacks
+    ]
+    return {**report_to_dict(report), "callbacks": callbacks}
 
 
 def write_report(report: AnalysisReport, fmt: str = "json") -> bytes:
     """Stable serialization: sorted keys, sorted sites, byte-identical
     across reruns."""
     if fmt == "json":
-        return write_json(report_to_dict(report))
+        return write_json(_report_for_writing(report))
     if fmt != "text":
         raise ValueError(f"unknown report format: {fmt}")
     lines = [

@@ -48,22 +48,29 @@ def refine_bits(
     index = program.defs_index(method) or {}
     caller = entry_site.method
     pts, fpts = sol.vars, sol.fields
+
+    def entry_bits(v: str, defined: bool) -> int:
+        # the part of a local's set that its definitions do not give
+        if v == "this" and entry.receiver is not None:
+            return pts.get((caller, entry.receiver), 0)
+        i = _param_index(v)
+        if i is not None and i < len(entry.args):
+            return pts.get((caller, entry.args[i]), 0)
+        if not defined and i is None and v != "this":
+            return pts.get((method, v), 0)
+        return 0
+
+    if var not in index:
+        # a parameter, ``this`` or an undefined local: no walk to start
+        return entry_bits(var, False) & pts.get((method, var), 0)
     memo = {}
 
     def refine(v: str):
         # yields each local whose refined set it needs and is sent that set
         pts0 = pts.get((method, v), 0)
         memo[v] = pts0  # cycle fallback: context-insensitive set
-        bits = 0
         defs = index.get(v, ())
-        if v == "this" and entry.receiver is not None:
-            bits = pts.get((caller, entry.receiver), 0)
-        else:
-            i = _param_index(v)
-            if i is not None and i < len(entry.args):
-                bits = pts.get((caller, entry.args[i]), 0)
-            elif not defs and i is None and v != "this":
-                bits = pts0
+        bits = entry_bits(v, bool(defs))
         for idx, stmt in defs:
             if isinstance(stmt, (New, ConstStr)):
                 bits |= sol.site_bit.get(SiteId(method, idx), 0)
@@ -122,11 +129,12 @@ def filter_edges(
         return frozenset(), False
     if stmt.kind in ("static", "special"):
         return edges, False
-    passthrough = {e for e in edges if e[1] == "augmented"}
-    pointsto = edges - passthrough
+    passthrough = [e for e in edges if e[1] == "augmented"]
+    pointsto = edges.difference(passthrough) if passthrough else edges
     if not pointsto:
         return edges, False
     refined = refine_bits(sol, program, site.method, stmt.receiver, entry_site)
+    surviving = pointsto
     if refined:
         _, name, params = parse_method_sig(stmt.method)
         allowed = set()
@@ -135,10 +143,7 @@ def filter_edges(
             hit = hierarchy.dispatch(rtype, name, params)
             if hit is not None:
                 allowed.add(hit[1].sig(hit[0]))
-        surviving = frozenset(e for e in pointsto if e[0] in allowed)
-        if not surviving:
-            surviving = pointsto  # safety fallback
-    else:
-        surviving = pointsto
+        # an empty result keeps every edge: a safety fallback
+        surviving = frozenset(e for e in pointsto if e[0] in allowed) or pointsto
     ambiguous = len(surviving) > 1
-    return frozenset(passthrough | surviving), ambiguous
+    return surviving.union(passthrough) if passthrough else surviving, ambiguous

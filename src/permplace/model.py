@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import reprlib
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
-from typing import ClassVar, Optional, Union, get_args, get_origin, get_type_hints
+from typing import ClassVar, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import LinkError, ParseError, ValidationError
 
@@ -31,15 +32,18 @@ def method_sig(cls: str, name: str, params) -> str:
     return f"{cls}#{name}({','.join(params)})"
 
 
+_METHOD_SIG = re.compile(r"([^#()]+)#([^#()]+)\(([^#()]*)\)")
+
+
 def parse_method_sig(sig: str):
-    """Split ``Cls#name(T1,T2)`` into (cls, name, params tuple)."""
-    try:
-        cls, rest = sig.split("#", 1)
-        name, params = rest.split("(", 1)
-        params = params.rstrip(")")
-    except ValueError as exc:
-        raise ValueError(f"malformed method signature: {sig!r}") from exc
-    return cls, name, tuple(p for p in params.split(",") if p)
+    """Split ``Cls#name(T1,T2)`` into (cls, name, params tuple). The text
+    has one ``#``, then one ``(`` and one ``)`` that ends it; the class, the
+    name and every parameter are non-empty."""
+    match = _METHOD_SIG.fullmatch(sig)
+    params = () if match is None or not match[3] else tuple(match[3].split(","))
+    if match is None or "" in params:
+        raise ValueError(f"malformed method signature: {sig!r}")
+    return match[1], match[2], params
 
 
 def field_id(cls: str, name: str) -> str:
@@ -65,9 +69,10 @@ def param_local(i: int) -> str:
     return f"p{i}"
 
 
-@dataclass(frozen=True, order=True)
-class SiteId:
-    """Identifies one statement: allocation site (new/const_str) or call site."""
+class SiteId(NamedTuple):
+    """Identifies one statement: allocation site (new/const_str) or call site.
+    A tuple, so hashing, equality and ordering run in C; a report holds its
+    string, never the tuple."""
 
     method: str
     stmt: int

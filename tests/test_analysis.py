@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import detected_oracle
 from permplace import pipeline
 from permplace.analysis import (
+    AnalysisReport,
     Limits,
     cha_reach_partition,
     cha_reachable_methods,
@@ -19,6 +20,7 @@ from permplace.analysis import (
 )
 from permplace.errors import InconsistentInput
 from permplace.model import app_from_dict
+from randprog import gen_app
 
 CB1 = "app.Host#callback1()"
 CB2 = "app.Host#callback2()"
@@ -317,8 +319,8 @@ NODE = {"method": "app.A#m()", "entry": "app.B#n()/0"}
 
 
 # the sibling dicts compare equal (1 == True == 1.0, 0 == False) but print
-# differently, so a writer that reuses text keyed on values alone fails it;
-# NODE recurs at depths 1 and 3 and in a list the join fast path must refuse
+# differently, so a writer that reused text keyed on values alone would fail
+# it; NODE recurs at depths 1 and 3 and in mixed lists
 @given(JSON_VALUES | aliased_json_values())
 @example([{"a": 1}, {"a": True}, {"a": 1.0}, {"k": 0}, {"k": False}, {"k": "0"}])
 @example([NODE, {"nodes": [NODE]}])
@@ -327,9 +329,93 @@ def test_report_writer_matches_stdlib_json(value):
     assert _dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+def stdlib_report(report) -> bytes:
+    return (json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def test_write_report_matches_stdlib_on_fixtures(threads, viewstub, parametric):
     for prepared in (threads, viewstub, parametric):
         for mode in ("cfa0", "cfa1"):
             report = run(prepared, mode)
-            want = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-            assert write_report(report) == want.encode("utf-8")
+            assert write_report(report) == stdlib_report(report)
+
+
+@pytest.mark.parametrize("kind", ["plain", "diamond", "split"])
+def test_write_report_matches_stdlib_on_random_programs(framework, spec, kind):
+    for seed in range(20):
+        app = gen_app(seed, diamond=kind == "diamond", split=kind == "split")
+        prepared = pipeline.prepare(app, [framework], spec=spec)
+        for mode in ("cfa0", "cfa1"):
+            report = run(prepared, mode)
+            assert write_report(report) == stdlib_report(report), (seed, mode)
+
+
+def test_write_report_with_no_paths_kept(threads):
+    report = run(threads, "cfa0", limits=Limits(maxDepth=50, maxPathsPerSensitive=0))
+    # the callbacks that reach a sensitive are listed, with no paths to show
+    assert report.callbacks and report.summary["paths"] == 0
+    assert write_report(report) == stdlib_report(report)
+
+
+def test_write_report_renders_empty_path_lists():
+    sensitive = {"site": "a.B#f()/0", "kind": "method", "keys": [], "permissions": ["p"],
+                 "viaParametric": False, "truncated": True, "paths": []}
+    callback = {"class": "a.B", "method": "a.B#f()", "entrySite": "m.M#main()/0",
+                "truncated": False,
+                "insertionPoints": [{"stmt": 0, "permissions": ["p"], "sensitives": [sensitive]}]}
+    report = AnalysisReport(app="a", mode="cfa1", augment=True, callbacks=[callback])
+    assert write_report(report) == stdlib_report(report)
+
+
+def test_write_report_shared_nodes_and_non_ascii_names(framework, spec):
+    """Two callbacks reach ``ç``, whose state has one node dict, and ``ç``
+    holds two sensitives: every path of both callbacks ends in that dict."""
+
+    def calls(*targets):
+        return [{"op": "invoke", "kind": "static", "method": t} for t in targets]
+
+    app = app_from_dict({
+        "name": "ünïcode",
+        "manifest": {"targetApi": 23, "permissions": []},
+        "classes": [
+            {"name": "app.Höst", "super": "android.app.Activity", "methods": [
+                {"name": "onCreate", "body": calls("app.Ü#à()")},
+                {"name": "callback1", "body": calls("app.Ü#à()", "app.Ü#ß()")},
+            ]},
+            {"name": "app.Ü", "methods": [
+                {"name": "à", "static": True, "body": calls("app.Ü#ç()")},
+                {"name": "ß", "static": True, "body": calls("app.Ü#à()")},
+                {"name": "ç", "static": True, "body": calls(
+                    "android.hardware.Camera#open()", "android.test.Api#SENSITIVE()")},
+            ]},
+        ],
+    })
+    prepared = pipeline.prepare(app, [framework], spec=spec)
+    for mode in ("cfa0", "cfa1"):
+        report = run(prepared, mode)
+        last = {
+            (cb["method"], s["site"]): id(p["nodes"][-1])
+            for cb in report.callbacks
+            for ip in cb["insertionPoints"]
+            for s in ip["sensitives"]
+            for p in s["paths"]
+        }
+        assert len(last) == 4 and len(set(last.values())) == 1
+        text = write_report(report)
+        assert text == stdlib_report(report)
+        assert b"\\u00e7" in text and text.isascii()
+
+
+def test_reports_hold_no_tuples(threads, viewstub, viewstub_noaug, parametric):
+    # the writer prints a tuple as a list, so a SiteId must reach a report
+    # as its string
+    for prepared in (threads, viewstub, viewstub_noaug, parametric):
+        for mode in ("cfa0", "cfa1"):
+            todo = [report_to_dict(run(prepared, mode))]
+            while todo:
+                v = todo.pop()
+                assert not isinstance(v, tuple), v
+                if isinstance(v, dict):
+                    todo.extend(v.values())
+                elif isinstance(v, list):
+                    todo.extend(v)

@@ -11,6 +11,7 @@ import pytest
 from permplace import cli
 from permplace.cli import _load_config, build_parser, run
 from permplace.model import LinkConfig
+from test_model import MALFORMED_SIGS
 
 FIXED_ARGS = None  # populated per-test via helpers
 
@@ -142,6 +143,27 @@ def test_malformed_app_is_input_error(tmp_path, paths, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["analyze", str(bad), "--spec", paths["spec"]]) == 1
+
+
+@pytest.mark.parametrize("sig", MALFORMED_SIGS)
+def test_malformed_signature_is_input_error(tmp_path, paths, capsys, sig):
+    app = tmp_path / "app.json"
+    invoke = {"op": "invoke", "kind": "static", "method": sig}
+    app.write_text(json.dumps({
+        "name": "t",
+        "manifest": {"targetApi": 23, "permissions": []},
+        "classes": [{"name": "A", "methods": [{"name": "f", "body": [invoke]}]}],
+    }))
+    assert run(analyze_args({**paths, "threads": str(app)})) == 1
+    err = capsys.readouterr().err
+    assert f"{app}.classes.A.f[0]: malformed method signature" in err
+    assert "Traceback" not in err
+    spec = tmp_path / "bad.spec.json"
+    spec.write_text(json.dumps([{"kind": "method", "key": sig, "permissions": ["p"]}]))
+    assert run(["spec", "validate", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert f"{spec}[0]: malformed method signature" in err
+    assert "Traceback" not in err
 
 
 def test_deeply_nested_json_is_input_error(tmp_path, paths, capsys):

@@ -120,11 +120,52 @@ def test_parse_method_sig():
         parse_method_sig("no-hash")
 
 
+# signatures a lenient split used to accept, each of which then never
+# resolved or matched
+MALFORMED_SIGS = [
+    "a.B#m(x",  # no closing parenthesis
+    "a.B#m(x)y",  # text after it
+    "a.B#m(x))",
+    "a.B#m((x))",
+    "#m()",  # no class
+    "a.B#(x)",  # no name
+    "a.B#m(,)",  # empty parameters
+    "a.B#m(x,)",
+    "a.B#m#n()",  # a second '#'
+    "a.B(x)#m()",
+]
+
+
+@pytest.mark.parametrize("sig", MALFORMED_SIGS)
+def test_parse_method_sig_rejects_malformed(sig):
+    with pytest.raises(ValueError, match="malformed method signature"):
+        parse_method_sig(sig)
+
+
+@pytest.mark.parametrize("sig", MALFORMED_SIGS)
+def test_malformed_invoke_signature_fails_load_at_its_statement(tmp_path, sig):
+    path = tmp_path / "app.json"
+    body = [CALL, dict(CALL, method=sig)]
+    path.write_text(json.dumps(app_dict([body])), encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        load_app(path)
+    assert f"{path}.classes.A.f0[1]: malformed method signature" in str(exc.value)
+
+
 def test_site_id_string_round_trip():
     s = SiteId("a.B#f()", 3)
     assert str(s) == "a.B#f()/3"
     method, _, stmt = str(s).rpartition("/")
     assert SiteId(method, int(stmt)) == s
+
+
+def test_site_id_hashes_and_orders_as_its_fields():
+    sites = [SiteId(m, i) for m in ("b.C#g()", "a.B#f(x.Y)", "a.B#f()") for i in (10, 2, 0)]
+    for s in sites:
+        # the hash of the former frozen dataclass: set and dict orders stay
+        assert hash(s) == hash((s.method, s.stmt))
+        assert str(s) == f"{s.method}/{s.stmt}"
+    assert sorted(sites) == sorted(sites, key=lambda s: (s.method, s.stmt))
 
 
 # -- linking ----------------------------------------------------------------

@@ -60,6 +60,19 @@ LISTENER_APP = {"name": "listener", "manifest": {}, "classes": [
          "method": "android.content.Intent#<init>(java.lang.String)"}]}]},
 ]}
 
+# a and b call each other and onCreate calls both, so the walk lists the
+# states (a entered by b) and (b entered by a), each a callee of the other
+RECURSIVE_APP = {"name": "recursive", "manifest": {}, "classes": [
+    {"name": "app.Main", "super": "android.app.Activity", "methods": [{"name": "onCreate", "body": [
+        {"op": "invoke", "kind": "static", "method": m} for m in ("app.U#a()", "app.U#b()")]}]},
+    {"name": "app.U", "methods": [
+        {"name": "a", "static": True, "body": [
+            {"op": "invoke", "kind": "static", "method": m}
+            for m in ("app.U#b()", "android.hardware.Camera#open()")]},
+        {"name": "b", "static": True, "body": [
+            {"op": "invoke", "kind": "static", "method": "app.U#a()"}]}]},
+]}
+
 
 def overlay(cls) -> str:
     return json.dumps({"name": "lib", "manifest": {}, "classes": [cls]})
@@ -92,6 +105,7 @@ def write_inputs(tmp) -> dict:
         write(f"rand{seed}", app_json(gen_app(seed, diamond=True)))
         write(f"heap{seed}", app_json(gen_heap_app(seed)))
     write("listener", json.dumps(LISTENER_APP))
+    write("recursive", json.dumps(RECURSIVE_APP))
     write("library", overlay(LIBRARY))
     write("library-model", overlay(MODEL))
     write("library-model-body", overlay({**MODEL, "methods": LIBRARY["methods"]}))
@@ -158,6 +172,7 @@ COMMANDS = {
     "spec-validate": ["spec", "validate", "@spec"],
     "spec-merge": ["spec", "merge", "@spec", "@spec", "-o", "@out"],
     "analyze-listener-capped": analyze("@listener", "--max-depth", "3", "--max-paths", "1"),
+    "analyze-recursive": analyze("@recursive"),
     "analyze-model-overlay": analyze("@threads", "--overlay", "@library",
                                      "--overlay", "@library-model"),
     **{f"analyze-{app}{seed}-cfa{cfa}": analyze(f"@{app}{seed}", "--cfa", str(cfa))

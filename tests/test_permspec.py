@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from permplace.permspec import (
     mine_doc_candidates,
     spec_from_list,
 )
+from test_model import MALFORMED_SIGS
 
 LM_KEY = "android.location.LocationManager#getLastKnownLocation(java.lang.String)"
 FINE = "android.permission.ACCESS_FINE_LOCATION"
@@ -26,6 +28,19 @@ def test_minimal_entry():
 def test_parametric_requires_arg_index():
     with pytest.raises(ValidationError):
         spec_from_list([{"kind": "parametric", "key": "A#f(x.Y)", "permissions": [FINE]}])
+
+
+@pytest.mark.parametrize("sig", MALFORMED_SIGS)
+@pytest.mark.parametrize("kind", ["method", "parametric"])
+def test_malformed_signature_entry_fails_load_at_its_entry(tmp_path, sig, kind):
+    path = tmp_path / "bad.spec.json"
+    entry = {"kind": kind, "key": sig, "permissions": [FINE]}
+    if kind == "parametric":
+        entry["argIndex"] = 0
+    path.write_text(json.dumps([{"kind": "method", "key": LM_KEY, "permissions": [FINE]}, entry]))
+    with pytest.raises(ValidationError) as exc:
+        permspec.load_spec(path)
+    assert f"{path}[1]: malformed method signature" in str(exc.value)
 
 
 def test_empty_spec():
