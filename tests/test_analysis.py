@@ -26,6 +26,11 @@ CB1 = "app.Host#callback1()"
 CB2 = "app.Host#callback2()"
 
 
+def calls(*targets):
+    """A body of static invokes of ``targets``."""
+    return [{"op": "invoke", "kind": "static", "method": t} for t in targets]
+
+
 def run(prepared, mode, limits=Limits(), augment=True):
     return traverse(
         prepared.program,
@@ -163,9 +168,6 @@ def test_every_simple_path_reaches_a_shared_callee(framework, spec):
     """onCreate calls a and b, which both call c; c opens the camera. A
     method leaves the path stack when its visit ends, so c is reached, and
     its sensitive recorded, once through each of a and b."""
-
-    def calls(*targets):
-        return [{"op": "invoke", "kind": "static", "method": t} for t in targets]
 
     app = app_from_dict({
         "name": "diamond",
@@ -370,9 +372,6 @@ def test_write_report_renders_empty_path_lists():
 def test_write_report_shared_nodes_and_non_ascii_names(framework, spec):
     """Two callbacks reach ``ç``, whose state has one node dict, and ``ç``
     holds two sensitives: every path of both callbacks ends in that dict."""
-
-    def calls(*targets):
-        return [{"op": "invoke", "kind": "static", "method": t} for t in targets]
 
     app = app_from_dict({
         "name": "ünïcode",
