@@ -43,6 +43,14 @@ class AnalysisReport:
     summary: dict = field(default_factory=dict)
 
 
+class ReportPaths(list):
+    """A sensitive's report paths as traverse builds them, each
+    ``{"ambiguous", "nodes"}`` with shared node dicts; the writer renders
+    them with :func:`_path_pieces`."""
+
+    __slots__ = ()
+
+
 # ---------------------------------------------------------------------------
 # sensitive detection
 
@@ -277,7 +285,7 @@ def traverse(
         by_stmt = defaultdict(dict)
         for s in ranked:
             for idx, p in paths_by_bit.get(bit_of[s], ()):
-                by_stmt[idx].setdefault(s, []).append(p)
+                by_stmt[idx].setdefault(s, ReportPaths()).append(p)
         insertion_points = []
         for idx in sorted(by_stmt):
             perms = set()
@@ -383,22 +391,13 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-class _PathList:
-    """A sensitive's report paths, which :func:`_indented_pieces` writes
-    with :func:`_path_pieces` at the depth where it meets them."""
-
-    __slots__ = ("paths", "node_texts")
-
-    def __init__(self, paths, node_texts):
-        self.paths, self.node_texts = paths, node_texts
-
-
 def _indented_pieces(value, depth: int = 0) -> list:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)``, for
     ``value`` nested ``depth`` levels deep, as a list of strings; written
     without the stdlib's pure-Python encoder (which it uses whenever
     ``indent`` is set) and without recursion."""
     out = []
+    node_texts = {}  # the path node texts of this call, see _path_pieces
     # popped in output order: a str is literal text, a (value, depth) pair a
     # value still to render
     stack = [(value, depth)]
@@ -410,6 +409,8 @@ def _indented_pieces(value, depth: int = 0) -> list:
         v, depth = item
         if type(v) is str:
             out.append(_encode_str(v))
+        elif type(v) is ReportPaths:
+            out += _path_pieces(v, node_texts, depth)
         elif isinstance(v, dict):
             if not v:
                 out.append("{}")
@@ -436,15 +437,9 @@ def _indented_pieces(value, depth: int = 0) -> list:
             out.append("true")
         elif v is False:
             out.append("false")
-        elif type(v) is _PathList:
-            out += _path_pieces(v.paths, v.node_texts, depth)
         else:
             out.append(json.dumps(v))
     return out
-
-
-def _dumps_indented(value, depth: int = 0) -> str:
-    return "".join(_indented_pieces(value, depth))
 
 
 def write_json(value) -> bytes:
@@ -457,10 +452,10 @@ def write_json(value) -> bytes:
 
 
 def _path_pieces(paths, node_texts, depth: int) -> list:
-    """``_indented_pieces(paths, depth)`` for a sensitive's report paths,
-    from the texts of their nodes. ``node_texts`` maps a depth to
+    """``_indented_pieces(list(paths), depth)`` for a sensitive's report
+    paths, from the texts of their nodes. ``node_texts`` maps a depth to
     {id(node): the node's text after its separator}; traverse shares one
-    node dict per state, so each is rendered once per report. A path has
+    node dict per state, so each is rendered once per write. A path has
     its two keys and at least its callback's node."""
     if not paths:
         return ["[]"]
@@ -488,42 +483,18 @@ def _path_pieces(paths, node_texts, depth: int) -> list:
             del out[mark:]
             for n in nodes:
                 if id(n) not in texts:
-                    texts[id(n)] = sep + _dumps_indented(n, depth + 3)
+                    texts[id(n)] = sep + "".join(_indented_pieces(n, depth + 3))
             out += map(text_of, map(id, nodes))
         out[mark] = out[mark][1:]  # no comma before the first node
     out.append(f"{tail}\n{'  ' * depth}]")
     return out
 
 
-def _report_for_writing(report: AnalysisReport) -> dict:
-    """``report_to_dict(report)`` with each sensitive's path list rendered
-    by :func:`_path_pieces`; the report itself is not changed. The ids of
-    the nodes of one report stay valid while it is written."""
-    node_texts = {}
-    callbacks = [
-        {
-            **cb,
-            "insertionPoints": [
-                {
-                    **ip,
-                    "sensitives": [
-                        {**s, "paths": _PathList(s["paths"], node_texts)}
-                        for s in ip["sensitives"]
-                    ],
-                }
-                for ip in cb["insertionPoints"]
-            ],
-        }
-        for cb in report.callbacks
-    ]
-    return {**report_to_dict(report), "callbacks": callbacks}
-
-
 def write_report(report: AnalysisReport, fmt: str = "json") -> bytes:
     """Stable serialization: sorted keys, sorted sites, byte-identical
     across reruns."""
     if fmt == "json":
-        return write_json(_report_for_writing(report))
+        return write_json(report_to_dict(report))
     if fmt != "text":
         raise ValueError(f"unknown report format: {fmt}")
     lines = [

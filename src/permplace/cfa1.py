@@ -24,7 +24,6 @@ from .model import (
     LoadStatic,
     New,
     SiteId,
-    parse_method_sig,
 )
 from .pointsto import CallGraph, PointsToSolution, by_runtime_type, members
 
@@ -136,13 +135,12 @@ def filter_edges(
     refined = refine_bits(sol, program, site.method, stmt.receiver, entry_site)
     surviving = pointsto
     if refined:
-        _, name, params = parse_method_sig(stmt.method)
-        allowed = set()
-        # one dispatch per runtime type; unlike the solver, no subtype check
-        for rtype in {t for t, _ in by_runtime_type(refined, sol.type_allocs, sol.types)}:
-            hit = hierarchy.dispatch(rtype, name, params)
-            if hit is not None:
-                allowed.add(hit[1].sig(hit[0]))
+        # the targets of the refined runtime types; unlike the solver, no
+        # subtype check
+        allowed = {
+            hierarchy.dispatch(t, stmt.method)
+            for t, _ in by_runtime_type(refined, sol.type_allocs, sol.types)
+        }
         # an empty result keeps every edge: a safety fallback
         surviving = frozenset(e for e in pointsto if e[0] in allowed) or pointsto
     ambiguous = len(surviving) > 1

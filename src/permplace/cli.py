@@ -10,6 +10,7 @@ import argparse
 import functools
 import gc
 import os
+import pickle
 import sys
 import traceback
 from dataclasses import replace
@@ -35,10 +36,15 @@ def _load_config(args) -> LinkConfig:
 
 
 def _emit(data: bytes, out_path):
-    if out_path in (None, "-"):
-        sys.stdout.write(data.decode("utf-8"))
-    else:
+    """Write ``data`` to ``out_path``, or to stdout's bytes layer whatever
+    its text encoding; a stdout with no bytes layer gets the text."""
+    if out_path not in (None, "-"):
         Path(out_path).write_bytes(data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    else:
+        sys.stdout.write(data.decode("utf-8"))
 
 
 def _add_common(p):
@@ -152,8 +158,6 @@ def _corpus_map(args, config: LinkConfig, per_app) -> list:
     merged by app index, so the output does not depend on the split, and
     the first app to fail in path order fails the command. Forking copies
     only the calling thread, so the caller runs no other threads."""
-    import pickle  # only the corpus commands pay for this import
-
     interned = {}  # the overlays' statements; each share reads on into its own copy
     overlays = [load_app(p, interned) for p in args.framework + args.overlay]
     paths = sorted(Path(args.corpus).glob("*.json"))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -96,8 +97,6 @@ def classify(usage: PermissionUsage) -> dict:
 
 
 def _percent(num: float, den: float) -> int:
-    import math
-
     return math.floor(num / den * 100 + 0.5)
 
 

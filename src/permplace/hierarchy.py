@@ -15,7 +15,7 @@ class ClassHierarchy:
     program: LinkedProgram
     parents: dict = field(default_factory=dict)  # name -> direct supertypes
     children: dict = field(default_factory=dict)  # name -> direct subtypes
-    _dispatch_cache: dict = field(default_factory=dict)
+    _dispatch_cache: dict = field(default_factory=dict)  # (runtime type, invoke sig) -> target
     _declarations: dict = field(default_factory=dict)  # invoke signature -> visible declaration
     _subtype_memo: dict = field(default_factory=dict)  # (sub, sup) -> bool
 
@@ -44,23 +44,22 @@ class ClassHierarchy:
             yield decl
             decl = self.program.get_class(decl.super) if decl.super else None
 
-    def dispatch(self, runtime_type: str, name: str, params) -> Optional[tuple]:
-        """Nearest declaration walking up the superclass chain.
-
-        Returns (class name, MethodDecl) or None. Interface declarations do
-        not participate; they are abstract-only.
-        """
-        key = (runtime_type, name, tuple(params))
-        if key in self._dispatch_cache:
-            return self._dispatch_cache[key]
-        result = None
-        for decl in self.superclass_chain(runtime_type):
-            m = decl.method_by_key(name, params)
-            if m is not None and not m.abstract:
-                result = (decl.name, m)
-                break
-        self._dispatch_cache[key] = result
-        return result
+    def dispatch(self, runtime_type: str, sig: str) -> Optional[str]:
+        """Signature of the method that the invoke signature ``sig`` runs on
+        a receiver of ``runtime_type``: the nearest non-abstract declaration
+        of its name and parameters up the superclass chain, or None.
+        Interface declarations do not participate. Cached per pair."""
+        key = (runtime_type, sig)
+        if key not in self._dispatch_cache:
+            _, name, params = parse_method_sig(sig)
+            target = None
+            for decl in self.superclass_chain(runtime_type):
+                m = decl.method_by_key(name, params)
+                if m is not None and not m.abstract:
+                    target = m.sig(decl.name)
+                    break
+            self._dispatch_cache[key] = target
+        return self._dispatch_cache[key]
 
     def cha_targets(self, invoke: Invoke):
         """CHA target signature set for a call site.
@@ -71,27 +70,19 @@ class ClassHierarchy:
         returned: stub-only targets are useless for reachability and for
         augmentation candidacy. An unknown receiver type has none.
         """
-        cls, name, params = parse_method_sig(invoke.method)
         if invoke.kind in ("static", "special"):
             direct = self.resolve_declaration(invoke)
-            if direct is None:
-                return set()
-            found = self.program.lookup_method(direct)
-            if found is None or found[1].body is None:
+            if direct is None or self.program.body_of(direct) is None:
                 return set()
             return {direct}
         targets = set()
-        for sub in sorted(self.subtypes(cls)):
+        for sub in self.subtypes(parse_method_sig(invoke.method)[0]):
             decl = self.program.get_class(sub)
             if decl is None or decl.kind != "class":
                 continue
-            hit = self.dispatch(sub, name, params)
-            if hit is None:
-                continue
-            owner, m = hit
-            if m.body is None:
-                continue
-            targets.add(m.sig(owner))
+            target = self.dispatch(sub, invoke.method)
+            if target is not None and self.program.body_of(target) is not None:
+                targets.add(target)
         return targets
 
     def resolve_declaration(self, invoke: Invoke) -> Optional[str]:

@@ -8,7 +8,9 @@ opts into any-of semantics (reports always show the full set).
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import logging
 import re
 from dataclasses import dataclass, replace
@@ -304,9 +306,6 @@ def mine_doc_candidates(program: LinkedProgram, ident_table: dict):
 
 
 def candidates_to_csv(candidates) -> str:
-    import csv
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["element", "permission", "unique", "needs_expansion", "snippet"])

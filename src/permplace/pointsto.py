@@ -98,12 +98,11 @@ class _Solver:
         self.succ = defaultdict(set)  # copy edges between nodes
         self.load_deps = defaultdict(list)  # base node -> [(field, target node)]
         self.store_deps = defaultdict(list)  # base node -> [(field, source node)]
-        # receiver node -> [(site, stmt, cls, name, params, targets linked at the site)]
+        # receiver node -> [(site, stmt, declared receiver type, targets linked at the site)]
         self.call_deps = defaultdict(list)
         self.sites = []  # alloc -> SiteId
         self.alloc_type = []  # alloc -> class name
         self.type_allocs = defaultdict(int)  # class name -> bitset of its allocs
-        self.targets = {}  # (runtime type, invoke sig) -> dispatched target or None
         self.edges = defaultdict(set)  # SiteId -> {(target, provenance)}
         self.reachable = set()
         self.pending = []  # reachable methods whose bodies are not processed yet
@@ -168,20 +167,16 @@ class _Solver:
         """Dispatch a virtual call on the receiver allocs ``bits``: one
         ``this`` update per distinct target, and the edge with its
         arg/return links for each target new to the site."""
-        site, stmt, cls, name, params, linked = call
+        site, stmt, cls, linked = call
         by_target = defaultdict(int)
         for rtype, recv in by_runtime_type(bits, self.type_allocs, self.alloc_type):
-            key = (rtype, stmt.method)
-            if key not in self.targets:
-                # ill-typed receiver objects never dispatch: the runtime type
-                # must conform to the declared receiver type (keeps every
-                # points-to edge inside the CHA cone of the site)
-                hit = self.hierarchy.is_subtype(rtype, cls) and self.hierarchy.dispatch(
-                    rtype, name, params
-                )
-                self.targets[key] = hit[1].sig(hit[0]) if hit else None
-            if self.targets[key] is not None:
-                by_target[self.targets[key]] |= recv
+            # ill-typed receiver objects never dispatch: the runtime type must
+            # conform to the declared receiver type (keeps every points-to
+            # edge inside the CHA cone of the site)
+            if self.hierarchy.is_subtype(rtype, cls):
+                target = self.hierarchy.dispatch(rtype, stmt.method)
+                if target is not None:
+                    by_target[target] |= recv
         for target, recv in by_target.items():
             if target not in linked:
                 linked.add(target)
@@ -241,7 +236,7 @@ class _Solver:
                             )
                 else:
                     recv = self.var(sig, stmt.receiver)
-                    call = (site, stmt, *parse_method_sig(stmt.method), set())
+                    call = (site, stmt, parse_method_sig(stmt.method)[0], set())
                     self.call_deps[recv].append(call)
                     self.dispatch_call(call, self.pts[recv])
 

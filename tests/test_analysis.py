@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -9,13 +10,14 @@ from permplace import pipeline
 from permplace.analysis import (
     AnalysisReport,
     Limits,
+    ReportPaths,
     cha_reach_partition,
     cha_reachable_methods,
     detected_sensitives,
-    _dumps_indented,
     find_sensitive_sites,
     report_to_dict,
     traverse,
+    write_json,
     write_report,
 )
 from permplace.errors import InconsistentInput
@@ -328,18 +330,40 @@ NODE = {"method": "app.A#m()", "entry": "app.B#n()/0"}
 @example([NODE, {"nodes": [NODE]}])
 @example(["s", NODE, {}, 3, [NODE, "t", [NODE]], NODE, True])
 def test_report_writer_matches_stdlib_json(value):
-    assert _dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert write_json(value) == (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
 
 
 def stdlib_report(report) -> bytes:
     return (json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def path_lists(report) -> list:
+    return [s["paths"] for cb in report.callbacks for ip in cb["insertionPoints"]
+            for s in ip["sensitives"]]
+
+
+def with_plain_path_lists(report) -> AnalysisReport:
+    """A copy of ``report`` whose path lists are plain lists, which the
+    writer renders as any other list instead of with ``_path_pieces``."""
+    return replace(report, callbacks=[
+        {**cb, "insertionPoints": [
+            {**ip, "sensitives": [{**s, "paths": list(s["paths"])} for s in ip["sensitives"]]}
+            for ip in cb["insertionPoints"]
+        ]}
+        for cb in report.callbacks
+    ])
+
+
 def test_write_report_matches_stdlib_on_fixtures(threads, viewstub, parametric):
     for prepared in (threads, viewstub, parametric):
         for mode in ("cfa0", "cfa1"):
             report = run(prepared, mode)
+            plain = with_plain_path_lists(report)
+            assert path_lists(report) and {type(p) for p in path_lists(report)} == {ReportPaths}
+            assert {type(p) for p in path_lists(plain)} == {list}
+            # each writer branch against the stdlib, so against each other
             assert write_report(report) == stdlib_report(report)
+            assert write_report(plain) == stdlib_report(report)
 
 
 @pytest.mark.parametrize("kind", ["plain", "diamond", "split"])

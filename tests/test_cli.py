@@ -3,6 +3,8 @@ import gc
 import json
 import os
 import signal
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -517,6 +519,46 @@ def test_console_script_installed(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: permplace")
     assert "analyze" in proc.stdout
+
+
+def non_ascii_command(paths, tmp_path, command) -> tuple:
+    """The argv of ``command`` on an app whose output has non-ASCII text,
+    and that text."""
+    if command == "collect":
+        app = json.loads(Path(paths["corpus"], "alpha.json").read_text(encoding="utf-8"))
+        app["name"] = "café"
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "cafe.json").write_text(json.dumps(app), encoding="utf-8")
+        return ["collect", str(corpus), "--spec", paths["spec"], "--groups", paths["groups"],
+                "--framework", paths["framework"]], "café"
+    text = Path(paths["threads"]).read_text(encoding="utf-8").replace("app.Host", "app.Ünï")
+    app_path = tmp_path / "app.json"
+    app_path.write_text(text, encoding="utf-8")
+    return ["analyze", str(app_path), "--spec", paths["spec"], "--framework", paths["framework"],
+            "--format", "text"], "app.Ünï"
+
+
+@pytest.mark.parametrize("command", ["collect", "analyze"])
+def test_stdout_gets_output_bytes_it_cannot_encode(paths, tmp_path, command):
+    """Stdout gets the bytes ``-o`` writes, even where its text layer is
+    ASCII-only."""
+    argv, text = non_ascii_command(paths, tmp_path, command)
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": os.pathsep.join(pythonpath)}
+
+    def permplace(*args):
+        return subprocess.run([sys.executable, "-m", "permplace.cli", *args],
+                              capture_output=True, env=env, cwd=tmp_path)
+
+    to_stdout = permplace(*argv)
+    assert to_stdout.returncode == 0, to_stdout.stderr.decode()
+    out = tmp_path / "out"
+    to_file = permplace(*argv, "-o", str(out))
+    assert to_file.returncode == 0, to_file.stderr.decode()
+    assert to_stdout.stdout == out.read_bytes()
+    assert text.encode("utf-8") in to_stdout.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import _naive_resolve, cha_oracle, supertype_oracle
+from oracles import _naive_dispatch, _naive_resolve, cha_oracle, supertype_oracle
 from permplace.errors import CycleError
 from permplace.hierarchy import build_hierarchy
 from permplace.model import Invoke, app_from_dict, link_program, parse_method_sig
@@ -53,7 +53,7 @@ def test_dispatch_inherited_method():
             ]
         )
     )
-    assert h.dispatch("B", "f", ()) == ("A", h.program.classes["A"].methods[0])
+    assert h.dispatch("B", "B#f()") == "A#f()"
 
 
 def test_dispatch_override_wins():
@@ -65,8 +65,7 @@ def test_dispatch_override_wins():
             ]
         )
     )
-    owner, _ = h.dispatch("B", "f", ())
-    assert owner == "B"
+    assert h.dispatch("B", "A#f()") == "B#f()"
 
 
 def test_dispatch_skips_abstract():
@@ -78,12 +77,34 @@ def test_dispatch_skips_abstract():
             ]
         )
     )
-    owner, _ = h.dispatch("B", "f", ())
-    assert owner == "A"
+    assert h.dispatch("B", "B#f()") == "A#f()"
 
 
 def test_dispatch_miss_is_none(threads_hier):
-    assert threads_hier.dispatch("app.Host", "nonexistent", ()) is None
+    assert threads_hier.dispatch("app.Host", "app.Host#nonexistent()") is None
+
+
+def test_dispatch_matches_superclass_walk(framework, threads, viewstub, parametric):
+    """Every class against every invoke signature of its program."""
+    programs = [link_program(gen_app(seed), [framework]) for seed in range(20)]
+    programs += [p.hierarchy.program for p in (threads, viewstub, parametric)]
+    found = 0  # pairs that dispatch to a method
+    for program in programs:
+        h = build_hierarchy(program)
+        sigs = {
+            stmt.method
+            for _decl, m, _sig in program.iter_methods()
+            for stmt in m.body or ()
+            if isinstance(stmt, Invoke)
+        }
+        for sig in sorted(sigs):
+            _cls, name, params = parse_method_sig(sig)
+            for rtype in program.classes:
+                expected = _naive_dispatch(program, rtype, name, params)
+                for _ in range(2):  # computed, then cached
+                    assert h.dispatch(rtype, sig) == expected, (rtype, sig)
+                found += expected is not None
+    assert found > 300
 
 
 def test_cha_targets_interface_call(threads, threads_hier):
@@ -112,14 +133,9 @@ def test_cha_targets_subset_of_subtype_dispatch(viewstub):
         for stmt in m.body:
             if not isinstance(stmt, Invoke) or stmt.kind not in ("virtual", "interface"):
                 continue
-            cls, name, params = parse_method_sig(stmt.method)
+            cls = parse_method_sig(stmt.method)[0]
             for t in h.cha_targets(stmt):
-                owner = t.split("#")[0]
-                assert any(
-                    h.dispatch(sub, name, params) is not None
-                    and h.dispatch(sub, name, params)[0] == owner
-                    for sub in h.subtypes(cls)
-                )
+                assert any(h.dispatch(sub, stmt.method) == t for sub in h.subtypes(cls))
 
 
 def test_resolve_declaration_walks_to_interface():

@@ -1,7 +1,9 @@
 """A command creates no reference cycles, on valid input or malformed, so
 ``cli.run`` pauses the cyclic collector without holding on to memory: once
 the run ends, reference counting has freed everything it made. And no
-module but ``cli`` touches ``gc``, so the pause lives in one place.
+module but ``cli`` touches ``gc``, so the pause lives in one place, and no
+function imports a module, whose classes would be the first command's
+cyclic garbage.
 ``test_reached.py`` runs the same command table to show that every
 function of the package is entered."""
 
@@ -233,3 +235,33 @@ def test_detects_gc_imports_and_calls():
         "import gc\nfrom gc import disable\nimport os, gc as g\nos.getpid()\ngc.collect()\n"
     )
     assert gc_uses(tree) == [1, 2, 3, 5]
+
+
+def function_imports(tree) -> list:
+    """Lines of the imports inside a function, nested ones included."""
+    return sorted({
+        inner.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_no_function_imports_a_module():
+    """The first command to run a function-local import would leave the new
+    module's classes as its cyclic garbage; a module-level import is paid
+    once, when the package loads."""
+    package = Path(permplace.__file__).parent
+    found = {
+        path.name: function_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert found and all(lines == [] for lines in found.values()), found
+
+
+def test_detects_function_imports():
+    tree = ast.parse(
+        "import os\ndef f():\n    import io\n    def g():\n        from csv import writer\n"
+    )
+    assert function_imports(tree) == [3, 5]
