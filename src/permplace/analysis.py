@@ -24,7 +24,6 @@ class SensitiveSite:
     kind: str  # method | field
     matchedKeys: tuple  # sorted method sig / field ids / literal values
     permissions: frozenset
-    viaParametric: bool = False
 
 
 @dataclass(frozen=True)
@@ -89,17 +88,14 @@ def find_sensitive_sites(
                     continue
                 matched = set()
                 perms = set()
-                for value in intraproc_values(program, sig, stmt.args[idx]):
-                    if value[0] == "sfield":
-                        fentry = spec.field_entry(value[1])
-                        if fentry is not None:
-                            matched.add(value[1])
-                            perms |= fentry.permissions
-                    elif value[0] == "literal":
-                        fentry = spec.field_entry_by_value(value[1])
-                        if fentry is not None:
-                            matched.add(value[1])
-                            perms |= fentry.permissions
+                for kind, value in intraproc_values(program, sig, stmt.args[idx]):
+                    if kind == "sfield":
+                        fentry = spec.field_entry(value)
+                    else:
+                        fentry = spec.field_entry_by_value(value)
+                    if fentry is not None:
+                        matched.add(value)
+                        perms |= fentry.permissions
                 if matched:
                     out.append(
                         SensitiveSite(
@@ -107,7 +103,6 @@ def find_sensitive_sites(
                             kind="field",
                             matchedKeys=tuple(sorted(matched)),
                             permissions=frozenset(perms),
-                            viaParametric=True,
                         )
                     )
     return sorted(out)
@@ -217,11 +212,9 @@ def traverse(
         return out
 
     for entry_site in program.entry_sites:
-        entry_edges = cg.edges_at(entry_site)
-        if not entry_edges:
-            continue
-        (cb_sig, _prov) = sorted(entry_edges)[0]
-        cls, mname, mparams = parse_method_sig(cb_sig)
+        # the solver links the entry invoke's host to the invoked callback
+        cb_sig = program.stmt_at(entry_site).method
+        cls = parse_method_sig(cb_sig)[0]
         # sensitive's bit -> [(insertion stmt, report path)] in path order
         paths_by_bit = defaultdict(list)
         truncated = 0  # bits of the sensitives whose paths were capped
@@ -300,7 +293,7 @@ def traverse(
                         "kind": s.kind,
                         "keys": list(s.matchedKeys),
                         "permissions": sorted(s.permissions),
-                        "viaParametric": s.viaParametric,
+                        "viaParametric": s.kind == "field",
                         "truncated": bool(truncated & bit_of[s]),
                         "paths": paths,
                     }
@@ -456,9 +449,8 @@ def _path_pieces(paths, node_texts, depth: int) -> list:
     paths, from the texts of their nodes. ``node_texts`` maps a depth to
     {id(node): the node's text after its separator}; traverse shares one
     node dict per state, so each is rendered once per write. A path has
-    its two keys and at least its callback's node."""
-    if not paths:
-        return ["[]"]
+    its two keys and at least its callback's node, and ``paths`` holds at
+    least one path."""
     ind = "\n" + "  " * (depth + 1)  # a path's braces
     key_ind = ind + "  "  # its keys and the brackets of its nodes
     sep = "," + key_ind + "  "  # what comes before a node

@@ -124,8 +124,6 @@ def filter_edges(
     """
     edges = cg.edges_at(site)
     stmt = program.stmt_at(site)
-    if not isinstance(stmt, Invoke):
-        return frozenset(), False
     if stmt.kind in ("static", "special"):
         return edges, False
     passthrough = [e for e in edges if e[1] == "augmented"]

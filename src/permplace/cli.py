@@ -47,9 +47,13 @@ def _emit(data: bytes, out_path):
         sys.stdout.write(data.decode("utf-8"))
 
 
-def _add_common(p):
-    p.add_argument("--spec", action="append", default=[], help="permission spec file")
-    p.add_argument("--groups", help="dangerous-group table (groups.json)")
+def _add_common(p, spec: bool = False, groups: bool = False):
+    """The link inputs and ``-o`` every command reads, with ``--spec`` and
+    ``--groups`` for the commands that read them."""
+    if spec:
+        p.add_argument("--spec", action="append", default=[], help="permission spec file")
+    if groups:
+        p.add_argument("--groups", help="dangerous-group table (groups.json)")
     p.add_argument("--framework", action="append", default=[], help="framework model overlay")
     p.add_argument("--overlay", action="append", default=[], help="library overlay")
     p.add_argument("--config", help="JSON config file mirroring flags")
@@ -62,7 +66,7 @@ def _load_specs(args):
     spec = permspec.PermissionSpec(entries={})
     for path in args.spec:
         loaded = permspec.load_spec(path)
-        spec, _report = permspec.merge_specs(spec, loaded)
+        spec = permspec.merge_specs(spec, loaded)
     if getattr(args, "dangerous_only", False):
         if not args.groups:
             raise PermplaceError("--dangerous-only requires --groups")
@@ -92,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="report per-callback permission request insertion points")
     p.add_argument("app", help="app model file")
-    _add_common(p)
+    _add_common(p, spec=True, groups=True)
     p.add_argument("--cfa", type=int, choices=(0, 1), default=1)
     p.add_argument("--no-augment", action="store_true", help="disable safe-edge augmentation")
     p.add_argument("--augment-passes", type=_non_negative_int, default=None,
@@ -106,13 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collect", help="permission usage audit over a corpus directory")
     p.add_argument("corpus", help="directory of app model files")
-    _add_common(p)
+    _add_common(p, spec=True, groups=True)
     p.add_argument("--summary", help="write summary JSON here")
     p.add_argument("--dangerous-only", action="store_true")
 
     p = sub.add_parser("cha-reach", help="partition sensitives by CHA reachability")
     p.add_argument("app")
-    _add_common(p)
+    _add_common(p, spec=True)
     p.add_argument("--cfa", type=int, choices=(0, 1), default=1)
     p.add_argument("--no-augment", action="store_true")
     p.add_argument("--augment-passes", type=_non_negative_int, default=None)
@@ -121,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--spec-a", required=True)
     p.add_argument("--spec-b", required=True)
-    _add_common(p)
+    _add_common(p, groups=True)
 
     p = sub.add_parser("mine-doc", help="mine permission candidates from framework doc comments")
     p.add_argument("app", help="app or framework model file")
@@ -295,7 +299,7 @@ def _cmd_compare_specs(args) -> int:
     spec_b = permspec.load_spec(args.spec_b)
     groups = permspec.load_groups(args.groups) if args.groups else None
     label_pairs = _corpus_map(args, config, lambda program, hierarchy: tuple(
-        collector.classify(collector.collect_usage(program, spec, hierarchy, groups))
+        collector.collect_usage(program, spec, hierarchy, groups).labels
         for spec in (spec_a, spec_b)
     ))
     result = collector.compare_specs(label_pairs, spec_a, spec_b)
@@ -320,11 +324,11 @@ def _cmd_spec(args) -> int:
         return 0
     a = permspec.load_spec(args.a)
     b = permspec.load_spec(args.b)
-    merged, report = permspec.merge_specs(a, b)
+    merged = permspec.merge_specs(a, b)
+    common = len(a) + len(b) - len(merged)
     print(
         f"merged: {len(merged)} entries "
-        f"(common {len(report['common'])}, a-only {len(report['unique_to_a'])}, "
-        f"b-only {len(report['unique_to_b'])})",
+        f"(common {common}, a-only {len(a) - common}, b-only {len(b) - common})",
         file=sys.stderr,
     )
     _emit(write_json(permspec.spec_to_list(merged)), args.output)

@@ -28,11 +28,8 @@ USAGE_LABELS = {
 @dataclass(frozen=True)
 class PermissionUsage:
     app: str
-    flags: dict  # permission -> {"M": bool, "C": bool, "S": bool}
-    sites: dict  # permission -> {"code": [...], "sensitive": [...]}
-
-    def permissions(self):
-        return sorted(self.flags)
+    labels: dict  # permission -> its USAGE_LABELS label, in permission order
+    sites: dict  # permission -> its sorted code sites, then its sorted sensitive sites
 
 
 def collect_usage(
@@ -41,10 +38,11 @@ def collect_usage(
     hierarchy: ClassHierarchy,
     groups: GroupTable | None = None,
 ) -> PermissionUsage:
-    """Enumerate manifest (M), code-reference (C) and sensitive-consumption
-    (S) evidence per permission. Scans app + library bodies only; framework
-    code is never counted."""
-    known = set(program.manifest.permissions) | set(spec.all_permissions())
+    """Label each permission by its manifest (M), code-reference (C) and
+    sensitive-consumption (S) evidence, and list its C and S sites. Scans
+    app + library bodies only; framework code is never counted."""
+    manifest = set(program.manifest.permissions)
+    known = manifest | set(spec.all_permissions())
     if groups is not None:
         known |= set(groups.group_of)
     const_class = program.config.permission_constant_class
@@ -67,33 +65,16 @@ def collect_usage(
 
     sensitive_sites = defaultdict(list)
     for s in find_sensitive_sites(program, hierarchy, spec):
-        for perm in sorted(s.permissions):
+        for perm in s.permissions:
             sensitive_sites[perm].append(str(s.site))
 
-    flags = {}
+    labels = {}
     sites = {}
-    universe = set(program.manifest.permissions) | set(code_sites) | set(sensitive_sites)
-    for perm in sorted(universe):
-        flags[perm] = {
-            "M": perm in program.manifest.permissions,
-            "C": perm in code_sites,
-            "S": perm in sensitive_sites,
-        }
-        sites[perm] = {
-            "code": sorted(code_sites.get(perm, ())),
-            "sensitive": sorted(sensitive_sites.get(perm, ())),
-        }
-    return PermissionUsage(app=program.name, flags=flags, sites=sites)
-
-
-def classify(usage: PermissionUsage) -> dict:
-    """Label each observed permission by its (M, C, S) flag triple."""
-    out = {}
-    for perm, f in usage.flags.items():
-        key = (f["M"], f["C"], f["S"])
-        if key in USAGE_LABELS:
-            out[perm] = USAGE_LABELS[key]
-    return out
+    for perm in sorted(manifest | set(code_sites) | set(sensitive_sites)):
+        code, sensitive = code_sites.get(perm, []), sensitive_sites.get(perm, [])
+        labels[perm] = USAGE_LABELS[perm in manifest, bool(code), bool(sensitive)]
+        sites[perm] = sorted(code) + sorted(sensitive)
+    return PermissionUsage(app=program.name, labels=labels, sites=sites)
 
 
 def _percent(num: float, den: float) -> int:
@@ -102,7 +83,7 @@ def _percent(num: float, den: float) -> int:
 
 def coverage(corpus_labels) -> tuple | None:
     """Spec coverage over a corpus: MCS / (MC + MCS), per (app, permission)
-    instance. ``corpus_labels`` is an iterable of per-app classify() maps.
+    instance. ``corpus_labels`` is an iterable of per-app label maps.
     Returns (ratio, percent), or None when there is no MC or MCS instance."""
     mcs = mc = 0
     for labels in corpus_labels:
@@ -126,11 +107,8 @@ def overprivilege_report(corpus, groups: GroupTable) -> dict:
     the user). ``corpus`` is an iterable of PermissionUsage."""
     out = {}
     for usage in sorted(corpus, key=lambda u: u.app):
-        labels = classify(usage)
-        m_only = sorted(p for p, label in labels.items() if label == "M")
-        if not m_only:
-            out[usage.app] = {"same_group": [], "cross_group": []}
-            continue
+        labels = usage.labels
+        m_only = [p for p, label in labels.items() if label == "M"]
         used_groups = {
             groups.group(p)
             for p, label in labels.items()
@@ -149,7 +127,7 @@ def overprivilege_report(corpus, groups: GroupTable) -> dict:
 def compare_specs(label_pairs, spec_a: PermissionSpec, spec_b: PermissionSpec):
     """Coverage-style comparison of two specs over one corpus: MCS instance
     counts, distinct covered permissions, and a key diff. ``label_pairs``
-    holds, per app, the classify() maps of its usage under spec_a and under
+    holds, per app, the label maps of its usage under spec_a and under
     spec_b."""
     stats = {}
     for side, name in enumerate("ab"):
@@ -192,17 +170,14 @@ def usage_csv(corpus, groups: GroupTable | None = None) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["app", "permission", "label", "group", "sites"])
     for usage in sorted(corpus, key=lambda u: u.app):
-        labels = classify(usage)
-        for perm in usage.permissions():
-            label = labels.get(perm, "")
+        for perm, label in usage.labels.items():
             group = (groups.group(perm) or "") if groups else ""
-            all_sites = usage.sites[perm]["code"] + usage.sites[perm]["sensitive"]
-            writer.writerow([usage.app, perm, label, group, ";".join(all_sites)])
+            writer.writerow([usage.app, perm, label, group, ";".join(usage.sites[perm])])
     return buf.getvalue()
 
 
 def corpus_summary(corpus, groups: GroupTable | None = None) -> dict:
-    label_maps = [classify(u) for u in sorted(corpus, key=lambda u: u.app)]
+    label_maps = [u.labels for u in corpus]
     counts = defaultdict(int)
     for labels in label_maps:
         for label in labels.values():

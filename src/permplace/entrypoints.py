@@ -61,16 +61,17 @@ def _registered(program, hierarchy, host: str, anchors) -> bool:
 def detect_callbacks(program: LinkedProgram, hierarchy: ClassHierarchy):
     """Find app/library methods invoked by the framework.
 
-    A bodied instance method C.f is a callback when a framework superclass
-    declares a matching signature (an override), or C implements a
-    framework interface declaring f and an instance of C is registered by
+    A bodied instance method C.f of a class C (never of an interface, which
+    the dummy main cannot allocate) is a callback when a framework
+    superclass declares a matching signature (an override), or C implements
+    a framework interface declaring f and an instance of C is registered by
     being passed at a parameter position of that interface type. Async
     constructs (Thread, Runnable, ...) never anchor a callback.
     """
     excluded = _excluded_anchors(program, hierarchy)
     out = []
     for decl, m, sig in program.iter_methods(origins=("app", "library")):
-        if m.body is None or m.static or decl.name == program.entry_class:
+        if m.body is None or m.static or decl.kind != "class" or decl.name == program.entry_class:
             continue
         if any(
             sup.name != decl.name

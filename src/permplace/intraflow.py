@@ -1,9 +1,9 @@
 """Intraprocedural, flow-insensitive value chasing over method locals.
 
-Two views over the same def-chase: concrete values (allocation sites,
-string literals, static-field ids) for sensitive matching, and possible
-runtime types for callback-registration evidence. Both walk the method's
-definition index (:meth:`LinkedProgram.defs_index`) with a worklist.
+Two views over the same def-chase: the evidence sensitive matching reads
+(string literals and static-field ids), and possible runtime types for
+callback-registration evidence. Both walk the method's definition index
+(:meth:`LinkedProgram.defs_index`) with a worklist.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ from .model import (
     LinkedProgram,
     LoadStatic,
     New,
-    SiteId,
     parse_method_sig,
 )
-
-UNKNOWN = ("unknown",)
 
 
 def _param_index(var: str):
@@ -29,41 +26,35 @@ def _param_index(var: str):
 
 
 def _reaching_defs(index: dict, var: str):
-    """Follow assigns back from ``var``. Yields (local, stmt index, stmt) for
-    each non-assign definition reached, and (local, None, None) for each
-    reached local without definitions (a parameter, ``this`` or undefined)."""
+    """Follow assigns back from ``var``. Yields (local, stmt) for each
+    non-assign definition reached, and (local, None) for each reached local
+    without definitions (a parameter, ``this`` or undefined)."""
     seen = {var}
     work = [var]
     while work:
         v = work.pop()
         defs = index.get(v)
         if not defs:
-            yield v, None, None
+            yield v, None
             continue
-        for i, stmt in defs:
+        for _i, stmt in defs:
             if not isinstance(stmt, Assign):
-                yield v, i, stmt
+                yield v, stmt
             elif stmt.source not in seen:
                 seen.add(stmt.source)
                 work.append(stmt.source)
 
 
 def intraproc_values(program: LinkedProgram, sig: str, var: str):
-    """Possible values of a local: allocation sites, literals, static field
-    ids, or UNKNOWN (params, instance-field loads, call returns)."""
-    index = program.defs_index(sig)
-    if index is None:
-        return {UNKNOWN}
+    """The evidence for a local of the bodied method ``sig`` that sensitive
+    matching reads: ("literal", value) for each string constant and
+    ("sfield", field id) for each static-field load it may hold."""
     out = set()
-    for _, i, stmt in _reaching_defs(index, var):
-        if isinstance(stmt, New):
-            out.add(("alloc", SiteId(sig, i)))
-        elif isinstance(stmt, ConstStr):
+    for _, stmt in _reaching_defs(program.defs_index(sig), var):
+        if isinstance(stmt, ConstStr):
             out.add(("literal", stmt.value))
         elif isinstance(stmt, LoadStatic):
             out.add(("sfield", stmt.field))
-        else:  # parameter, `this`, undefined local, load_field, invoke return
-            out.add(UNKNOWN)
     return out
 
 
@@ -79,7 +70,7 @@ def possible_types(program: LinkedProgram, sig: str, var: str):
         return set()
     cls, _, params = parse_method_sig(sig)
     out = set()
-    for v, _, stmt in _reaching_defs(index, var):
+    for v, stmt in _reaching_defs(index, var):
         if stmt is None:
             i = _param_index(v)
             if v == "this":

@@ -160,11 +160,8 @@ def spec_to_list(spec: PermissionSpec):
 
 
 def merge_specs(a: PermissionSpec, b: PermissionSpec):
-    """Union two specs; returns (merged, report).
-
-    The report lists common / unique-to-a / unique-to-b keys. Keys present
-    in both with different permission sets raise :class:`ConflictError`.
-    """
+    """Union two specs. Keys present in both with different permission
+    sets raise :class:`ConflictError`."""
     conflicts = []
     merged = dict(a.entries)
     for key, eb in b.entries.items():
@@ -175,13 +172,7 @@ def merge_specs(a: PermissionSpec, b: PermissionSpec):
             conflicts.append(key)
     if conflicts:
         raise ConflictError(sorted(conflicts))
-    common = sorted(set(a.entries) & set(b.entries))
-    report = {
-        "common": common,
-        "unique_to_a": sorted(set(a.entries) - set(b.entries)),
-        "unique_to_b": sorted(set(b.entries) - set(a.entries)),
-    }
-    return PermissionSpec(entries=merged), report
+    return PermissionSpec(entries=merged)
 
 
 # ---------------------------------------------------------------------------

@@ -452,7 +452,7 @@ def report_oracle(prepared, mode, max_depth, max_paths):
                     "kind": s.kind,
                     "keys": list(s.matchedKeys),
                     "permissions": sorted(s.permissions),
-                    "viaParametric": s.viaParametric,
+                    "viaParametric": s.kind == "field",
                     "truncated": s in capped,
                     "paths": [p for at, p in paths[s] if at == stmt],
                 })

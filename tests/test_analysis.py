@@ -52,7 +52,7 @@ def run(prepared, mode, limits=Limits(), augment=True):
 def test_threads_sensitive_sites(threads):
     assert [str(s.site) for s in threads.sensitives] == ["app.Host$Run1#run()/0"]
     s = threads.sensitives[0]
-    assert s.kind == "method" and not s.viaParametric
+    assert s.kind == "method"
     assert s.permissions == frozenset({"android.permission.CAMERA"})
 
 
@@ -67,7 +67,7 @@ def test_viewstub_sensitive_resolves_stub_declaration(viewstub):
 def test_parametric_sensitive(parametric):
     assert [str(s.site) for s in parametric.sensitives] == ["app.Para#onCreate()/2"]
     s = parametric.sensitives[0]
-    assert s.kind == "field" and s.viaParametric
+    assert s.kind == "field"
     assert s.permissions == frozenset({"android.permission.READ_CONTACTS"})
 
 

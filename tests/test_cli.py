@@ -333,6 +333,54 @@ def test_cha_reach(paths, tmp_path):
     assert part["detected"] == []
 
 
+# an app interface that extends a framework listener and declares a bodied
+# listener method making a sensitive call
+LISTENER_INTERFACE_APP = {"name": "iface", "manifest": {}, "classes": [
+    {"name": "app.L", "kind": "interface", "super": "android.location.LocationListener",
+     "methods": [{"name": "onLocationChanged", "params": ["android.location.Location"], "body": [
+         {"op": "new", "target": "m", "type": "android.location.LocationManager"},
+         {"op": "const_str", "target": "s", "value": "gps"},
+         {"op": "invoke", "kind": "virtual", "receiver": "m", "args": ["s"], "target": "r",
+          "method": "android.location.LocationManager#getLastKnownLocation(java.lang.String)"}]}]},
+]}
+
+
+def test_interface_is_never_a_callback_host(paths, tmp_path):
+    """The dummy main allocates each host, which an interface cannot be: its
+    sensitive is unreachable, not detected, and cha-reach agrees."""
+    app = tmp_path / "iface.app.json"
+    app.write_text(json.dumps(LISTENER_INTERFACE_APP))
+    out = tmp_path / "out.json"
+    argv = [str(app), "--spec", paths["spec"], "--framework", paths["framework"], "-o", str(out)]
+    assert run(["analyze", *argv]) == 0
+    assert json.loads(out.read_text())["callbacks"] == []
+    assert run(["cha-reach", *argv]) == 0
+    assert json.loads(out.read_text()) == {
+        "unreachable": [{
+            "site": "app.L#onLocationChanged(android.location.Location)/2",
+            "kind": "method",
+            "permissions": ["android.permission.ACCESS_FINE_LOCATION"],
+        }],
+        "cha_reachable_undetected": [],
+        "detected": [],
+    }
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("mine-doc", "--spec"), ("mine-doc", "--groups"), ("compare-specs", "--spec"),
+    ("cha-reach", "--groups"),
+])
+def test_flag_the_command_does_not_read_is_usage_error(paths, capsys, command, flag):
+    argv = {
+        "mine-doc": [paths["framework"], "--ident-table", paths["ident"]],
+        "compare-specs": [paths["corpus"], "--spec-a", paths["spec"], "--spec-b", paths["spec"]],
+        "cha-reach": [paths["viewstub"], "--spec", paths["spec"]],
+    }[command]
+    assert run([command, *argv, flag, "/no/such.json"]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("permplace") and "error: " in last and flag in last
+
+
 def test_compare_specs(paths, tmp_path):
     out = tmp_path / "cmp.json"
     code = run(
@@ -418,6 +466,17 @@ def test_spec_merge(paths, tmp_path, capsys):
     merged = json.loads(out.read_text())
     assert {e["key"] for e in merged} == {"A#f()", "A#g()"}
     assert out.read_bytes() == stdlib_json(out.read_bytes())
+
+
+def test_spec_merge_counts_shared_and_own_keys(tmp_path, capsys):
+    def entry(key):
+        return {"kind": "method", "key": key, "permissions": ["android.permission.CAMERA"]}
+
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps([entry(k) for k in ("A#f()", "A#g()", "A#h()")]))
+    b.write_text(json.dumps([entry(k) for k in ("A#g()", "A#h()", "A#i()", "A#j()")]))
+    assert run(["spec", "merge", str(a), str(b), "-o", str(tmp_path / "out.json")]) == 0
+    assert capsys.readouterr().err == "merged: 5 entries (common 2, a-only 1, b-only 2)\n"
 
 
 def test_spec_merge_conflict_is_input_error(tmp_path, capsys):

@@ -1,8 +1,8 @@
 import pytest
 
 from permplace import collector
+from permplace.analysis import find_sensitive_sites
 from permplace.collector import (
-    classify,
     collect_usage,
     coverage,
     coverage_from_counts,
@@ -19,18 +19,30 @@ CONTACTS = "android.permission.READ_CONTACTS"
 AUDIO = "android.permission.RECORD_AUDIO"
 
 
+CODE_SITE = (" (literal)", " (constant)")  # how a code site's text ends
+
+
 @pytest.fixture(scope="module")
-def corpus(fixtures_dir, framework, spec, groups):
-    out = []
+def programs(fixtures_dir, framework):
+    """App name -> linked program, for each app of the fixture corpus."""
+    out = {}
     for path in sorted((fixtures_dir / "corpus").glob("*.json")):
         program = link_program(load_app(path), [framework])
-        out.append(collect_usage(program, spec, build_hierarchy(program), groups))
+        out[program.name] = program
     return out
 
 
 @pytest.fixture(scope="module")
+def corpus(programs, spec, groups):
+    return [
+        collect_usage(program, spec, build_hierarchy(program), groups)
+        for program in programs.values()
+    ]
+
+
+@pytest.fixture(scope="module")
 def labels(corpus):
-    return {u.app: classify(u) for u in corpus}
+    return {u.app: u.labels for u in corpus}
 
 
 def test_corpus_labels(labels):
@@ -48,19 +60,31 @@ def test_label_table_is_a_bijection():
     assert (False, False, False) not in USAGE_LABELS
 
 
-def test_flags_back_labels(corpus):
-    """Classification agrees with recomputing labels from the raw flags."""
+def test_flags_back_labels(programs, corpus, spec):
+    """Each label's letters agree with the manifest, the code sites and the
+    sensitive sites of its permission; its sites list the code sites, then
+    the sensitive ones, each sorted."""
     for usage in corpus:
-        got = classify(usage)
-        for perm, f in usage.flags.items():
-            want = "".join(c for c, on in zip("MCS", (f["M"], f["C"], f["S"])) if on)
-            assert got.get(perm, "") == want
+        program = programs[usage.app]
+        sensitive = {}
+        for s in find_sensitive_sites(program, build_hierarchy(program), spec):
+            for perm in s.permissions:
+                sensitive.setdefault(perm, set()).add(str(s.site))
+        assert set(usage.labels) == set(usage.sites) >= set(sensitive)
+        for perm, label in usage.labels.items():
+            code = [x for x in usage.sites[perm] if x.endswith(CODE_SITE)]
+            consumed = [x for x in usage.sites[perm] if not x.endswith(CODE_SITE)]
+            assert usage.sites[perm] == sorted(code) + sorted(consumed)
+            assert set(consumed) == sensitive.get(perm, set())
+            evidence = (perm in program.manifest.permissions, bool(code), bool(consumed))
+            assert label == "".join(c for c, on in zip("MCS", evidence) if on)
+        assert list(usage.labels) == sorted(usage.labels)
 
 
 def test_sites_recorded_for_code_evidence(corpus):
     alpha = next(u for u in corpus if u.app == "alpha")
-    assert alpha.sites[FINE]["code"]
-    assert alpha.sites[FINE]["sensitive"]
+    assert any(x.endswith(CODE_SITE) for x in alpha.sites[FINE])
+    assert not all(x.endswith(CODE_SITE) for x in alpha.sites[FINE])
 
 
 def test_framework_bodies_never_counted(framework, spec, groups):
@@ -71,7 +95,7 @@ def test_framework_bodies_never_counted(framework, spec, groups):
     )
     program = link_program(bare, [framework])
     usage = collect_usage(program, spec, build_hierarchy(program), groups)
-    assert usage.flags == {}
+    assert usage.labels == usage.sites == {}
 
 
 def test_coverage_on_corpus(labels):
@@ -106,7 +130,7 @@ def test_usage_csv_shape(corpus, groups):
     text = usage_csv(corpus, groups)
     lines = text.strip().split("\n")
     assert lines[0] == "app,permission,label,group,sites"
-    n_perms = sum(len(u.flags) for u in corpus)
+    n_perms = sum(len(u.labels) for u in corpus)
     assert len(lines) == 1 + n_perms
     assert any(line.startswith(f"charlie,{FINE},M,location,") for line in lines)
 
@@ -135,7 +159,7 @@ def test_compare_specs_prefers_richer_spec(fixtures_dir, framework, spec, groups
         program = link_program(load_app(path), [framework])
         hierarchy = build_hierarchy(program)
         label_pairs.append(tuple(
-            collector.classify(collector.collect_usage(program, s, hierarchy, groups))
+            collector.collect_usage(program, s, hierarchy, groups).labels
             for s in (spec, small)
         ))
     result = collector.compare_specs(label_pairs, spec, small)

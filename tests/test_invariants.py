@@ -64,6 +64,19 @@ def test_every_context_invokes_its_method(subjects):
     assert checked > len(subjects)
 
 
+def test_entry_site_edge_is_its_invoked_callback(subjects):
+    """Each dummy-main entry site has one edge, to the method its invoke
+    names, by provenance "entry": traverse reads the callback off the
+    invoke."""
+    checked = 0
+    for prepared in subjects:
+        for entry_site in prepared.program.entry_sites:
+            stmt = prepared.program.stmt_at(entry_site)
+            assert prepared.cg.edges_at(entry_site) == {(stmt.method, "entry")}, entry_site
+            checked += 1
+    assert checked > len(subjects)
+
+
 def test_refinement_never_widens(subjects):
     for prepared in subjects:
         for method, ctx in _contexts(prepared):

@@ -64,18 +64,16 @@ def test_two_parameter_parametric_skipped_with_warning(caplog):
 
 
 def test_merge_with_empty_is_identity(spec):
-    merged, report = merge_specs(spec, permspec.PermissionSpec(entries={}))
+    merged = merge_specs(spec, permspec.PermissionSpec(entries={}))
     assert merged.entries == spec.entries
-    assert report["common"] == []
 
 
 def test_merge_counts():
     shared = {"kind": "method", "key": "A#f()", "permissions": [FINE]}
     a = spec_from_list([shared, {"kind": "method", "key": "A#g()", "permissions": [FINE]}])
     b = spec_from_list([shared, {"kind": "method", "key": "A#h()", "permissions": [CAMERA]}])
-    merged, report = merge_specs(a, b)
+    merged = merge_specs(a, b)
     assert len(merged) == 3
-    assert len(report["common"]) == 1
 
 
 def test_merge_conflict():
@@ -88,8 +86,8 @@ def test_merge_conflict():
 def test_merge_commutative_without_conflicts():
     a = spec_from_list([{"kind": "method", "key": "A#f()", "permissions": [FINE]}])
     b = spec_from_list([{"kind": "method", "key": "A#g()", "permissions": [CAMERA]}])
-    ab, _ = merge_specs(a, b)
-    ba, _ = merge_specs(b, a)
+    ab = merge_specs(a, b)
+    ba = merge_specs(b, a)
     assert ab.entries == ba.entries
 
 
