@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode_str
+from typing import NamedTuple
 
 from .cfa1 import filter_edges
 from .errors import InconsistentInput
@@ -18,28 +18,26 @@ from .permspec import PermissionSpec
 from .pointsto import CallGraph, PointsToSolution
 
 
-@dataclass(frozen=True, order=True)
-class SensitiveSite:
+class SensitiveSite(NamedTuple):
     site: SiteId
     kind: str  # method | field
     matchedKeys: tuple  # sorted method sig / field ids / literal values
     permissions: frozenset
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     maxDepth: int = 50
     maxPathsPerSensitive: int = 100
 
 
-@dataclass
 class AnalysisReport:
-    app: str
-    mode: str  # cfa0 | cfa1
-    augment: bool
-    callbacks: list = field(default_factory=list)
-    # callbacks: [{class, method, entrySite, truncated, insertionPoints: [...]}]
-    summary: dict = field(default_factory=dict)
+    def __init__(self, app: str, mode: str, augment: bool, callbacks=None, summary=None):
+        self.app = app
+        self.mode = mode  # cfa0 | cfa1
+        self.augment = augment
+        # [{class, method, entrySite, truncated, insertionPoints: [...]}]
+        self.callbacks = [] if callbacks is None else callbacks
+        self.summary = {} if summary is None else summary
 
 
 class ReportPaths(list):

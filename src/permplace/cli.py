@@ -13,7 +13,6 @@ import os
 import pickle
 import sys
 import traceback
-from dataclasses import replace
 from pathlib import Path
 
 from . import collector, permspec, pipeline
@@ -32,7 +31,7 @@ def _load_config(args) -> LinkConfig:
         for key in ("framework_prefixes", "async_excludes")
         if getattr(args, key)
     }
-    return replace(config, **flags)
+    return config._replace(**flags)
 
 
 def _emit(data: bytes, out_path):

@@ -7,7 +7,7 @@ import csv
 import io
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import find_sensitive_sites
 from .hierarchy import ClassHierarchy
@@ -25,8 +25,7 @@ USAGE_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class PermissionUsage:
+class PermissionUsage(NamedTuple):
     app: str
     labels: dict  # permission -> its USAGE_LABELS label, in permission order
     sites: dict  # permission -> its sorted code sites, then its sorted sensitive sites

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hierarchy import ClassHierarchy
 from .intraflow import possible_types
@@ -21,8 +21,7 @@ from .model import (
 ENTRY_CLASS = "synthetic.Main"
 
 
-@dataclass(frozen=True, order=True)
-class CallbackRef:
+class CallbackRef(NamedTuple):
     hostClass: str
     sig: str
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CycleError
@@ -10,14 +9,14 @@ from .graph import closure, components
 from .model import Invoke, LinkedProgram, parse_method_sig
 
 
-@dataclass
 class ClassHierarchy:
-    program: LinkedProgram
-    parents: dict = field(default_factory=dict)  # name -> direct supertypes
-    children: dict = field(default_factory=dict)  # name -> direct subtypes
-    _dispatch_cache: dict = field(default_factory=dict)  # (runtime type, invoke sig) -> target
-    _declarations: dict = field(default_factory=dict)  # invoke signature -> visible declaration
-    _subtype_memo: dict = field(default_factory=dict)  # (sub, sup) -> bool
+    def __init__(self, program: LinkedProgram, parents: dict, children: dict):
+        self.program = program
+        self.parents = parents  # name -> direct supertypes
+        self.children = children  # name -> direct subtypes
+        self._dispatch_cache = {}  # (runtime type, invoke sig) -> target
+        self._declarations = {}  # invoke signature -> visible declaration
+        self._subtype_memo = {}  # (sub, sup) -> bool
 
     # -- queries ------------------------------------------------------------
 
@@ -47,17 +46,20 @@ class ClassHierarchy:
     def dispatch(self, runtime_type: str, sig: str) -> Optional[str]:
         """Signature of the method that the invoke signature ``sig`` runs on
         a receiver of ``runtime_type``: the nearest non-abstract declaration
-        of its name and parameters up the superclass chain, or None.
-        Interface declarations do not participate. Cached per pair."""
+        of its name and parameters up the superclass chain, or None. Only a
+        class is a runtime type, as CHA has it: an interface or unknown
+        name dispatches nowhere. Cached per pair."""
         key = (runtime_type, sig)
         if key not in self._dispatch_cache:
             _, name, params = parse_method_sig(sig)
             target = None
-            for decl in self.superclass_chain(runtime_type):
-                m = decl.method_by_key(name, params)
-                if m is not None and not m.abstract:
-                    target = m.sig(decl.name)
-                    break
+            runtime = self.program.get_class(runtime_type)
+            if runtime is not None and runtime.kind == "class":
+                for decl in self.superclass_chain(runtime_type):
+                    m = decl.method_by_key(name, params)
+                    if m is not None and not m.abstract:
+                        target = m.sig(decl.name)
+                        break
             self._dispatch_cache[key] = target
         return self._dispatch_cache[key]
 

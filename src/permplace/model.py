@@ -18,9 +18,8 @@ import functools
 import json
 import re
 import reprlib
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
-from typing import ClassVar, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import LinkError, ParseError, ValidationError
 
@@ -82,21 +81,26 @@ class SiteId(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# JSON records: each record dataclass is its own schema
+# JSON records: each record class, a NamedTuple, is its own schema
 #
 # Keys, JSON types and defaults come from the field annotations, read once
-# per class into that class's reader. A reader rejects unknown keys, missing
-# required keys and values of another JSON type (nothing is coerced), then
-# runs the record's ``_check(where)``: the rules that span fields. Records
-# nest only as deep as the schema (app, class, method, statement).
+# per class into that class's reader; a record's ``_where`` maps a field to
+# the path suffix that locates its errors where that is not the default. A
+# reader rejects unknown keys, missing required keys and values of another
+# JSON type (nothing is coerced), then runs the record's ``_check(where)``:
+# the rules that span fields. Records nest only as deep as the schema (app,
+# class, method, statement). A record compares, hashes and orders as the
+# tuple of its fields, whatever its class.
 #
 # Statements are interned (hash-consed): equal statements read with one
-# table are one record. Their fields are strings, nulls and lists of
+# table are one record, keyed by class and fields, since records of two
+# kinds may have equal fields. Their fields are strings, nulls and lists of
 # strings, so equal values have equal JSON types, and ``_check`` is a pure
 # function of the values: it runs once per distinct statement. A record
 # that fails is never stored, so each error names its own ``where``.
 
 _JSON_TYPES = {str: "a string", int: "an integer", bool: "a boolean"}
+_MISSING = object()  # a key absent from the object, or a field without a default
 
 
 def _mistyped(where: str, key: str, desc: str, value) -> ValidationError:
@@ -131,7 +135,7 @@ def _list_reader(container, elem, key: str):
 
         return read, "a list of strings"
     read_one = _record_reader(elem)
-    named = is_dataclass(elem) and "name" in elem.__dataclass_fields__
+    named = "name" in getattr(elem, "_fields", ())
 
     def read(v, where, interned):
         # records with a name are located by it, others by their index
@@ -151,21 +155,23 @@ def _reader(cls):
     built once per class from its field annotations; statement records come
     from ``interned``."""
     hints = get_type_hints(cls)
+    where = getattr(cls, "_where", {})
     reads = []  # (key, JSON type, nullable, default, reader, path suffix, description)
-    for f in fields(cls):
-        tp, nullable = hints[f.name], False
+    for name in cls._fields:
+        tp, nullable = hints[name], False
         if get_origin(tp) in (Union, UnionType) and type(None) in get_args(tp):
             nullable, tp = True, next(a for a in get_args(tp) if a is not type(None))
         if tp in _JSON_TYPES:
             jtype, reader, desc = tp, None, _JSON_TYPES[tp]
         elif get_origin(tp) in (tuple, frozenset):
             jtype = list
-            reader, desc = _list_reader(get_origin(tp), get_args(tp)[0], f.name)
+            reader, desc = _list_reader(get_origin(tp), get_args(tp)[0], name)
         else:
             jtype, reader, desc = dict, _record_reader(tp), "an object"
-        suffix = f.metadata.get("where", f".{f.name}" if jtype is dict else "")
+        suffix = where.get(name, f".{name}" if jtype is dict else "")
         desc += " or null" if nullable else ""
-        reads.append((f.name, jtype, nullable, f.default, reader, suffix, desc))
+        default = cls._field_defaults.get(name, _MISSING)
+        reads.append((name, jtype, nullable, default, reader, suffix, desc))
     # records of a union carry an ``op`` key
     known = frozenset(r[0] for r in reads) | ({"op"} if "op" in cls.__dict__ else set())
     check = getattr(cls, "_check", None)
@@ -176,12 +182,12 @@ def _reader(cls):
             raise ParseError(f"expected a JSON object, not {reprlib.repr(d)}", where)
         values = []
         for key, jtype, nullable, default, read_value, suffix, desc in reads:
-            v = d.get(key, MISSING)
+            v = d.get(key, _MISSING)
             if type(v) is jtype:
                 if read_value is not None:
                     v = read_value(v, where + suffix, interned)
-            elif v is MISSING:
-                if default is MISSING:
+            elif v is _MISSING:
+                if default is _MISSING:
                     raise ParseError(f"missing required key {key!r}", where)
                 v = default
             elif v is not None or not nullable:
@@ -232,23 +238,20 @@ def read_json(path):
 # statements
 
 
-@dataclass(frozen=True)
-class New:
-    op: ClassVar[str] = "new"
+class New(NamedTuple):
+    op = "new"
     target: str
     type: str
 
 
-@dataclass(frozen=True)
-class Assign:
-    op: ClassVar[str] = "assign"
+class Assign(NamedTuple):
+    op = "assign"
     target: str
     source: str
 
 
-@dataclass(frozen=True)
-class ConstStr:
-    op: ClassVar[str] = "const_str"
+class ConstStr(NamedTuple):
+    op = "const_str"
     target: str
     value: str
 
@@ -257,35 +260,31 @@ def _check_field_id(stmt, where: str) -> None:
     check_id(parse_field_id, stmt.field, where)
 
 
-@dataclass(frozen=True)
-class LoadStatic:
-    op: ClassVar[str] = "load_static"
+class LoadStatic(NamedTuple):
+    op = "load_static"
     target: str
     field: str  # field id
 
     _check = _check_field_id
 
 
-@dataclass(frozen=True)
-class StoreStatic:
-    op: ClassVar[str] = "store_static"
+class StoreStatic(NamedTuple):
+    op = "store_static"
     field: str
     source: str
 
     _check = _check_field_id
 
 
-@dataclass(frozen=True)
-class LoadField:
-    op: ClassVar[str] = "load_field"
+class LoadField(NamedTuple):
+    op = "load_field"
     target: str
     base: str
     field: str  # plain field name
 
 
-@dataclass(frozen=True)
-class StoreField:
-    op: ClassVar[str] = "store_field"
+class StoreField(NamedTuple):
+    op = "store_field"
     base: str
     field: str
     source: str
@@ -294,9 +293,8 @@ class StoreField:
 INVOKE_KINDS = ("virtual", "interface", "static", "special")
 
 
-@dataclass(frozen=True)
-class Invoke:
-    op: ClassVar[str] = "invoke"
+class Invoke(NamedTuple):
+    op = "invoke"
     kind: str
     method: str  # canonical signature naming the declared receiver class
     receiver: Optional[str] = None
@@ -314,9 +312,8 @@ class Invoke:
         check_id(parse_method_sig, self.method, where)
 
 
-@dataclass(frozen=True)
-class Return:
-    op: ClassVar[str] = "return"
+class Return(NamedTuple):
+    op = "return"
     value: Optional[str] = None
 
 
@@ -330,8 +327,7 @@ Stmt = New | Assign | ConstStr | LoadStatic | StoreStatic | LoadField | StoreFie
 # declarations
 
 
-@dataclass(frozen=True)
-class FieldDecl:
+class FieldDecl(NamedTuple):
     name: str
     type: str
     static: bool = False
@@ -343,8 +339,7 @@ class FieldDecl:
             raise ValidationError(f"{where}: constValue only allowed on static fields")
 
 
-@dataclass(frozen=True)
-class MethodDecl:
+class MethodDecl(NamedTuple):
     name: str
     params: tuple[str, ...] = ()
     returnType: str = "void"
@@ -365,8 +360,7 @@ class MethodDecl:
             raise ValidationError(f"{where}: abstract method must not have a body")
 
 
-@dataclass(frozen=True)
-class ClassDecl:
+class ClassDecl(NamedTuple):
     name: str
     kind: str = "class"  # class | interface
     origin: str = "app"  # app | library | framework
@@ -407,8 +401,7 @@ class ClassDecl:
             raise ValidationError(f"{where}: duplicate method {method_sig(self.name, *dup)}")
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     targetApi: int = 23
     permissions: frozenset[str] = frozenset()
 
@@ -417,12 +410,13 @@ class Manifest:
             raise ValidationError(f"{where}: empty permission name")
 
 
-@dataclass(frozen=True)
-class AppModel:
+class AppModel(NamedTuple):
     name: str
     manifest: Manifest
+    classes: tuple[ClassDecl, ...] = ()
+
     # a class is located as ``<file>.classes.<name>``; its members directly under it
-    classes: tuple[ClassDecl, ...] = field(default=(), metadata={"where": ".classes"})
+    _where = {"classes": ".classes"}
 
     def _check(self, where: str) -> None:
         dup = _duplicate(c.name for c in self.classes)
@@ -457,14 +451,12 @@ DEFAULT_ASYNC_EXCLUDES = (
 DEFAULT_PERMISSION_CONSTANT_CLASS = "android.Manifest$permission"
 
 
-@dataclass(frozen=True)
-class LinkConfig:
+class LinkConfig(NamedTuple):
     framework_prefixes: tuple[str, ...] = DEFAULT_FRAMEWORK_PREFIXES
     async_excludes: tuple[str, ...] = DEFAULT_ASYNC_EXCLUDES
     permission_constant_class: str = DEFAULT_PERMISSION_CONSTANT_CLASS
 
 
-@dataclass(frozen=True)
 class LinkedProgram:
     """One merged class table plus analysis configuration.
 
@@ -473,14 +465,16 @@ class LinkedProgram:
     the entrypoints module via :func:`with_entry`, which starts fresh caches.
     """
 
-    name: str
-    manifest: Manifest
-    classes: dict  # name -> ClassDecl
-    config: LinkConfig = LinkConfig()
-    entry_class: Optional[str] = None
-    entry_sites: tuple = ()  # SiteIds of callback invocations in the dummy main
-    _defs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _methods: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, name: str, manifest: Manifest, classes: dict, config: LinkConfig,
+                 entry_class: Optional[str] = None, entry_sites: tuple = ()):
+        self.name = name
+        self.manifest = manifest
+        self.classes = classes  # name -> ClassDecl
+        self.config = config
+        self.entry_class = entry_class
+        self.entry_sites = entry_sites  # SiteIds of callback invocations in the dummy main
+        self._defs = {}
+        self._methods = {}
 
     # -- lookups ------------------------------------------------------------
 
@@ -562,11 +556,8 @@ class LinkedProgram:
     def with_entry(self, entry_decl: ClassDecl, entry_sites) -> "LinkedProgram":
         classes = dict(self.classes)
         classes[entry_decl.name] = entry_decl
-        return replace(
-            self,
-            classes=classes,
-            entry_class=entry_decl.name,
-            entry_sites=tuple(entry_sites),
+        return LinkedProgram(
+            self.name, self.manifest, classes, self.config, entry_decl.name, tuple(entry_sites)
         )
 
 
@@ -605,8 +596,7 @@ def _merge_class(name: str, decls) -> ClassDecl:
             elif m.body is not None:
                 methods[m.key] = m
     doc = next((d.doc for d in decls if d.doc is not None), None)
-    return replace(
-        base,
+    return base._replace(
         super=next(iter(supers)) if supers else None,
         interfaces=tuple(interfaces),
         fields=tuple(fields.values()),

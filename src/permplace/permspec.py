@@ -13,8 +13,7 @@ import functools
 import io
 import logging
 import re
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConflictError, ParseError, ValidationError
 from .model import (
@@ -34,8 +33,7 @@ ENTRY_KINDS = ("method", "field", "parametric")
 ENTRY_SOURCES = ("annotation", "xml", "javadoc", "app-mined", "fixture")
 
 
-@dataclass(frozen=True)
-class SpecEntry:
+class SpecEntry(NamedTuple):
     kind: str
     key: str  # canonical method sig (method/parametric) or field id (field)
     permissions: frozenset[str]
@@ -68,9 +66,9 @@ class SpecEntry:
             raise ValidationError(f"{where}: bad source {self.source!r}")
 
 
-@dataclass(frozen=True)
 class PermissionSpec:
-    entries: dict  # (kind, key, argIndex) -> SpecEntry
+    def __init__(self, entries: dict):
+        self.entries = entries  # (kind, key, argIndex) -> SpecEntry
 
     def __len__(self):
         return len(self.entries)
@@ -179,8 +177,7 @@ def merge_specs(a: PermissionSpec, b: PermissionSpec):
 # dangerous-permission groups
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(NamedTuple):
     group_of: dict  # permission -> group name
     dangerous: frozenset  # permission names
 
@@ -196,8 +193,7 @@ class GroupTable:
             log.warning("group table missing permissions: %s", ", ".join(missing))
 
 
-@dataclass(frozen=True)
-class GroupRow:
+class GroupRow(NamedTuple):
     permission: str
     group: str
     dangerous: bool = False
@@ -230,7 +226,7 @@ def filter_dangerous(spec: PermissionSpec, groups: GroupTable) -> PermissionSpec
     for key, e in spec.entries.items():
         kept = frozenset(p for p in e.permissions if groups.is_dangerous(p))
         if kept:
-            entries[key] = replace(e, permissions=kept)
+            entries[key] = e._replace(permissions=kept)
     return PermissionSpec(entries=entries)
 
 
@@ -238,8 +234,7 @@ def filter_dangerous(spec: PermissionSpec, groups: GroupTable) -> PermissionSpec
 # doc-comment candidate mining
 
 
-@dataclass(frozen=True)
-class DocCandidate:
+class DocCandidate(NamedTuple):
     element: str  # class name, method sig, or field id
     permission: str
     uniqueIdentifier: bool
@@ -313,8 +308,7 @@ def candidates_to_csv(candidates) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class IdentRow:
+class IdentRow(NamedTuple):
     permission: str
     unique: bool = True
 

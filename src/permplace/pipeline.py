@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import analysis, entrypoints, pointsto
 from .hierarchy import ClassHierarchy, build_hierarchy
@@ -11,8 +10,7 @@ from .model import AppModel, LinkConfig, LinkedProgram, link_program, load_app
 from .permspec import PermissionSpec
 
 
-@dataclass
-class Prepared:
+class Prepared(NamedTuple):
     """Everything downstream analyses need about one app."""
 
     program: LinkedProgram  # with synthetic entry

@@ -10,8 +10,8 @@ zero edges — the incompleteness that augmentation repairs.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .graph import closure, components
 from .hierarchy import ClassHierarchy
@@ -34,21 +34,22 @@ from .model import (
 JAVA_STRING = "java.lang.String"
 
 
-@dataclass(frozen=True)
 class PointsToSolution:
     """The solver's tables. A points-to set is an int whose bit ``a`` stands
     for allocation ``a``; the ``frozenset[SiteId]`` views ``pts0``,
     ``fpts0`` and ``spts0`` are built on first access, with one frozenset
     shared by every key holding the same set."""
 
-    vars: dict  # (method sig, local) -> bitset
-    fields: dict  # (alloc, field name) -> bitset
-    statics: dict  # static field id -> bitset
-    sites: list  # alloc -> SiteId
-    types: list  # alloc -> class name
-    type_allocs: dict  # class name -> bitset of its allocs
-    site_bit: dict  # SiteId -> bit
-    _frozen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, vars: dict, fields: dict, statics: dict, sites: list, types: list,
+                 type_allocs: dict, site_bit: dict):
+        self.vars = vars  # (method sig, local) -> bitset
+        self.fields = fields  # (alloc, field name) -> bitset
+        self.statics = statics  # static field id -> bitset
+        self.sites = sites  # alloc -> SiteId
+        self.types = types  # alloc -> class name
+        self.type_allocs = type_allocs  # class name -> bitset of its allocs
+        self.site_bit = site_bit  # SiteId -> bit
+        self._frozen = {}
 
     def frozen(self, bits: int) -> frozenset:
         """The allocation sites of ``bits``, one frozenset per distinct set."""
@@ -69,8 +70,7 @@ class PointsToSolution:
         return {key: self.frozen(bits) for key, bits in self.statics.items()}
 
 
-@dataclass(frozen=True)
-class CallGraph:
+class CallGraph(NamedTuple):
     edges: dict  # SiteId -> frozenset[(target sig, provenance)]
     reachable: frozenset  # method sigs
 

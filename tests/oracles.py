@@ -49,7 +49,11 @@ def _naive_subtype(program, sub, sup):
 
 
 def _naive_dispatch(program, rtype, name, params):
-    """Walk the superclass chain for the nearest concrete declaration."""
+    """Walk the superclass chain for the nearest concrete declaration; a
+    runtime type that is not a class dispatches nowhere."""
+    decl = program.get_class(rtype)
+    if decl is None or decl.kind != "class":
+        return None
     cur = rtype
     while cur is not None:
         decl = program.get_class(cur)

@@ -22,7 +22,6 @@ program of its size can have: their number doubles with each level.
 
 import json
 import random
-from dataclasses import fields, is_dataclass
 
 from permplace.model import app_from_dict
 
@@ -35,15 +34,15 @@ def to_dict(record) -> dict:
     """The JSON object of a model record: ``op`` first, fields at their
     default left out, tuples as lists and sets as sorted lists."""
     d = {"op": record.op} if hasattr(record, "op") else {}
-    for f in fields(record):
-        v = getattr(record, f.name)
-        if v != f.default:
-            d[f.name] = _json_value(v)
+    missing = object()
+    for name, v in zip(record._fields, record):
+        if v != record._field_defaults.get(name, missing):
+            d[name] = _json_value(v)
     return d
 
 
 def _json_value(v):
-    if is_dataclass(v):
+    if hasattr(v, "_fields"):
         return to_dict(v)
     if isinstance(v, frozenset):
         return sorted(v)

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -345,13 +344,13 @@ def path_lists(report) -> list:
 def with_plain_path_lists(report) -> AnalysisReport:
     """A copy of ``report`` whose path lists are plain lists, which the
     writer renders as any other list instead of with ``_path_pieces``."""
-    return replace(report, callbacks=[
+    return AnalysisReport(report.app, report.mode, report.augment, callbacks=[
         {**cb, "insertionPoints": [
             {**ip, "sensitives": [{**s, "paths": list(s["paths"])} for s in ip["sensitives"]]}
             for ip in cb["insertionPoints"]
         ]}
         for cb in report.callbacks
-    ])
+    ], summary=report.summary)
 
 
 def test_write_report_matches_stdlib_on_fixtures(threads, viewstub, parametric):

@@ -5,7 +5,6 @@ import os
 import signal
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -364,6 +363,80 @@ def test_interface_is_never_a_callback_host(paths, tmp_path):
         "cha_reachable_undetected": [],
         "detected": [],
     }
+
+
+# an app interface with a bodied method making a sensitive call, allocated
+# by a ``new`` and called through an interface invoke
+NEW_INTERFACE_APP = {"name": "inew", "manifest": {}, "classes": [
+    {"name": "app.L", "kind": "interface", "methods": [{"name": "m", "body": [
+        {"op": "new", "target": "lm", "type": "android.location.LocationManager"},
+        {"op": "const_str", "target": "s", "value": "gps"},
+        {"op": "invoke", "kind": "virtual", "receiver": "lm", "args": ["s"], "target": "r",
+         "method": "android.location.LocationManager#getLastKnownLocation(java.lang.String)"}]}]},
+    {"name": "app.A", "super": "android.app.Activity", "methods": [{"name": "onCreate", "body": [
+        {"op": "new", "target": "l", "type": "app.L"},
+        {"op": "invoke", "kind": "interface", "receiver": "l", "method": "app.L#m()"}]}]},
+]}
+
+
+def test_allocated_interface_dispatches_nowhere(paths, tmp_path):
+    """An object whose runtime type is an interface runs none of its
+    methods, as CHA has it: the sensitive is unreachable, not detected."""
+    app = tmp_path / "inew.app.json"
+    app.write_text(json.dumps(NEW_INTERFACE_APP))
+    out = tmp_path / "out.json"
+    argv = [str(app), "--spec", paths["spec"], "--framework", paths["framework"], "-o", str(out)]
+    for cfa in ("0", "1"):
+        assert run(["analyze", *argv, "--cfa", cfa]) == 0
+        report = json.loads(out.read_text())
+        assert report["callbacks"] == [] and report["summary"]["sensitivesDetected"] == 0
+        assert run(["cha-reach", *argv, "--cfa", cfa]) == 0
+        assert json.loads(out.read_text()) == {
+            "unreachable": [{
+                "site": "app.L#m()/2",
+                "kind": "method",
+                "permissions": ["android.permission.ACCESS_FINE_LOCATION"],
+            }],
+            "cha_reachable_undetected": [],
+            "detected": [],
+        }
+
+
+def test_outputs_never_hold_a_record(monkeypatch, capsys, tmp_path):
+    """The JSON writer renders any tuple as a list, so a record (a
+    NamedTuple) reaching a report or output would be written silently as
+    the list of its fields. No command of the table hands it one."""
+    from permplace import analysis
+    from permplace.model import SiteId
+    from test_no_cycles import COMMANDS, resolve, write_inputs
+
+    pieces = analysis._indented_pieces
+    written = []
+
+    def checked(value, depth=0):
+        seen, work = set(), [value]
+        while work:
+            v = work.pop()
+            if id(v) in seen:
+                continue
+            seen.add(id(v))
+            assert not hasattr(type(v), "_fields"), f"a record is written: {v!r}"
+            if isinstance(v, dict):
+                work += v.values()
+            elif isinstance(v, (list, tuple)):
+                work += v
+        written.append(value)
+        return pieces(value, depth)
+
+    monkeypatch.setattr(analysis, "_indented_pieces", checked)
+    with pytest.raises(AssertionError, match="a record is written"):
+        analysis.write_json({"sites": [SiteId("A#f()", 0)]})
+    written.clear()
+    files = write_inputs(tmp_path)
+    for argv in COMMANDS.values():
+        assert run(resolve(files, argv)) == 0, argv
+    capsys.readouterr()
+    assert len(written) > len(COMMANDS)
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -748,7 +821,7 @@ def test_crashing_share_fails_the_run_and_leaves_no_child(
         if program.name == bad:
             raise RuntimeError(f"boom in {bad}")
         usage = collect_usage(program, spec, hierarchy, groups)
-        return replace(usage, sites={**usage.sites, "padding": "x" * 200_000})
+        return usage._replace(sites={**usage.sites, "padding": "x" * 200_000})
 
     monkeypatch.setattr(cli.collector, "collect_usage", crash_on_bad)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 2)

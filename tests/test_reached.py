@@ -7,6 +7,7 @@ interpreter under ``sys.setprofile``, so functions entered at import and
 builders cached once per process count, and so do functions entered only
 in the children a corpus command forks. Likewise no package error is
 raised only to be caught: each is raised, and only the CLI catches one.
+And no module imports ``dataclasses``, so start-up generates no code.
 
 Run as a script, this file is that interpreter: ``python -B
 tests/test_reached.py OUT`` writes to ``OUT`` the lines of the ``def``s it
@@ -150,6 +151,47 @@ def test_package_errors_are_raised_and_caught_only_by_the_cli():
     assert not caught, "caught outside cli.py: " + "; ".join(
         f"{err} in {', '.join(sorted(where))}" for err, where in sorted(caught.items())
     )
+
+
+def dataclasses_imports(tree) -> list:
+    """Lines of the statements in ``tree`` that import the stdlib
+    ``dataclasses`` module or a name from it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_imports_dataclasses():
+    """Start-up generates no code: a dataclass compiles its methods through
+    ``exec`` when its module is imported, once per record class and run.
+    Records are NamedTuples and holders plain classes instead."""
+    found = [
+        f"{path.stem} (line {line})"
+        for path in sorted((ROOT / "src" / "permplace").glob("*.py"))
+        for line in dataclasses_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, "imports dataclasses: " + ", ".join(found)
+
+
+def test_detects_dataclasses_imports():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "import json, dataclasses as dc\n"
+        "from typing import NamedTuple\n"
+        "from .dataclasses import local\n"
+        "def f():\n"
+        "    import dataclasses\n"
+    )
+    assert dataclasses_imports(ast.parse(source)) == [1, 2, 3, 7]
 
 
 def test_finds_nested_methods_and_decorated_defs():
