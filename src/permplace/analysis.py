@@ -334,14 +334,18 @@ def detected_sensitives(report: AnalysisReport):
 
 def cha_reachable_methods(program: LinkedProgram, hierarchy: ClassHierarchy):
     """Closure from the dummy main using class hierarchy data alone: every
-    virtual site expands to all bodied CHA targets."""
-    calls = defaultdict(set)  # method sig -> CHA targets of its call sites
-    for _decl, m, sig in program.iter_methods():
-        for stmt in m.body or ():
-            if isinstance(stmt, Invoke):
-                calls[sig] |= hierarchy.cha_targets(stmt)
+    call site expands to all its bodied CHA targets."""
+
+    def callees(m):
+        return [
+            target
+            for stmt in program.body_of(m) or ()
+            if isinstance(stmt, Invoke)
+            for target in hierarchy.cha_targets(stmt)
+        ]
+
     main = program.entry_main_sig
-    return closure([main] if main else (), calls)
+    return closure([main] if main else (), callees)
 
 
 def cha_reach_partition(

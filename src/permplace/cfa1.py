@@ -114,24 +114,20 @@ def filter_edges(
 ):
     """Context-filter the edges at a call site; returns (edges, ambiguous).
 
-    Augmented edges pass unchanged (unique by construction), as do
-    static/special edges. Entry edges sit only at dummy-main sites, which
-    no traversal state filters. For points-to edges at virtual/interface
-    sites, only edges compatible with the refined receiver set survive; an
-    empty refined set keeps all edges (never drop reachability on
-    refinement gaps). ``ambiguous`` is true when more than one points-to
-    edge survives.
+    A site with fewer than two edges has no choice and passes unchanged:
+    static and special sites link one target, and augmentation adds one
+    edge, only at a site that had none. At any other site only the edges
+    whose targets the refined receiver set dispatches to survive; an empty
+    refined set, or a filter that would drop every edge, keeps them all
+    (never drop reachability on refinement gaps). ``ambiguous`` is true
+    when more than one edge survives.
     """
     edges = cg.edges_at(site)
+    if len(edges) < 2:
+        return edges, False
     stmt = program.stmt_at(site)
-    if stmt.kind in ("static", "special"):
-        return edges, False
-    passthrough = [e for e in edges if e[1] == "augmented"]
-    pointsto = edges.difference(passthrough) if passthrough else edges
-    if not pointsto:
-        return edges, False
     refined = refine_bits(sol, program, site.method, stmt.receiver, entry_site)
-    surviving = pointsto
+    surviving = edges
     if refined:
         # the targets of the refined runtime types; unlike the solver, no
         # subtype check
@@ -139,7 +135,5 @@ def filter_edges(
             hierarchy.dispatch(t, stmt.method)
             for t, _ in by_runtime_type(refined, sol.type_allocs, sol.types)
         }
-        # an empty result keeps every edge: a safety fallback
-        surviving = frozenset(e for e in pointsto if e[0] in allowed) or pointsto
-    ambiguous = len(surviving) > 1
-    return surviving.union(passthrough) if passthrough else surviving, ambiguous
+        surviving = frozenset(e for e in edges if e[0] in allowed) or edges
+    return surviving, len(surviving) > 1

@@ -98,10 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, spec=True, groups=True)
     p.add_argument("--cfa", type=int, choices=(0, 1), default=1)
     p.add_argument("--no-augment", action="store_true", help="disable safe-edge augmentation")
-    p.add_argument("--augment-passes", type=_non_negative_int, default=None,
-                   help="cap augmentation sweeps (default: fixpoint)")
-    p.add_argument("--max-depth", type=_non_negative_int, default=50)
-    p.add_argument("--max-paths", type=_non_negative_int, default=100)
+    p.add_argument("--max-depth", type=_non_negative_int, default=Limits().maxDepth)
+    p.add_argument("--max-paths", type=_non_negative_int, default=Limits().maxPathsPerSensitive)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--dump-callgraph", help="write call graph edges as JSON")
     p.add_argument("--dangerous-only", action="store_true",
@@ -118,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, spec=True)
     p.add_argument("--cfa", type=int, choices=(0, 1), default=1)
     p.add_argument("--no-augment", action="store_true")
-    p.add_argument("--augment-passes", type=_non_negative_int, default=None)
 
     p = sub.add_parser("compare-specs", help="coverage comparison of two specs over a corpus")
     p.add_argument("corpus")
@@ -238,7 +235,6 @@ def _prepare(args) -> pipeline.Prepared:
         config=_load_config(args),
         spec=_load_specs(args),
         augment=not args.no_augment,
-        augment_passes=args.augment_passes,
     )
 
 

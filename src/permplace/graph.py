@@ -1,17 +1,17 @@
-"""The package's two graph walks, on explicit stacks. A graph is a mapping
-from a node to its successor nodes; a node missing from it has none."""
+"""The package's two graph walks, on explicit stacks."""
 
 from __future__ import annotations
 
 
-def closure(roots, succ, stop=()) -> set:
-    """The nodes reachable from ``roots`` in the graph ``succ``, the roots
-    included, never entering a node of ``stop``, as a new set."""
-    seen = {r for r in roots if r not in stop}
+def closure(roots, succ) -> set:
+    """The nodes reachable from ``roots``, the roots included, as a new set.
+    ``succ(node)`` gives a node's successors; it is called once per node
+    reached."""
+    seen = set(roots)
     todo = list(seen)
     while todo:
-        for w in succ.get(todo.pop(), ()):
-            if w not in seen and w not in stop:
+        for w in succ(todo.pop()):
+            if w not in seen:
                 seen.add(w)
                 todo.append(w)
     return seen
@@ -19,8 +19,9 @@ def closure(roots, succ, stop=()) -> set:
 
 def components(roots, succ) -> list:
     """Strongly connected components, as lists, of the graph ``succ`` (node
-    -> successor nodes) reachable from ``roots``, by Tarjan's algorithm on
-    an explicit stack. A component comes after every component it reaches."""
+    -> successor nodes; a node missing from it has none) reachable from
+    ``roots``, by Tarjan's algorithm on an explicit stack. A component comes
+    after every component it reaches."""
     # the roots are the successors of a virtual node None, below every index
     index, low, stack, found = {}, {None: -1}, [], []
     work = [(None, iter(roots))]

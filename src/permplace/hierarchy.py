@@ -23,12 +23,12 @@ class ClassHierarchy:
     def supertypes(self, name: str) -> set:
         """``name`` and every type it extends or implements, transitively;
         empty for an unknown name."""
-        return closure([name] if name in self.parents else (), self.parents)
+        return closure([name] if name in self.parents else (), self.parents.__getitem__)
 
     def subtypes(self, name: str) -> set:
         """``name`` and every type that extends or implements it,
         transitively; empty for an unknown name."""
-        return closure([name] if name in self.children else (), self.children)
+        return closure([name] if name in self.children else (), self.children.__getitem__)
 
     def is_subtype(self, sub: str, sup: str) -> bool:
         key = (sub, sup)
@@ -67,10 +67,11 @@ class ClassHierarchy:
         """CHA target signature set for a call site.
 
         static/special sites yield the single direct target. virtual and
-        interface sites yield the dispatch result of every concrete subtype
-        of the declared receiver type. Only bodied declarations are
-        returned: stub-only targets are useless for reachability and for
-        augmentation candidacy. An unknown receiver type has none.
+        interface sites yield the ``dispatch`` result of every subtype of
+        the declared receiver type, which is none for an interface. Only
+        bodied declarations are returned: stub-only targets are useless for
+        reachability and for augmentation candidacy. An unknown receiver
+        type has none.
         """
         if invoke.kind in ("static", "special"):
             direct = self.resolve_declaration(invoke)
@@ -79,9 +80,6 @@ class ClassHierarchy:
             return {direct}
         targets = set()
         for sub in self.subtypes(parse_method_sig(invoke.method)[0]):
-            decl = self.program.get_class(sub)
-            if decl is None or decl.kind != "class":
-                continue
             target = self.dispatch(sub, invoke.method)
             if target is not None and self.program.body_of(target) is not None:
                 targets.add(target)

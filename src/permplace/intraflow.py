@@ -8,6 +8,8 @@ callback-registration evidence. Both walk the method's definition index
 
 from __future__ import annotations
 
+import re
+
 from .model import (
     Assign,
     ConstStr,
@@ -19,10 +21,15 @@ from .model import (
 )
 
 
+# a parameter local as ``param_local`` names it: ASCII digits, no leading
+# zero; nine digits at most, far below int()'s limit and any parameter count
+_PARAM_LOCAL = re.compile(r"p(0|[1-9][0-9]{0,8})")
+
+
 def _param_index(var: str):
-    if var.startswith("p") and var[1:].isdigit():
-        return int(var[1:])
-    return None
+    """The index ``i`` of the local ``param_local(i)``, else None."""
+    m = _PARAM_LOCAL.fullmatch(var)
+    return int(m[1]) if m else None
 
 
 def _reaching_defs(index: dict, var: str):

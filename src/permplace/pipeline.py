@@ -28,7 +28,6 @@ def prepare(
     config: Optional[LinkConfig] = None,
     spec: Optional[PermissionSpec] = None,
     augment: bool = True,
-    augment_passes: Optional[int] = None,
 ) -> Prepared:
     linked = link_program(app, overlays, config)
     hierarchy = build_hierarchy(linked)
@@ -36,11 +35,7 @@ def prepare(
     # reused: no hierarchy query names synthetic.Main (no parents, children, calls or allocations)
     program = entrypoints.generate_dummy_main(linked, callbacks)
     sol, cg_raw = pointsto.solve_0cfa(program, hierarchy)
-    cg = (
-        pointsto.augment_call_graph(cg_raw, program, hierarchy, passes=augment_passes)
-        if augment
-        else cg_raw
-    )
+    cg = pointsto.augment_call_graph(cg_raw, program, hierarchy) if augment else cg_raw
     sensitives = (
         analysis.find_sensitive_sites(program, hierarchy, spec) if spec is not None else []
     )
@@ -61,19 +56,11 @@ def prepare_paths(
     config: Optional[LinkConfig] = None,
     spec: Optional[PermissionSpec] = None,
     augment: bool = True,
-    augment_passes: Optional[int] = None,
 ) -> Prepared:
     interned = {}  # one statement table for the app and its overlays
     app = load_app(app_path, interned)
     overlays = [load_app(p, interned) for p in overlay_paths]
-    return prepare(
-        app,
-        overlays,
-        config=config,
-        spec=spec,
-        augment=augment,
-        augment_passes=augment_passes,
-    )
+    return prepare(app, overlays, config=config, spec=spec, augment=augment)
 
 
 def analyze(

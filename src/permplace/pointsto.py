@@ -306,45 +306,30 @@ def solve_0cfa(program: LinkedProgram, hierarchy: ClassHierarchy):
 
 
 def augment_call_graph(
-    cg: CallGraph,
-    program: LinkedProgram,
-    hierarchy: ClassHierarchy,
-    passes: int | None = None,
+    cg: CallGraph, program: LinkedProgram, hierarchy: ClassHierarchy
 ) -> CallGraph:
-    """Add a safe edge at every reachable, points-to-edgeless call site whose
-    CHA target set is a single bodied method; iterate over newly reachable
-    code until fixpoint (``passes`` caps the iterations; 1 reproduces a
-    single post-processing sweep). Points-to sets are never recomputed."""
+    """Add a safe edge at every reachable call site that has no edge and
+    whose CHA target set is a single bodied method. One reachability walk
+    from the synthetic entry does it: scanning a method augments its
+    edgeless sites, and its successors are then the targets of all its
+    sites. Points-to sets are never recomputed."""
     edges = dict(cg.edges)
-    callees = defaultdict(set)  # method sig -> targets of its call edges
-    # method sig -> stmt indices of its sites with an edge; no pass adds to
-    # it, since each method is scanned once, by the pass that reaches it
-    edged = defaultdict(set)
-    for site, targets in edges.items():
-        if targets:
-            edged[site.method].add(site.stmt)
-        out = callees[site.method]
-        for target, _prov in targets:
-            out.add(target)
-    reachable = closure([program.entry_main_sig] if program.entry_main_sig else (), callees)
-    # a site's CHA targets never change and edges only grow, so each pass
-    # scans only the methods the previous one made reachable: the closure of
-    # its new targets, stopped at the methods already scanned
-    fresh, done = reachable, 0
-    while fresh and (passes is None or done < passes):
-        new = set()
-        for m in sorted(fresh):
-            have = edged.get(m, ())
-            for i, stmt in enumerate(program.body_of(m) or ()):
-                if i in have or not isinstance(stmt, Invoke):
+
+    def callees(m):
+        out = []
+        for i, stmt in enumerate(program.body_of(m) or ()):
+            if not isinstance(stmt, Invoke):
+                continue
+            site = SiteId(m, i)
+            targets = edges.get(site)
+            if not targets:
+                cha = hierarchy.cha_targets(stmt)
+                if len(cha) != 1:
                     continue
-                targets = hierarchy.cha_targets(stmt)
-                if len(targets) == 1:
-                    (target,) = targets
-                    edges[SiteId(m, i)] = frozenset({(target, "augmented")})
-                    callees[m].add(target)
-                    new.add(target)
-        done += 1
-        fresh = closure(new, callees, stop=reachable)
-        reachable |= fresh
+                targets = edges[site] = frozenset({(*cha, "augmented")})
+            out += [target for target, _prov in targets]
+        return out
+
+    main = program.entry_main_sig
+    reachable = closure([main] if main else (), callees)
     return CallGraph(edges=edges, reachable=frozenset(reachable))

@@ -254,17 +254,17 @@ def _reachable_methods(edges: dict, roots) -> frozenset:
     return frozenset(seen)
 
 
-def augment_oracle(cg, program, hierarchy, passes=None):
-    """Safe-edge augmentation pass by pass, recomputing reachability from
-    the root after each pass; returns (edges, reachable). This is the
-    earlier production algorithm, kept as the reference for the layered
-    worklist of ``augment_call_graph``."""
+def augment_oracle(cg, program, hierarchy):
+    """Safe-edge augmentation pass by pass until a pass adds no edge,
+    recomputing reachability from the root after each pass; returns
+    (edges, reachable). This is an earlier production algorithm, kept as
+    the reference for the single reachability walk of
+    ``augment_call_graph``."""
     edges = dict(cg.edges)
     roots = [program.entry_main_sig] if program.entry_main_sig else []
     reachable = _reachable_methods(edges, roots)
     fresh = reachable
-    done = 0
-    while passes is None or done < passes:
+    while True:
         changed = False
         for m in sorted(fresh):
             body = program.body_of(m)
@@ -280,7 +280,6 @@ def augment_oracle(cg, program, hierarchy, passes=None):
                 if len(targets) == 1:
                     edges[site] = frozenset({(next(iter(targets)), "augmented")})
                     changed = True
-        done += 1
         if not changed:
             break
         fresh = _reachable_methods(edges, roots) - reachable

@@ -1,4 +1,4 @@
-from permplace import pipeline
+from permplace import cfa1, pipeline
 from permplace.cfa1 import filter_edges, refine_bits
 from permplace.entrypoints import detect_callbacks
 from permplace.model import SiteId, app_from_dict
@@ -136,6 +136,31 @@ def test_filter_edges_never_empties_a_live_site(threads, viewstub, parametric):
                 )
                 assert surviving
                 assert surviving <= prepared.cg.edges_at(site)
+
+
+def test_single_edge_virtual_site_is_not_refined(threads, viewstub, parametric, monkeypatch):
+    """A virtual site with one edge has no choice to make: filter_edges
+    passes it unchanged, under every context, without refining its
+    receiver."""
+    refined = []
+    monkeypatch.setattr(cfa1, "refine_bits", lambda *args: refined.append(args) or 0)
+    checked = 0
+    for prepared in (threads, viewstub, parametric):
+        entering = {}  # method -> the sites whose edges enter it
+        for site, edges in prepared.cg.edges.items():
+            for target, _prov in edges:
+                entering.setdefault(target, []).append(site)
+        for site, edges in prepared.cg.edges.items():
+            if len(edges) != 1 or prepared.program.stmt_at(site).kind in ("static", "special"):
+                continue
+            for ctx in entering.get(site.method, ()):
+                got = filter_edges(
+                    prepared.cg, prepared.sol, prepared.program, prepared.hierarchy, site, ctx
+                )
+                assert got == (edges, False), site
+                checked += 1
+    assert checked
+    assert refined == []
 
 
 def test_refine_field_load_cycle_reads_insensitive_set_in_progress(framework, spec):

@@ -120,8 +120,6 @@ def test_bad_cfa_value_is_usage_error(paths, capsys):
     [
         ("analyze", "--max-depth"),
         ("analyze", "--max-paths"),
-        ("analyze", "--augment-passes"),
-        ("cha-reach", "--augment-passes"),
     ],
 )
 def test_negative_cap_is_usage_error(paths, capsys, command, flag):
@@ -129,6 +127,14 @@ def test_negative_cap_is_usage_error(paths, capsys, command, flag):
     assert run([*argv, flag, "-1"]) == 2
     assert f"argument {flag}: must be a non-negative integer" in capsys.readouterr().err
     assert run([*argv, flag, "0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "cha-reach"])
+def test_augment_passes_is_no_flag(paths, capsys, command):
+    """Augmentation always runs to its fixpoint: no flag caps its passes."""
+    argv = [command, *analyze_args(paths)[1:]]
+    assert run([*argv, "--augment-passes", "1"]) == 2
+    assert "unrecognized arguments: --augment-passes" in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -848,3 +854,45 @@ def test_one_share_forks_nothing(paths, tmp_path, capsys, monkeypatch, machine):
         monkeypatch.setattr(os, "fork", no_fork)
     assert cli._cpu_count() == 1
     assert corpus_run(paths, tmp_path, capsys, "collect", paths["corpus"]) == want
+
+
+def registering_app(local):
+    """An app whose ``reg(String, LocationListener)`` passes ``local``, which
+    it never defines, to ``requestLocationUpdates``; the listener host
+    makes a sensitive call."""
+    return {"name": "reg", "manifest": {}, "classes": [
+        {"name": "app.Listener", "interfaces": ["android.location.LocationListener"],
+         "methods": [{"name": "onLocationChanged", "params": ["android.location.Location"],
+                      "body": [
+             {"op": "new", "target": "m", "type": "android.location.LocationManager"},
+             {"op": "const_str", "target": "s", "value": "gps"},
+             {"op": "invoke", "kind": "virtual", "receiver": "m", "args": ["s"], "target": "r",
+              "method": "android.location.LocationManager#getLastKnownLocation(java.lang.String)"}]}]},
+        {"name": "app.Reg", "methods": [
+            {"name": "reg", "params": ["java.lang.String", "android.location.LocationListener"],
+             "body": [
+                 {"op": "new", "target": "lm", "type": "android.location.LocationManager"},
+                 {"op": "invoke", "kind": "virtual", "receiver": "lm", "args": [local],
+                  "method": "android.location.LocationManager#requestLocationUpdates("
+                            "android.location.LocationListener)"}]}]},
+    ]}
+
+
+@pytest.mark.parametrize(
+    "local, callbacks",
+    [
+        ("p1", ["app.Listener#onLocationChanged(android.location.Location)"]),
+        ("p01", []),
+        ("p\u00b2", []),
+    ],
+)
+def test_only_param_local_names_register(paths, tmp_path, capsys, local, callbacks):
+    """``p1`` is reg's listener parameter and registers the host. ``p01``
+    and ``p²`` are undefined locals, not parameters: they register nothing,
+    and neither ends the run in a traceback."""
+    app, out = tmp_path / "reg.app.json", tmp_path / "out.json"
+    app.write_text(json.dumps(registering_app(local)))
+    argv = [str(app), "--spec", paths["spec"], "--framework", paths["framework"], "-o", str(out)]
+    assert run(["analyze", *argv]) == 0
+    assert [cb["method"] for cb in json.loads(out.read_text())["callbacks"]] == callbacks
+    assert capsys.readouterr().err == ""

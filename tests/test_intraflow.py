@@ -4,8 +4,8 @@ reads."""
 
 import pytest
 
-from permplace.intraflow import intraproc_values, possible_types
-from permplace.model import app_from_dict, link_program
+from permplace.intraflow import _param_index, intraproc_values, possible_types
+from permplace.model import app_from_dict, link_program, param_local
 
 SIG = "app.C#m(app.P)"
 APP = {"name": "defs", "manifest": {}, "classes": [
@@ -52,6 +52,32 @@ def test_definition_kinds(program, var):
     types, values = CASES[var]
     assert possible_types(program, SIG, var) == types
     assert intraproc_values(program, SIG, var) == values
+
+
+@pytest.mark.parametrize(
+    "var, index",
+    [
+        ("p0", 0),
+        ("p3", 3),
+        ("p10", 10),
+        ("p123456789", 123456789),
+        ("p01", None),  # a leading zero
+        ("p00", None),
+        ("p\u00b2", None),  # a superscript two: a digit, but not a decimal one
+        ("p\u0663", None),  # an Arabic-Indic three: decimal, but not ASCII
+        ("p", None),
+        ("p-1", None),
+        ("p 1", None),
+        ("P1", None),
+        ("x1", None),
+        ("p1234567890", None),  # past any parameter count
+        ("p1" + "0" * 5000, None),  # past int()'s digit limit
+    ],
+)
+def test_param_index_reads_only_param_local_names(var, index):
+    assert _param_index(var) == index
+    if index is not None:
+        assert param_local(index) == var
 
 
 def test_stub_method_has_no_types(program):

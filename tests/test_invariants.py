@@ -18,7 +18,6 @@ from permplace.analysis import (
 from permplace.cfa1 import filter_edges, refine_bits
 from permplace.collector import coverage_from_counts
 from permplace.model import Invoke, SiteId, parse_method_sig
-from permplace.pointsto import augment_call_graph
 from randprog import gen_app
 
 SEEDS = range(20)
@@ -128,17 +127,30 @@ def test_augmentation_monotone(subjects):
                 assert extra[1] == "augmented"
 
 
-def test_augmentation_passes_monotone(subjects):
-    for prepared in subjects:
-        prev = prepared.cg_raw
-        for passes in (1, 2, 3):
-            nxt = augment_call_graph(
-                prepared.cg_raw, prepared.program, prepared.hierarchy, passes=passes
-            )
-            for site, targets in prev.edges.items():
-                assert targets <= nxt.edges_at(site)
-            assert prev.reachable <= nxt.reachable
-            prev = nxt
+def test_sites_without_a_choice_hold_one_edge(threads, viewstub, parametric, framework, spec):
+    """What lets filter_edges pass a site with fewer than two edges
+    unchanged: an augmented edge is alone at its site, and a static or
+    special site links at most one target."""
+    apps = [
+        *map(gen_app, range(60)),
+        *(gen_app(seed, diamond=True) for seed in range(20)),
+        *(gen_app(seed, split=True) for seed in range(20)),
+    ]
+    augmented = direct = 0
+    for prepared in [
+        threads,
+        viewstub,
+        parametric,
+        *(pipeline.prepare(app, [framework], spec=spec) for app in apps),
+    ]:
+        for site, edges in prepared.cg.edges.items():
+            if any(prov == "augmented" for _target, prov in edges):
+                assert len(edges) == 1, site
+                augmented += 1
+            if prepared.program.stmt_at(site).kind in ("static", "special"):
+                assert len(edges) <= 1, site
+                direct += 1
+    assert augmented and direct
 
 
 def test_detected_within_cha_within_all(subjects):

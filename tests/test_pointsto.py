@@ -76,7 +76,7 @@ def test_reachable_methods_closure(threads):
     callees = {}
     for site, targets in threads.cg_raw.edges.items():
         callees.setdefault(site.method, set()).update(t for t, _prov in targets)
-    r = closure([main], callees)
+    r = closure([main], lambda m: callees.get(m, ()))
     assert r == threads.cg_raw.reachable
     assert main in r
     assert CB1 in r and CB2 in r
@@ -112,13 +112,6 @@ def test_augmentation_idempotent(viewstub):
     assert again.reachable == viewstub.cg.reachable
 
 
-def test_single_pass_equals_fixpoint_on_fixtures(threads, viewstub, parametric):
-    """These fixtures need only one sweep, so passes=1 already converges."""
-    for prepared in (threads, viewstub, parametric):
-        one = augment_call_graph(prepared.cg_raw, prepared.program, prepared.hierarchy, passes=1)
-        assert one.edges == prepared.cg.edges
-
-
 def test_augmentation_skips_ambiguous_sites(threads):
     """No augmented edge ever lands at a site with multiple CHA targets."""
     for site, targets in threads.cg.edges.items():
@@ -145,16 +138,23 @@ def test_solver_requires_entry(threads, framework):
 graphs = st.dictionaries(st.integers(0, 9), st.lists(st.integers(0, 9), max_size=4), max_size=10)
 
 
-@given(graphs, st.lists(st.integers(0, 9), max_size=4), st.sets(st.integers(0, 9), max_size=4))
-def test_closure_matches_fixpoint(succ, roots, stop):
+@given(graphs, st.lists(st.integers(0, 9), max_size=4))
+def test_closure_matches_fixpoint(succ, roots):
     # naive whole-graph fixpoint: add every successor of a reached node
-    # until nothing changes, never adding a node of ``stop``
-    reached = set(roots) - stop
+    # until nothing changes
+    reached = set(roots)
     changed = True
     while changed:
-        grown = reached | {w for v in reached for w in succ.get(v, ()) if w not in stop}
+        grown = reached | {w for v in reached for w in succ.get(v, ())}
         changed, reached = grown != reached, grown
-    assert closure(roots, succ, stop) == reached
+    asked = []
+
+    def successors(v):
+        asked.append(v)
+        return succ.get(v, ())
+
+    assert closure(roots, successors) == reached
+    assert sorted(asked) == sorted(reached)  # once per node reached
 
 
 @given(graphs, st.lists(st.integers(0, 9), max_size=4))

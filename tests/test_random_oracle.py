@@ -323,29 +323,27 @@ def test_generator_respects_bounds():
         assert n_stmts <= 40 + len(app.classes)  # returns sit outside the budget
 
 
-@pytest.mark.parametrize("passes", [0, 1, 2, 3, None])
 def test_augmentation_matches_per_pass_oracle(
-    prepared_programs, diamond_programs, threads, viewstub, parametric, passes
+    prepared_programs, diamond_programs, threads, viewstub, parametric
 ):
     for prepared in [*prepared_programs, *diamond_programs, threads, viewstub, parametric]:
         main = prepared.program.entry_main_sig
         # without the dummy main's edges the solver's edges hang off methods
-        # that only augmentation makes reachable, so each pass must follow
+        # that only augmentation makes reachable, so the walk must follow
         # them past the targets it added
         cut = CallGraph(
             edges={s: t for s, t in prepared.cg_raw.edges.items() if s.method != main},
             reachable=frozenset(),
         )
         for raw in (prepared.cg_raw, cut):
-            args = (raw, prepared.program, prepared.hierarchy, passes)
+            args = (raw, prepared.program, prepared.hierarchy)
             cg = augment_call_graph(*args)
             edges, reachable = augment_oracle(*args)
             assert cg.edges == edges, prepared.program.name
             assert cg.reachable == reachable, prepared.program.name
 
 
-@pytest.mark.parametrize("passes", [1, 2, None])
-def test_augmentation_queries_each_site_once(prepared_programs, viewstub, passes, monkeypatch):
+def test_augmentation_queries_each_site_once(prepared_programs, viewstub, monkeypatch):
     # equal statements are one interned object, which can sit at several
     # sites: an object is queried at most once per scanned site holding it
     queries = Counter()
@@ -365,10 +363,9 @@ def test_augmentation_queries_each_site_once(prepared_programs, viewstub, passes
     for prepared in [viewstub, *prepared_programs]:
         queries.clear()
         scanned.clear()
-        cg = augment_call_graph(prepared.cg_raw, prepared.program, prepared.hierarchy, passes)
+        cg = augment_call_graph(prepared.cg_raw, prepared.program, prepared.hierarchy)
         holders = Counter(
             id(stmt) for sig in scanned for stmt in real_body(prepared.program, sig) or ()
         )
         assert all(n <= holders[i] for i, n in queries.items()), prepared.program.name
-        if passes is None:
-            assert cg == prepared.cg
+        assert cg == prepared.cg
