@@ -15,7 +15,6 @@ from .hierarchy import ClassHierarchy
 from .intraflow import intraproc_values
 from .model import Invoke, LinkedProgram, SiteId, parse_method_sig
 from .permspec import PermissionSpec
-from .pointsto import CallGraph, PointsToSolution
 
 
 class SensitiveSite(NamedTuple):
@@ -30,14 +29,12 @@ class Limits(NamedTuple):
     maxPathsPerSensitive: int = 100
 
 
-class AnalysisReport:
-    def __init__(self, app: str, mode: str, augment: bool, callbacks=None, summary=None):
-        self.app = app
-        self.mode = mode  # cfa0 | cfa1
-        self.augment = augment
-        # [{class, method, entrySite, truncated, insertionPoints: [...]}]
-        self.callbacks = [] if callbacks is None else callbacks
-        self.summary = {} if summary is None else summary
+class AnalysisReport(NamedTuple):
+    app: str
+    mode: str  # cfa0 | cfa1
+    augment: bool  # whether the walked call graph went through augmentation
+    callbacks: list  # [{class, method, entrySite, truncated, insertionPoints: [...]}]
+    summary: dict  # {callbacksFlagged, sensitivesDetected, paths, permissions}
 
 
 class ReportPaths(list):
@@ -110,17 +107,10 @@ def find_sensitive_sites(
 # traversal
 
 
-def traverse(
-    program: LinkedProgram,
-    cg: CallGraph,
-    sol: PointsToSolution,
-    hierarchy: ClassHierarchy,
-    sensitives,
-    mode: str = "cfa1",
-    limits: Limits = Limits(),
-    augment: bool = True,
-) -> AnalysisReport:
-    """Depth-first reachability from every dummy-main callback invocation.
+def traverse(prepared, mode: str = "cfa1", limits: Limits = Limits()) -> AnalysisReport:
+    """Depth-first reachability from every dummy-main callback invocation
+    of ``prepared`` (what :func:`pipeline.prepare` returns), over its call
+    graph ``cg``.
 
     A method already on the current path stack is not re-entered; caps are
     reported in-band as ``truncated`` flags, never as errors. The callees
@@ -134,6 +124,8 @@ def traverse(
     it: callers must not mutate the nodes of a report, whose writer renders
     each node once."""
     assert mode in ("cfa0", "cfa1")
+    program, cg, sol, hierarchy = prepared.program, prepared.cg, prepared.sol, prepared.hierarchy
+    sensitives = prepared.sensitives
     max_depth, max_paths = limits.maxDepth, limits.maxPathsPerSensitive
     bit_of = {s: 1 << i for i, s in enumerate(sensitives)}
     ranked = sorted(bit_of)  # distinct sensitives, in report order
@@ -165,7 +157,7 @@ def traverse(
         for m in comp:
             reach[m], height[m] = bits, min(longest + 1, max_depth)
 
-    report = AnalysisReport(app=program.name, mode=mode, augment=augment)
+    callbacks = []
     total_paths = 0
     flagged = set()
     # (method, entering site's method, stmt) -> the state's report node,
@@ -299,7 +291,7 @@ def traverse(
             insertion_points.append(
                 {"stmt": idx, "permissions": sorted(perms), "sensitives": sens_out}
             )
-        report.callbacks.append(
+        callbacks.append(
             {
                 "class": cls,
                 "method": cb_sig,
@@ -309,13 +301,13 @@ def traverse(
             }
         )
 
-    report.summary = {
-        "callbacksFlagged": len(report.callbacks),
+    summary = {
+        "callbacksFlagged": len(callbacks),
         "sensitivesDetected": len(flagged),
         "paths": total_paths,
         "permissions": sorted({p for s in flagged for p in s.permissions}),
     }
-    return report
+    return AnalysisReport(program.name, mode, prepared.augmented, callbacks, summary)
 
 
 def detected_sensitives(report: AnalysisReport):
@@ -348,18 +340,13 @@ def cha_reachable_methods(program: LinkedProgram, hierarchy: ClassHierarchy):
     return closure([main] if main else (), callees)
 
 
-def cha_reach_partition(
-    program: LinkedProgram,
-    hierarchy: ClassHierarchy,
-    sensitives,
-    detected,
-):
-    """Partition all sensitives into unreachable / cha_reachable_undetected /
-    detected. ``detected`` is the site-id string set from a traverse run on
-    the same program."""
-    reachable = cha_reachable_methods(program, hierarchy)
+def cha_reach_partition(prepared, detected):
+    """Partition the sensitives of ``prepared`` into unreachable /
+    cha_reachable_undetected / detected. ``detected`` is the site-id string
+    set from a traverse run on the same program."""
+    reachable = cha_reachable_methods(prepared.program, prepared.hierarchy)
     partition = {"unreachable": [], "cha_reachable_undetected": [], "detected": []}
-    for s in sorted(sensitives):
+    for s in sorted(prepared.sensitives):
         sid = str(s.site)
         if sid in detected:
             if s.site.method not in reachable:
@@ -374,16 +361,6 @@ def cha_reach_partition(
 
 # ---------------------------------------------------------------------------
 # report serialization
-
-
-def report_to_dict(report: AnalysisReport) -> dict:
-    return {
-        "app": report.app,
-        "mode": report.mode,
-        "augment": report.augment,
-        "callbacks": report.callbacks,
-        "summary": report.summary,
-    }
 
 
 def _indented_pieces(value, depth: int = 0) -> list:
@@ -488,7 +465,7 @@ def write_report(report: AnalysisReport, fmt: str = "json") -> bytes:
     """Stable serialization: sorted keys, sorted sites, byte-identical
     across reruns."""
     if fmt == "json":
-        return write_json(report_to_dict(report))
+        return write_json(report._asdict())
     if fmt != "text":
         raise ValueError(f"unknown report format: {fmt}")
     lines = [

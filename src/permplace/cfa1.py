@@ -14,7 +14,6 @@ receiver discriminate between otherwise-merged heap objects.
 from __future__ import annotations
 
 from .hierarchy import ClassHierarchy
-from .intraflow import _param_index
 from .model import (
     Assign,
     ConstStr,
@@ -24,6 +23,7 @@ from .model import (
     LoadStatic,
     New,
     SiteId,
+    param_index,
 )
 from .pointsto import CallGraph, PointsToSolution, by_runtime_type, members
 
@@ -52,7 +52,7 @@ def refine_bits(
         # the part of a local's set that its definitions do not give
         if v == "this" and entry.receiver is not None:
             return pts.get((caller, entry.receiver), 0)
-        i = _param_index(v)
+        i = param_index(v)
         if i is not None and i < len(entry.args):
             return pts.get((caller, entry.args[i]), 0)
         if not defined and i is None and v != "this":

@@ -16,7 +16,9 @@ import traceback
 from pathlib import Path
 
 from . import collector, permspec, pipeline
-from .analysis import Limits, cha_reach_partition, detected_sensitives, write_json, write_report
+from .analysis import (
+    Limits, cha_reach_partition, detected_sensitives, traverse, write_json, write_report,
+)
 from .errors import PermplaceError
 from .hierarchy import build_hierarchy
 from .model import LinkConfig, from_dict, link_program, load_app, read_json
@@ -240,7 +242,7 @@ def _prepare(args) -> pipeline.Prepared:
 
 def _cmd_analyze(args) -> int:
     prepared = _prepare(args)
-    report = pipeline.analyze(
+    report = traverse(
         prepared,
         mode=f"cfa{args.cfa}",
         limits=Limits(maxDepth=args.max_depth, maxPathsPerSensitive=args.max_paths),
@@ -273,10 +275,8 @@ def _cmd_collect(args) -> int:
 
 def _cmd_cha_reach(args) -> int:
     prepared = _prepare(args)
-    report = pipeline.analyze(prepared, mode=f"cfa{args.cfa}")
-    partition = cha_reach_partition(
-        prepared.program, prepared.hierarchy, prepared.sensitives, detected_sensitives(report)
-    )
+    report = traverse(prepared, mode=f"cfa{args.cfa}")
+    partition = cha_reach_partition(prepared, detected_sensitives(report))
     out = {
         name: [
             {"site": str(s.site), "kind": s.kind, "permissions": sorted(s.permissions)}

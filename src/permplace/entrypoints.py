@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
+from .errors import LinkError
 from .hierarchy import ClassHierarchy
 from .intraflow import possible_types
 from .model import (
@@ -69,8 +70,8 @@ def detect_callbacks(program: LinkedProgram, hierarchy: ClassHierarchy):
     """
     excluded = _excluded_anchors(program, hierarchy)
     out = []
-    for decl, m, sig in program.iter_methods(origins=("app", "library")):
-        if m.body is None or m.static or decl.kind != "class" or decl.name == program.entry_class:
+    for decl, m, sig in program.iter_app_bodies():
+        if m.static or decl.kind != "class":
             continue
         if any(
             sup.name != decl.name
@@ -100,7 +101,10 @@ def detect_callbacks(program: LinkedProgram, hierarchy: ClassHierarchy):
 def generate_dummy_main(program: LinkedProgram, callbacks) -> LinkedProgram:
     """Build ``synthetic.Main#main()``: one allocation per host class, one
     virtual invoke per callback (each a distinct root call site), with fresh
-    allocations synthesized for every parameter."""
+    allocations synthesized for every parameter. The class name is reserved:
+    an input class of that name is a :class:`LinkError`."""
+    if ENTRY_CLASS in program.classes:
+        raise LinkError(f"{ENTRY_CLASS}: class name reserved for the synthetic entry")
     body = []
     entry_sites = []
     fresh = itertools.count()

@@ -8,8 +8,6 @@ callback-registration evidence. Both walk the method's definition index
 
 from __future__ import annotations
 
-import re
-
 from .model import (
     Assign,
     ConstStr,
@@ -17,19 +15,9 @@ from .model import (
     LinkedProgram,
     LoadStatic,
     New,
+    param_index,
     parse_method_sig,
 )
-
-
-# a parameter local as ``param_local`` names it: ASCII digits, no leading
-# zero; nine digits at most, far below int()'s limit and any parameter count
-_PARAM_LOCAL = re.compile(r"p(0|[1-9][0-9]{0,8})")
-
-
-def _param_index(var: str):
-    """The index ``i`` of the local ``param_local(i)``, else None."""
-    m = _PARAM_LOCAL.fullmatch(var)
-    return int(m[1]) if m else None
 
 
 def _reaching_defs(index: dict, var: str):
@@ -79,7 +67,7 @@ def possible_types(program: LinkedProgram, sig: str, var: str):
     out = set()
     for v, stmt in _reaching_defs(index, var):
         if stmt is None:
-            i = _param_index(v)
+            i = param_index(v)
             if v == "this":
                 out.add((cls, False))
             elif i is not None and i < len(params):

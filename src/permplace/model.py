@@ -68,6 +68,17 @@ def param_local(i: int) -> str:
     return f"p{i}"
 
 
+# a parameter local as ``param_local`` names it: ASCII digits, no leading
+# zero; nine digits at most, far below int()'s limit and any parameter count
+_PARAM_LOCAL = re.compile(r"p(0|[1-9][0-9]{0,8})")
+
+
+def param_index(var: str):
+    """The index ``i`` of the local ``param_local(i)``, else None."""
+    m = _PARAM_LOCAL.fullmatch(var)
+    return int(m[1]) if m else None
+
+
 class SiteId(NamedTuple):
     """Identifies one statement: allocation site (new/const_str) or call site.
     A tuple, so hashing, equality and ordering run in C; a report holds its

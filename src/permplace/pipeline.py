@@ -1,4 +1,5 @@
-"""End-to-end wiring: load, link, entry synthesis, solve, traverse."""
+"""End-to-end wiring: load, link, entry synthesis, solve, augment and
+sensitive scan, ready for :func:`analysis.traverse`."""
 
 from __future__ import annotations
 
@@ -62,19 +63,3 @@ def prepare_paths(
     overlays = [load_app(p, interned) for p in overlay_paths]
     return prepare(app, overlays, config=config, spec=spec, augment=augment)
 
-
-def analyze(
-    prepared: Prepared,
-    mode: str = "cfa1",
-    limits: analysis.Limits = analysis.Limits(),
-) -> analysis.AnalysisReport:
-    return analysis.traverse(
-        prepared.program,
-        prepared.cg,
-        prepared.sol,
-        prepared.hierarchy,
-        prepared.sensitives,
-        mode=mode,
-        limits=limits,
-        augment=prepared.augmented,
-    )

@@ -17,7 +17,7 @@ import pytest
 
 from oracles import andersen_oracle, detected_oracle
 from permplace import collector, pipeline
-from permplace.analysis import cha_reach_partition, detected_sensitives
+from permplace.analysis import cha_reach_partition, detected_sensitives, traverse
 from permplace.collector import coverage_from_counts
 from permplace.hierarchy import build_hierarchy
 from permplace.model import link_program, load_app
@@ -33,8 +33,8 @@ def test_criterion_1_context_sensitivity(fixtures_dir, spec):
     prepared = pipeline.prepare_paths(
         fixtures_dir / "threads.app.json", [fixtures_dir / "framework.json"], spec=spec
     )
-    cfa1 = pipeline.analyze(prepared, mode="cfa1")
-    cfa0 = pipeline.analyze(prepared, mode="cfa0")
+    cfa1 = traverse(prepared, mode="cfa1")
+    cfa0 = traverse(prepared, mode="cfa0")
     elapsed = time.perf_counter() - start
 
     assert [cb["method"] for cb in cfa1.callbacks] == ["app.Host#callback1()"]
@@ -60,15 +60,13 @@ def test_criterion_2_augmentation(fixtures_dir, spec):
     sensitive = "app.MyView#callSensitive()/4"
 
     plain = pipeline.prepare_paths(app, overlays, spec=spec, augment=False)
-    report = pipeline.analyze(plain, mode="cfa1")
-    part = cha_reach_partition(
-        plain.program, plain.hierarchy, plain.sensitives, detected_sensitives(report)
-    )
+    report = traverse(plain, mode="cfa1")
+    part = cha_reach_partition(plain, detected_sensitives(report))
     assert [str(s.site) for s in part["cha_reachable_undetected"]] == [sensitive]
     assert part["detected"] == []
 
     augmented = pipeline.prepare_paths(app, overlays, spec=spec)
-    report2 = pipeline.analyze(augmented, mode="cfa1")
+    report2 = traverse(augmented, mode="cfa1")
     assert detected_sensitives(report2) == {sensitive}
     (cb,) = report2.callbacks
     assert cb["method"] == "app.MyActivity#onCreate()"
@@ -103,7 +101,7 @@ def test_criterion_5_oracle_equivalence(framework, spec):
         assert prepared.cg_raw.edges == edges, f"seed {seed}"
         assert prepared.cg_raw.reachable == reachable, f"seed {seed}"
         for mode in ("cfa0", "cfa1"):
-            got = detected_sensitives(pipeline.analyze(prepared, mode=mode))
+            got = detected_sensitives(traverse(prepared, mode=mode))
             want = detected_oracle(
                 prepared.program,
                 prepared.cg,

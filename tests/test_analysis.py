@@ -14,7 +14,6 @@ from permplace.analysis import (
     cha_reachable_methods,
     detected_sensitives,
     find_sensitive_sites,
-    report_to_dict,
     traverse,
     write_json,
     write_report,
@@ -30,19 +29,6 @@ CB2 = "app.Host#callback2()"
 def calls(*targets):
     """A body of static invokes of ``targets``."""
     return [{"op": "invoke", "kind": "static", "method": t} for t in targets]
-
-
-def run(prepared, mode, limits=Limits(), augment=True):
-    return traverse(
-        prepared.program,
-        prepared.cg if augment else prepared.cg_raw,
-        prepared.sol,
-        prepared.hierarchy,
-        prepared.sensitives,
-        mode=mode,
-        limits=limits,
-        augment=augment,
-    )
 
 
 # -- sensitive detection ----------------------------------------------------
@@ -80,7 +66,7 @@ def test_empty_spec_no_sensitives(threads):
 
 
 def test_threads_cfa1_flags_only_callback1(threads):
-    report = run(threads, "cfa1")
+    report = traverse(threads, "cfa1")
     assert [cb["method"] for cb in report.callbacks] == [CB1]
     (cb,) = report.callbacks
     (ip,) = cb["insertionPoints"]
@@ -91,7 +77,7 @@ def test_threads_cfa1_flags_only_callback1(threads):
 
 
 def test_threads_cfa0_flags_both_callbacks(threads):
-    report = run(threads, "cfa0")
+    report = traverse(threads, "cfa0")
     assert sorted(cb["method"] for cb in report.callbacks) == [CB1, CB2]
     for cb in report.callbacks:
         for ip in cb["insertionPoints"]:
@@ -101,28 +87,28 @@ def test_threads_cfa0_flags_both_callbacks(threads):
 
 def test_cfa1_detections_subset_of_cfa0(threads, viewstub, parametric):
     for prepared in (threads, viewstub, parametric):
-        d1 = detected_sensitives(run(prepared, "cfa1"))
-        d0 = detected_sensitives(run(prepared, "cfa0"))
+        d1 = detected_sensitives(traverse(prepared, "cfa1"))
+        d0 = detected_sensitives(traverse(prepared, "cfa0"))
         assert d1 <= d0
 
 
 def test_viewstub_requires_augmentation(viewstub, viewstub_noaug):
-    with_aug = run(viewstub, "cfa1")
+    with_aug = traverse(viewstub, "cfa1")
     assert detected_sensitives(with_aug) == {"app.MyView#callSensitive()/4"}
     (cb,) = with_aug.callbacks
     assert cb["insertionPoints"][0]["stmt"] == 2  # first call toward the sensitive
 
-    without = run(viewstub_noaug, "cfa1", augment=False)
+    without = traverse(viewstub_noaug, "cfa1")
     assert detected_sensitives(without) == set()
 
 
 def test_report_says_whether_prepare_augmented(viewstub, viewstub_noaug):
-    assert pipeline.analyze(viewstub, "cfa1").augment is True
-    assert pipeline.analyze(viewstub_noaug, "cfa1").augment is False
+    assert traverse(viewstub, "cfa1").augment is True
+    assert traverse(viewstub_noaug, "cfa1").augment is False
 
 
 def test_parametric_insertion_at_sensitive_stmt(parametric):
-    report = run(parametric, "cfa1")
+    report = traverse(parametric, "cfa1")
     (cb,) = report.callbacks
     (ip,) = cb["insertionPoints"]
     assert ip["stmt"] == 2  # sensitive sits directly in the callback body
@@ -130,7 +116,7 @@ def test_parametric_insertion_at_sensitive_stmt(parametric):
 
 
 def test_summary_counts_consistent(threads):
-    report = run(threads, "cfa0")
+    report = traverse(threads, "cfa0")
     n_sens = {
         s["site"]
         for cb in report.callbacks
@@ -152,13 +138,13 @@ def test_summary_counts_consistent(threads):
 
 
 def test_depth_cap_truncates_in_band(threads):
-    report = run(threads, "cfa1", limits=Limits(maxDepth=1, maxPathsPerSensitive=100))
+    report = traverse(threads, "cfa1", limits=Limits(maxDepth=1, maxPathsPerSensitive=100))
     # depth 1 never leaves the callback, so nothing is detected but no error
     assert report.callbacks == []
 
 
 def test_path_cap_marks_truncated(threads):
-    report = run(threads, "cfa0", limits=Limits(maxDepth=50, maxPathsPerSensitive=1))
+    report = traverse(threads, "cfa0", limits=Limits(maxDepth=50, maxPathsPerSensitive=1))
     for cb in report.callbacks:
         for ip in cb["insertionPoints"]:
             for s in ip["sensitives"]:
@@ -185,7 +171,7 @@ def test_every_simple_path_reaches_a_shared_callee(framework, spec):
     })
     prepared = pipeline.prepare(app, [framework], spec=spec)
     for mode in ("cfa0", "cfa1"):
-        [cb] = run(prepared, mode).callbacks
+        [cb] = traverse(prepared, mode).callbacks
         paths = [
             (ip["stmt"], [n["method"] for n in p["nodes"]])
             for ip in cb["insertionPoints"]
@@ -199,8 +185,8 @@ def test_every_simple_path_reaches_a_shared_callee(framework, spec):
 
 
 def test_generous_limits_equal_defaults(threads):
-    a = write_report(run(threads, "cfa1", limits=Limits(50, 100)))
-    b = write_report(run(threads, "cfa1", limits=Limits(500, 1000)))
+    a = write_report(traverse(threads, "cfa1", limits=Limits(50, 100)))
+    b = write_report(traverse(threads, "cfa1", limits=Limits(500, 1000)))
     assert a == b
 
 
@@ -210,7 +196,7 @@ def test_generous_limits_equal_defaults(threads):
 def test_detected_matches_enumeration_oracle(threads, viewstub, parametric):
     for prepared in (threads, viewstub, parametric):
         for mode in ("cfa0", "cfa1"):
-            got = detected_sensitives(run(prepared, mode))
+            got = detected_sensitives(traverse(prepared, mode))
             want = detected_oracle(
                 prepared.program,
                 prepared.cg,
@@ -227,22 +213,20 @@ def test_detected_matches_enumeration_oracle(threads, viewstub, parametric):
 def test_cha_reachable_superset_of_detected(threads, viewstub, parametric):
     for prepared in (threads, viewstub, parametric):
         reachable = cha_reachable_methods(prepared.program, prepared.hierarchy)
-        detected = detected_sensitives(run(prepared, "cfa1"))
+        detected = detected_sensitives(traverse(prepared, "cfa1"))
         for sid in detected:
             method = sid.rsplit("/", 1)[0]
             assert method in reachable
 
 
 def test_viewstub_partition_shifts_with_augmentation(viewstub, viewstub_noaug):
-    detected = detected_sensitives(run(viewstub, "cfa1"))
-    part = cha_reach_partition(viewstub.program, viewstub.hierarchy, viewstub.sensitives, detected)
+    detected = detected_sensitives(traverse(viewstub, "cfa1"))
+    part = cha_reach_partition(viewstub, detected)
     assert [str(s.site) for s in part["detected"]] == ["app.MyView#callSensitive()/4"]
     assert part["cha_reachable_undetected"] == [] and part["unreachable"] == []
 
-    undetected = detected_sensitives(run(viewstub_noaug, "cfa1", augment=False))
-    part2 = cha_reach_partition(
-        viewstub_noaug.program, viewstub_noaug.hierarchy, viewstub_noaug.sensitives, undetected
-    )
+    undetected = detected_sensitives(traverse(viewstub_noaug, "cfa1"))
+    part2 = cha_reach_partition(viewstub_noaug, undetected)
     assert [str(s.site) for s in part2["cha_reachable_undetected"]] == [
         "app.MyView#callSensitive()/4"
     ]
@@ -261,22 +245,22 @@ def test_partition_rejects_inconsistent_detected(viewstub):
         permissions=frozenset({"p"}),
     )
     with pytest.raises(InconsistentInput):
-        cha_reach_partition(viewstub.program, viewstub.hierarchy, [ghost], bogus)
+        cha_reach_partition(viewstub._replace(sensitives=[ghost]), bogus)
 
 
 # -- report output ----------------------------------------------------------
 
 
 def test_report_json_deterministic(threads):
-    a = write_report(run(threads, "cfa1"), "json")
-    b = write_report(run(threads, "cfa1"), "json")
+    a = write_report(traverse(threads, "cfa1"), "json")
+    b = write_report(traverse(threads, "cfa1"), "json")
     assert a == b
     payload = json.loads(a)
     assert payload["mode"] == "cfa1" and payload["app"] == "threads"
 
 
 def test_report_text_format(threads):
-    text = write_report(run(threads, "cfa1"), "text").decode("utf-8")
+    text = write_report(traverse(threads, "cfa1"), "text").decode("utf-8")
     assert "callback app.Host#callback1()" in text
     assert "insert request at stmt 3" in text
     assert "android.permission.CAMERA" in text
@@ -284,13 +268,7 @@ def test_report_text_format(threads):
 
 def test_report_unknown_format(threads):
     with pytest.raises(ValueError):
-        write_report(run(threads, "cfa1"), "xml")
-
-
-def test_pipeline_analyze_matches_direct_traverse(threads):
-    via_pipeline = write_report(pipeline.analyze(threads, mode="cfa1"))
-    direct = write_report(run(threads, "cfa1"))
-    assert via_pipeline == direct
+        write_report(traverse(threads, "cfa1"), "xml")
 
 
 # values as json.loads returns them
@@ -333,7 +311,7 @@ def test_report_writer_matches_stdlib_json(value):
 
 
 def stdlib_report(report) -> bytes:
-    return (json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(report._asdict(), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def path_lists(report) -> list:
@@ -344,19 +322,19 @@ def path_lists(report) -> list:
 def with_plain_path_lists(report) -> AnalysisReport:
     """A copy of ``report`` whose path lists are plain lists, which the
     writer renders as any other list instead of with ``_path_pieces``."""
-    return AnalysisReport(report.app, report.mode, report.augment, callbacks=[
+    return report._replace(callbacks=[
         {**cb, "insertionPoints": [
             {**ip, "sensitives": [{**s, "paths": list(s["paths"])} for s in ip["sensitives"]]}
             for ip in cb["insertionPoints"]
         ]}
         for cb in report.callbacks
-    ], summary=report.summary)
+    ])
 
 
 def test_write_report_matches_stdlib_on_fixtures(threads, viewstub, parametric):
     for prepared in (threads, viewstub, parametric):
         for mode in ("cfa0", "cfa1"):
-            report = run(prepared, mode)
+            report = traverse(prepared, mode)
             plain = with_plain_path_lists(report)
             assert path_lists(report) and {type(p) for p in path_lists(report)} == {ReportPaths}
             assert {type(p) for p in path_lists(plain)} == {list}
@@ -371,12 +349,12 @@ def test_write_report_matches_stdlib_on_random_programs(framework, spec, kind):
         app = gen_app(seed, diamond=kind == "diamond", split=kind == "split")
         prepared = pipeline.prepare(app, [framework], spec=spec)
         for mode in ("cfa0", "cfa1"):
-            report = run(prepared, mode)
+            report = traverse(prepared, mode)
             assert write_report(report) == stdlib_report(report), (seed, mode)
 
 
 def test_write_report_with_no_paths_kept(threads):
-    report = run(threads, "cfa0", limits=Limits(maxDepth=50, maxPathsPerSensitive=0))
+    report = traverse(threads, "cfa0", limits=Limits(maxDepth=50, maxPathsPerSensitive=0))
     # the callbacks that reach a sensitive are listed, with no paths to show
     assert report.callbacks and report.summary["paths"] == 0
     assert write_report(report) == stdlib_report(report)
@@ -388,7 +366,7 @@ def test_write_report_renders_empty_path_lists():
     callback = {"class": "a.B", "method": "a.B#f()", "entrySite": "m.M#main()/0",
                 "truncated": False,
                 "insertionPoints": [{"stmt": 0, "permissions": ["p"], "sensitives": [sensitive]}]}
-    report = AnalysisReport(app="a", mode="cfa1", augment=True, callbacks=[callback])
+    report = AnalysisReport(app="a", mode="cfa1", augment=True, callbacks=[callback], summary={})
     assert write_report(report) == stdlib_report(report)
 
 
@@ -414,7 +392,7 @@ def test_write_report_shared_nodes_and_non_ascii_names(framework, spec):
     })
     prepared = pipeline.prepare(app, [framework], spec=spec)
     for mode in ("cfa0", "cfa1"):
-        report = run(prepared, mode)
+        report = traverse(prepared, mode)
         last = {
             (cb["method"], s["site"]): id(p["nodes"][-1])
             for cb in report.callbacks
@@ -433,7 +411,7 @@ def test_reports_hold_no_tuples(threads, viewstub, viewstub_noaug, parametric):
     # as its string
     for prepared in (threads, viewstub, viewstub_noaug, parametric):
         for mode in ("cfa0", "cfa1"):
-            todo = [report_to_dict(run(prepared, mode))]
+            todo = [traverse(prepared, mode)._asdict()]
             while todo:
                 v = todo.pop()
                 assert not isinstance(v, tuple), v

@@ -408,6 +408,34 @@ def test_allocated_interface_dispatches_nowhere(paths, tmp_path):
         }
 
 
+
+def reserved_name_app(name: str) -> dict:
+    """An Activity ``name`` whose onCreate opens the camera."""
+    return {"name": "reserved", "manifest": {}, "classes": [
+        {"name": name, "super": "android.app.Activity", "methods": [{"name": "onCreate", "body": [
+            {"op": "invoke", "kind": "static", "method": "android.hardware.Camera#open()"}]}]},
+    ]}
+
+
+def test_entry_class_name_is_reserved(paths, tmp_path, capsys):
+    """The synthetic entry would replace an input class of its name, and
+    with it that class's callbacks and sensitives: the commands that
+    synthesize the entry refuse the app, collect (which does not) reads it,
+    and the same class under another name is analyzed."""
+    app = tmp_path / "corpus" / "reserved.json"
+    app.parent.mkdir()
+    app.write_text(json.dumps(reserved_name_app("synthetic.Main")))
+    common = ["--spec", paths["spec"], "--framework", paths["framework"]]
+    for command in ("analyze", "cha-reach"):
+        assert run([command, str(app), *common]) == 1
+        assert "synthetic.Main" in capsys.readouterr().err
+    out = tmp_path / "usage.csv"
+    assert run(["collect", str(app.parent), *common, "-o", str(out)]) == 0
+    assert "reserved,android.permission.CAMERA," in out.read_text()
+    app.write_text(json.dumps(reserved_name_app("app.B")))
+    assert run(["analyze", str(app), *common, "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["callbacksFlagged"] == 1
+
 def test_outputs_never_hold_a_record(monkeypatch, capsys, tmp_path):
     """The JSON writer renders any tuple as a list, so a record (a
     NamedTuple) reaching a report or output would be written silently as

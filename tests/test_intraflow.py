@@ -4,8 +4,8 @@ reads."""
 
 import pytest
 
-from permplace.intraflow import _param_index, intraproc_values, possible_types
-from permplace.model import app_from_dict, link_program, param_local
+from permplace.intraflow import intraproc_values, possible_types
+from permplace.model import app_from_dict, link_program, param_index, param_local
 
 SIG = "app.C#m(app.P)"
 APP = {"name": "defs", "manifest": {}, "classes": [
@@ -75,7 +75,7 @@ def test_definition_kinds(program, var):
     ],
 )
 def test_param_index_reads_only_param_local_names(var, index):
-    assert _param_index(var) == index
+    assert param_index(var) == index
     if index is not None:
         assert param_local(index) == var
 

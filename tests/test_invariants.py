@@ -13,6 +13,7 @@ from permplace.analysis import (
     Limits,
     cha_reachable_methods,
     detected_sensitives,
+    traverse,
     write_report,
 )
 from permplace.cfa1 import filter_edges, refine_bits
@@ -110,8 +111,8 @@ def test_filtering_never_empties_or_widens(subjects):
 
 def test_cfa1_subset_of_cfa0(subjects):
     for prepared in subjects:
-        d1 = detected_sensitives(pipeline.analyze(prepared, mode="cfa1"))
-        d0 = detected_sensitives(pipeline.analyze(prepared, mode="cfa0"))
+        d1 = detected_sensitives(traverse(prepared, mode="cfa1"))
+        d0 = detected_sensitives(traverse(prepared, mode="cfa0"))
         assert d1 <= d0
 
 
@@ -159,7 +160,7 @@ def test_detected_within_cha_within_all(subjects):
         cha = cha_reachable_methods(prepared.program, prepared.hierarchy)
         assert cha <= all_methods
         for mode in ("cfa0", "cfa1"):
-            detected = detected_sensitives(pipeline.analyze(prepared, mode=mode))
+            detected = detected_sensitives(traverse(prepared, mode=mode))
             assert {sid.rsplit("/", 1)[0] for sid in detected} <= cha
 
 
@@ -173,7 +174,7 @@ def test_reported_paths_replay(subjects):
     """Every path in a report walks real, mode-surviving call edges."""
     for prepared in subjects:
         for mode in ("cfa0", "cfa1"):
-            report = pipeline.analyze(prepared, mode=mode)
+            report = traverse(prepared, mode=mode)
             for cb in report.callbacks:
                 for ip in cb["insertionPoints"]:
                     for s in ip["sensitives"]:
@@ -202,16 +203,16 @@ def test_reports_byte_identical_across_fresh_runs(framework, spec):
         a = pipeline.prepare(gen_app(seed), [framework], spec=spec)
         b = pipeline.prepare(gen_app(seed), [framework], spec=spec)
         for mode in ("cfa0", "cfa1"):
-            assert write_report(pipeline.analyze(a, mode=mode)) == write_report(
-                pipeline.analyze(b, mode=mode)
+            assert write_report(traverse(a, mode=mode)) == write_report(
+                traverse(b, mode=mode)
             )
 
 
 def test_limits_only_shrink_detections(subjects):
     for prepared in subjects:
-        full = detected_sensitives(pipeline.analyze(prepared, mode="cfa1"))
+        full = detected_sensitives(traverse(prepared, mode="cfa1"))
         small = detected_sensitives(
-            pipeline.analyze(prepared, mode="cfa1", limits=Limits(3, 2))
+            traverse(prepared, mode="cfa1", limits=Limits(3, 2))
         )
         assert small <= full
 

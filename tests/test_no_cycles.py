@@ -121,6 +121,11 @@ def write_inputs(tmp) -> dict:
             {"op": "invoke", "kind": "static", "method": "no signature"}]}]}],
         "unknown-key": [{"name": "A", "interface": ["I"], "methods": []}],
         "duplicate-class": [{"name": "A", "methods": []}, {"name": "A", "methods": []}],
+        # the class name the synthetic entry takes
+        "reserved-name": [{"name": "synthetic.Main", "super": "android.app.Activity",
+                           "methods": [{"name": "onCreate", "body": [
+                               {"op": "invoke", "kind": "static",
+                                "method": "android.hardware.Camera#open()"}]}]}],
     }
     for name, classes in bad_classes.items():
         write(name, json.dumps({"name": "t", "manifest": {}, "classes": classes}))
@@ -183,7 +188,9 @@ COMMANDS = {
 MALFORMED = {
     **{f"analyze-{bad}": analyze(f"@{bad}")
        for bad in ("self-super", "unresolved-type", "bad-invoke", "unknown-key",
-                   "duplicate-class", "mistyped-name", "invalid-json")},
+                   "duplicate-class", "mistyped-name", "invalid-json", "reserved-name")},
+    "cha-reach-reserved-name": ["cha-reach", "@reserved-name", "--spec", "@spec",
+                                "--framework", "@framework"],
     "analyze-two-overlay-bodies": analyze("@threads", "--overlay", "@library",
                                           "--overlay", "@library-model-body"),
     "spec-merge-conflict": ["spec", "merge", "@spec", "@conflicting-spec", "-o", "@out"],

@@ -16,7 +16,7 @@ from oracles import (
     report_oracle,
 )
 from permplace import analysis, pipeline
-from permplace.analysis import Limits, detected_sensitives, report_to_dict, write_report
+from permplace.analysis import Limits, detected_sensitives, traverse, write_report
 from permplace.hierarchy import ClassHierarchy
 from permplace.model import LinkedProgram, SiteId, app_from_dict
 from permplace.pointsto import CallGraph, augment_call_graph, solve_0cfa
@@ -75,7 +75,7 @@ def test_heap_points_to_matches_oracle(seed, workers, allocs, framework, spec):
 def test_views_stay_lazy(framework, spec):
     # analyze reads the bitsets; the frozenset views are for the oracles
     prepared = pipeline.prepare(gen_heap_app(*HEAP_INSTANCES[0]), [framework], spec=spec)
-    pipeline.analyze(prepared, mode="cfa1")
+    traverse(prepared, mode="cfa1")
     assert {"pts0", "fpts0", "spts0"}.isdisjoint(vars(prepared.sol))
     assert_matches_oracle(prepared)
 
@@ -100,7 +100,7 @@ def test_detection_matches_enumeration(prepared_programs, diamond_programs, spli
     # the capped DFS must agree with uncapped exhaustive enumeration
     repeated = []
     for prepared in [*diamond_programs, *prepared_programs, *split_programs]:
-        report = pipeline.analyze(prepared, mode=mode, limits=Limits(50, 10000))
+        report = traverse(prepared, mode=mode, limits=Limits(50, 10000))
         got = detected_sensitives(report)
         visits = Counter()
         want = detected_oracle(
@@ -120,7 +120,7 @@ def test_detection_matches_enumeration(prepared_programs, diamond_programs, spli
 
 def assert_report_matches_oracle(prepared, mode, max_depth, max_paths):
     """``write_report`` bytes equal the capped oracle's; returns the report."""
-    report = pipeline.analyze(prepared, mode=mode, limits=Limits(max_depth, max_paths))
+    report = traverse(prepared, mode=mode, limits=Limits(max_depth, max_paths))
     want = report_oracle(prepared, mode, max_depth, max_paths)
     got = write_report(report)
     assert got == (json.dumps(want, indent=2, sort_keys=True) + "\n").encode(), (
@@ -189,7 +189,7 @@ def test_split_programs_detect_less_under_cfa1(split_programs):
     differ = 0
     for prepared in split_programs:
         cfa0, cfa1 = (
-            detected_sensitives(pipeline.analyze(prepared, mode=mode, limits=Limits(50, 10000)))
+            detected_sensitives(traverse(prepared, mode=mode, limits=Limits(50, 10000)))
             for mode in ("cfa0", "cfa1")
         )
         assert cfa1 <= cfa0, prepared.program.name
@@ -242,7 +242,7 @@ def test_filter_edges_runs_once_per_state(
     shared = pipeline.prepare(shared_state_app(), [framework], spec=spec)
     for prepared in [*prepared_programs, *diamond_programs, shared]:
         calls.clear()
-        report = pipeline.analyze(prepared, mode="cfa1", limits=Limits(50, 10000))
+        report = traverse(prepared, mode="cfa1", limits=Limits(50, 10000))
         assert [key for key, n in calls.items() if n > 1] == [], prepared.program.name
     d_call = (SiteId("app.U#d()", 1), SiteId("app.U#c()", 0))
     assert d_call in calls and report.summary["paths"] == 2
@@ -265,7 +265,7 @@ def test_paths_share_one_node_per_state(diamond_programs, threads):
     diamond = diamond_programs[19]  # 16 path nodes over 7 states
     for prepared in (diamond, threads):
         for mode in ("cfa0", "cfa1"):
-            nodes = path_nodes(pipeline.analyze(prepared, mode=mode))
+            nodes = path_nodes(traverse(prepared, mode=mode))
             states = {(n["method"], n["entry"]) for n in nodes}
             assert len({id(n) for n in nodes}) == len(states), (prepared.program.name, mode)
             assert prepared is threads or len(nodes) > len(states)
@@ -276,8 +276,8 @@ def test_write_report_matches_stdlib_on_generated(
 ):
     for prepared in [*prepared_programs, *diamond_programs, *split_programs]:
         for mode in ("cfa0", "cfa1"):
-            report = pipeline.analyze(prepared, mode=mode)
-            want = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+            report = traverse(prepared, mode=mode)
+            want = json.dumps(report._asdict(), indent=2, sort_keys=True) + "\n"
             assert write_report(report) == want.encode(), (prepared.program.name, mode)
 
 
@@ -297,7 +297,7 @@ def test_filter_edges_matches_oracle(
     programs = [*split_programs, *prepared_programs, *diamond_programs, *heap_programs]
     for i, prepared in enumerate([*programs, threads, viewstub]):
         seen.clear()
-        pipeline.analyze(prepared, mode="cfa1", limits=Limits(50, 10000))
+        traverse(prepared, mode="cfa1", limits=Limits(50, 10000))
         pruned_here = 0
         for (site, ctx), got in seen.items():
             want = filter_edges_oracle(
