@@ -28,12 +28,8 @@ def _load_config(args) -> LinkConfig:
     config = LinkConfig()
     if args.config:
         config = from_dict(LinkConfig, read_json(args.config), args.config)
-    flags = {
-        key: tuple(getattr(args, key).split(","))
-        for key in ("framework_prefixes", "async_excludes")
-        if getattr(args, key)
-    }
-    return config._replace(**flags)
+    flags = {key: getattr(args, key) for key in ("framework_prefixes", "async_excludes")}
+    return config._replace(**{key: names for key, names in flags.items() if names})
 
 
 def _emit(data: bytes, out_path):
@@ -58,8 +54,8 @@ def _add_common(p, spec: bool = False, groups: bool = False):
     p.add_argument("--framework", action="append", default=[], help="framework model overlay")
     p.add_argument("--overlay", action="append", default=[], help="library overlay")
     p.add_argument("--config", help="JSON config file mirroring flags")
-    p.add_argument("--framework-prefixes", help="comma-separated package prefixes")
-    p.add_argument("--async-excludes", help="comma-separated async-construct classes")
+    p.add_argument("--framework-prefixes", type=_names, help="comma-separated package prefixes")
+    p.add_argument("--async-excludes", type=_names, help="comma-separated async-construct classes")
     p.add_argument("-o", "--output", help="output path (default stdout)")
 
 
@@ -73,6 +69,14 @@ def _load_specs(args):
             raise PermplaceError("--dangerous-only requires --groups")
         spec = permspec.filter_dangerous(spec, permspec.load_groups(args.groups))
     return spec
+
+
+def _names(text: str) -> tuple:
+    """Type of the comma-separated name flags; argparse names the flag on error."""
+    names = tuple(text.split(","))
+    if "" in names:
+        raise argparse.ArgumentTypeError(f"empty name in {text!r}")
+    return names
 
 
 def _non_negative_int(text: str) -> int:

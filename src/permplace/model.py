@@ -467,6 +467,11 @@ class LinkConfig(NamedTuple):
     async_excludes: tuple[str, ...] = DEFAULT_ASYNC_EXCLUDES
     permission_constant_class: str = DEFAULT_PERMISSION_CONSTANT_CLASS
 
+    def _check(self, where: str) -> None:
+        for key in ("framework_prefixes", "async_excludes"):
+            if "" in getattr(self, key):
+                raise ValidationError(f"{where}: empty name in {key}")
+
 
 class LinkedProgram:
     """One merged class table plus analysis configuration.

@@ -318,4 +318,8 @@ def load_ident_table(path) -> dict:
     if type(data) is not dict:
         raise ParseError("identifier table must be a JSON object", str(path))
     rows = {ident: from_dict(IdentRow, raw, f"{path}.{ident}") for ident, raw in data.items()}
+    for ident, row in rows.items():
+        if not ident or not row.permission:
+            what = "permission name" if ident else "identifier"
+            raise ValidationError(f"{path}.{ident}: empty {what}")
     return {ident: (row.permission, row.unique) for ident, row in rows.items()}

@@ -2,7 +2,7 @@
 on-the-fly call-graph construction, plus CHA safe-edge augmentation.
 
 Field points-to is keyed by allocation site; static fields are global
-cells. Method bodies are processed only once reachable from the synthetic
+cells. A body is scanned once, when it becomes reachable from the synthetic
 entry, so call sites whose receiver never acquires an allocation site get
 zero edges — the incompleteness that augmentation repairs.
 """
@@ -79,16 +79,16 @@ class CallGraph(NamedTuple):
 
 
 class _Solver:
-    """Locals, instance fields of one allocation and static fields are
-    numbered densely as they appear, and so are allocation sites. A
-    points-to set is an int whose bit ``a`` stands for allocation ``a``. A
-    node is on the worklist while it holds bits its dependents have not
-    seen, ``pts[n] & ~done[n]``, and only those bits are pushed on."""
+    """Locals, instance fields of one allocation, static fields and
+    allocation sites are numbered densely as they appear. A node is on the
+    worklist while it holds bits its dependents have not seen,
+    ``pts[n] & ~done[n]``, and only those bits are pushed on. A body is
+    scanned once, when it becomes reachable, and receiver allocs are
+    classified once per invoke signature; the hot loops keep the tables in
+    locals and inline the bit update."""
 
     def __init__(self, program: LinkedProgram, hierarchy: ClassHierarchy):
-        self.program = program
-        self.hierarchy = hierarchy
-        self.main = program.entry_main_sig
+        self.program, self.hierarchy, self.main = program, hierarchy, program.entry_main_sig
         self.vars = {}  # (method sig, local) -> node
         self.fields = {}  # (alloc, field name) -> node
         self.statics = {}  # static field id -> node
@@ -98,16 +98,15 @@ class _Solver:
         self.succ = defaultdict(set)  # copy edges between nodes
         self.load_deps = defaultdict(list)  # base node -> [(field, target node)]
         self.store_deps = defaultdict(list)  # base node -> [(field, source node)]
-        # receiver node -> [(site, stmt, declared receiver type, targets linked at the site)]
-        self.call_deps = defaultdict(list)
+        self.call_deps = defaultdict(list)  # receiver node -> [(site, stmt, targets linked)]
+        self.classified = {}  # invoke sig -> [allocs seen, {type: target}, {target: allocs}, cls]
+        self.returns = {}  # reachable method sig -> the locals it returns
         self.sites = []  # alloc -> SiteId
         self.alloc_type = []  # alloc -> class name
         self.type_allocs = defaultdict(int)  # class name -> bitset of its allocs
         self.edges = defaultdict(set)  # SiteId -> {(target, provenance)}
         self.reachable = set()
-        self.pending = []  # reachable methods whose bodies are not processed yet
-
-    # nodes ----------------------------------------------------------------
+        self.pending = []  # (sig, body) of reachable methods not processed yet
 
     def node(self, table: dict, key) -> int:
         n = table.get(key)
@@ -120,18 +119,6 @@ class _Solver:
     def var(self, sig, name):
         return self.node(self.vars, (sig, name))
 
-    def field(self, alloc, name):
-        return self.node(self.fields, (alloc, name))
-
-    def alloc(self, site: SiteId, type_: str) -> int:
-        self.sites.append(site)
-        self.alloc_type.append(type_)
-        bit = 1 << (len(self.sites) - 1)
-        self.type_allocs[type_] |= bit
-        return bit
-
-    # propagation ----------------------------------------------------------
-
     def add_pts(self, n, bits):
         old = self.pts[n]
         if bits & ~old:
@@ -142,125 +129,140 @@ class _Solver:
     def add_edge(self, src, dst):
         if src != dst and dst not in self.succ[src]:
             self.succ[src].add(dst)
-            if self.pts[src]:
-                self.add_pts(dst, self.pts[src])
-
-    # call handling --------------------------------------------------------
+            self.add_pts(dst, self.pts[src])
 
     def link_call(self, site: SiteId, stmt: Invoke, target: str):
-        """The call edge, with its arg -> param and return -> target copy
-        edges. Called once per (site, target) pair: a body is processed
-        once, and a virtual site links only targets new to it."""
+        """The call edge with its arg -> param and return -> target copies,
+        once per (site, target) pair."""
         caller = site.method
         self.edges[site].add((target, "entry" if caller == self.main else "pointsto"))
         self.make_reachable(target)
         for i, arg in enumerate(stmt.args):
             self.add_edge(self.var(caller, arg), self.var(target, param_local(i)))
-        if stmt.target is not None:
-            body = self.program.body_of(target)
-            if body is not None:
-                for ret in body:
-                    if isinstance(ret, Return) and ret.value is not None:
-                        self.add_edge(self.var(target, ret.value), self.var(caller, stmt.target))
+        for ret in self.returns[target] if stmt.target is not None else ():
+            self.add_edge(self.var(target, ret), self.var(caller, stmt.target))
 
     def dispatch_call(self, call, bits):
-        """Dispatch a virtual call on the receiver allocs ``bits``: one
-        ``this`` update per distinct target, and the edge with its
-        arg/return links for each target new to the site."""
-        site, stmt, cls, linked = call
-        by_target = defaultdict(int)
-        for rtype, recv in by_runtime_type(bits, self.type_allocs, self.alloc_type):
-            # ill-typed receiver objects never dispatch: the runtime type must
-            # conform to the declared receiver type (keeps every points-to
-            # edge inside the CHA cone of the site)
-            if self.hierarchy.is_subtype(rtype, cls):
-                target = self.hierarchy.dispatch(rtype, stmt.method)
-                if target is not None:
-                    by_target[target] |= recv
-        for target, recv in by_target.items():
-            if target not in linked:
-                linked.add(target)
-                self.link_call(site, stmt, target)
-            self.add_pts(self.var(target, "this"), recv)
-
-    # body processing ------------------------------------------------------
+        """Feed each target's ``this`` its allocs in ``bits``, linking it on
+        first use at the site. Only allocs new to the invoke signature are
+        split by runtime type, and only types new to it ask the hierarchy."""
+        site, stmt, linked = call
+        entry = self.classified.get(stmt.method)
+        if entry is None:
+            entry = self.classified[stmt.method] = [0, {}, {}, parse_method_sig(stmt.method)[0]]
+        seen, by_type, allocs, cls = entry
+        if bits & ~seen:
+            entry[0], h = seen | bits, self.hierarchy
+            for rtype, recv in by_runtime_type(bits & ~seen, self.type_allocs, self.alloc_type):
+                if rtype not in by_type:
+                    # an ill-typed receiver never dispatches, keeping every
+                    # points-to edge inside the CHA cone of the site
+                    by_type[rtype] = h.is_subtype(rtype, cls) and h.dispatch(rtype, stmt.method)
+                if by_type[rtype]:
+                    allocs[by_type[rtype]] = allocs.get(by_type[rtype], 0) | recv
+        for target, mine in allocs.items():
+            if bits & mine:
+                if target not in linked:
+                    linked.add(target)
+                    self.link_call(site, stmt, target)
+                n, recv = self.var(target, "this"), bits & mine
+                old = self.pts[n]
+                if recv & ~old:
+                    if old == self.done[n]:
+                        self.dirty.append(n)
+                    self.pts[n] = old | recv
 
     def make_reachable(self, sig: str):
-        if sig not in self.reachable:
-            self.reachable.add(sig)
-            self.pending.append(sig)
-            # off-line variable substitution: the locals of a copy cycle end
-            # with one set, so they share one node from the start
-            copies = {}
-            for stmt in self.program.body_of(sig) or ():
-                if type(stmt) is Assign:
-                    copies.setdefault(stmt.source, []).append(stmt.target)
-            for comp in components(copies, copies) if len(copies) > 1 else ():
+        """Queue a method new to the reachable set and scan its body once."""
+        if sig in self.reachable:
+            return
+        self.reachable.add(sig)
+        body = self.program.body_of(sig) or ()
+        copies, returns = {}, []
+        for stmt in body:
+            if type(stmt) is Assign:
+                copies.setdefault(stmt.source, []).append(stmt.target)
+            elif type(stmt) is Return and stmt.value is not None:
+                returns.append(stmt.value)
+        self.returns[sig] = returns
+        if body:
+            self.pending.append((sig, body))
+        # off-line variable substitution: the locals of a copy cycle end with
+        # one set, so they share one node; a cycle needs a local copied both ways
+        if any(t in copies for targets in copies.values() for t in targets):
+            for comp in components(copies, copies):
                 for local in comp[1:]:
                     self.vars[sig, local] = self.var(sig, comp[0])
 
-    def process_body(self, sig: str):
-        body = self.program.body_of(sig)
-        if body is None:
-            return
+    def process_body(self, sig: str, body):
+        vars, pts, node, add_edge = self.vars, self.pts, self.node, self.add_edge
+        sites, new_site = self.sites, tuple.__new__
         for i, stmt in enumerate(body):
-            if isinstance(stmt, New):
-                self.add_pts(self.var(sig, stmt.target), self.alloc(SiteId(sig, i), stmt.type))
-            elif isinstance(stmt, ConstStr):
-                self.add_pts(self.var(sig, stmt.target), self.alloc(SiteId(sig, i), JAVA_STRING))
-            elif isinstance(stmt, Assign):
-                self.add_edge(self.var(sig, stmt.source), self.var(sig, stmt.target))
-            elif isinstance(stmt, LoadStatic):
-                self.add_edge(self.node(self.statics, stmt.field), self.var(sig, stmt.target))
-            elif isinstance(stmt, StoreStatic):
-                self.add_edge(self.var(sig, stmt.source), self.node(self.statics, stmt.field))
-            elif isinstance(stmt, LoadField):
-                base, dst = self.var(sig, stmt.base), self.var(sig, stmt.target)
+            kind = type(stmt)
+            if kind is Assign:
+                add_edge(node(vars, (sig, stmt.source)), node(vars, (sig, stmt.target)))
+            elif kind is New or kind is ConstStr:
+                bit = 1 << len(sites)
+                sites.append(new_site(SiteId, (sig, i)))
+                self.alloc_type.append(stmt.type if kind is New else JAVA_STRING)
+                self.type_allocs[self.alloc_type[-1]] |= bit
+                self.add_pts(node(vars, (sig, stmt.target)), bit)
+            elif kind is LoadStatic:
+                add_edge(node(self.statics, stmt.field), node(vars, (sig, stmt.target)))
+            elif kind is StoreStatic:
+                add_edge(node(vars, (sig, stmt.source)), node(self.statics, stmt.field))
+            elif kind is LoadField:
+                base, dst = node(vars, (sig, stmt.base)), node(vars, (sig, stmt.target))
                 self.load_deps[base].append((stmt.field, dst))
-                for a in members(self.pts[base]):
-                    self.add_edge(self.field(a, stmt.field), dst)
-            elif isinstance(stmt, StoreField):
-                base, src = self.var(sig, stmt.base), self.var(sig, stmt.source)
+                for a in members(pts[base]):
+                    add_edge(node(self.fields, (a, stmt.field)), dst)
+            elif kind is StoreField:
+                base, src = node(vars, (sig, stmt.base)), node(vars, (sig, stmt.source))
                 self.store_deps[base].append((stmt.field, src))
-                for a in members(self.pts[base]):
-                    self.add_edge(src, self.field(a, stmt.field))
-            elif isinstance(stmt, Invoke):
-                site = SiteId(sig, i)
-                if stmt.kind in ("static", "special"):
+                for a in members(pts[base]):
+                    add_edge(src, node(self.fields, (a, stmt.field)))
+            elif kind is Invoke:
+                site = new_site(SiteId, (sig, i))
+                if stmt.kind == "static" or stmt.kind == "special":
                     target = self.hierarchy.resolve_declaration(stmt)
                     if target is not None:
                         self.link_call(site, stmt, target)
                         if stmt.kind == "special" and stmt.receiver is not None:
-                            self.add_edge(
-                                self.var(sig, stmt.receiver), self.var(target, "this")
-                            )
+                            add_edge(node(vars, (sig, stmt.receiver)), self.var(target, "this"))
                 else:
-                    recv = self.var(sig, stmt.receiver)
-                    call = (site, stmt, parse_method_sig(stmt.method)[0], set())
+                    recv, call = node(vars, (sig, stmt.receiver)), (site, stmt, set())
                     self.call_deps[recv].append(call)
-                    self.dispatch_call(call, self.pts[recv])
+                    self.dispatch_call(call, pts[recv])
 
     def run(self):
         if self.main is None:
             raise ValueError("program has no synthetic entry; run generate_dummy_main first")
+        pts, done, dirty, pending, succ = self.pts, self.done, self.dirty, self.pending, self.succ
+        loads, stores, calls = self.load_deps, self.store_deps, self.call_deps
+        node, fields, add_edge = self.node, self.fields, self.add_edge
         self.make_reachable(self.main)
-        while self.pending or self.dirty:
-            if self.pending:
-                self.process_body(self.pending.pop())
+        while pending or dirty:
+            if pending:
+                self.process_body(*pending.pop())
                 continue
-            n = self.dirty.pop()
-            delta = self.pts[n] & ~self.done[n]
-            self.done[n] = self.pts[n]
-            for dst in self.succ.get(n, ()):
-                self.add_pts(dst, delta)
-            allocs = members(delta) if n in self.load_deps or n in self.store_deps else ()
-            for fname, dst in self.load_deps.get(n, ()):
-                for a in allocs:
-                    self.add_edge(self.field(a, fname), dst)
-            for fname, src in self.store_deps.get(n, ()):
-                for a in allocs:
-                    self.add_edge(src, self.field(a, fname))
-            for call in self.call_deps.get(n, ()):
+            n = dirty.pop()
+            delta = pts[n] & ~done[n]
+            done[n] = pts[n]
+            for dst in succ.get(n, ()):
+                old = pts[dst]
+                if delta & ~old:
+                    if old == done[dst]:
+                        dirty.append(dst)
+                    pts[dst] = old | delta
+            if n in loads or n in stores:
+                allocs = members(delta)
+                for fname, dst in loads.get(n, ()):
+                    for a in allocs:
+                        add_edge(node(fields, (a, fname)), dst)
+                for fname, src in stores.get(n, ()):
+                    for a in allocs:
+                        add_edge(src, node(fields, (a, fname)))
+            for call in calls.get(n, ()):
                 self.dispatch_call(call, delta)
 
 

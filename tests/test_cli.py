@@ -242,6 +242,57 @@ def test_bad_config_is_input_error(tmp_path, paths, capsys, text):
     assert f"error: {path}" in capsys.readouterr().err
 
 
+# app.Base is an app class: only a prefix that matches every name, the empty
+# one, makes app.Child#onTap() an override of a framework method
+CHILD_APP = {"name": "child", "manifest": {}, "classes": [
+    {"name": "app.Base", "methods": [{"name": "onTap", "body": []}]},
+    {"name": "app.Child", "super": "app.Base", "methods": [{"name": "onTap", "body": [
+        {"op": "new", "target": "m", "type": "android.location.LocationManager"},
+        {"op": "const_str", "target": "p", "value": "gps"},
+        {"op": "invoke", "kind": "virtual", "receiver": "m", "args": ["p"],
+         "method": "android.location.LocationManager#getLastKnownLocation(java.lang.String)"},
+    ]}]},
+]}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--framework-prefixes", "android.,"),
+    ("--framework-prefixes", ""),
+    ("--async-excludes", "java.lang.Thread,,android.os.Handler"),
+])
+def test_empty_name_flag_is_usage_error(tmp_path, paths, capsys, flag, value):
+    app = tmp_path / "child.json"
+    app.write_text(json.dumps(CHILD_APP))
+    argv = analyze_args({**paths, "threads": str(app)})
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["callbacks"] == []
+    assert run([*argv, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: empty name" in captured.err
+
+
+@pytest.mark.parametrize("key", ["framework_prefixes", "async_excludes"])
+def test_empty_name_in_config_is_input_error(tmp_path, paths, capsys, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: ["android.", ""]}))
+    assert run(analyze_args(paths, extra=["--config", str(path)])) == 1
+    assert f"error: {path}: empty name in {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, where, what", [
+    ({"": {"permission": "android.permission.CAMERA"}}, "", "identifier"),
+    ({"CAMERA": {"permission": ""}}, "CAMERA", "permission name"),
+], ids=["identifier", "permission"])
+def test_empty_ident_table_name_is_input_error(tmp_path, paths, capsys, rows, where, what):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(rows))
+    assert run(["mine-doc", paths["framework"], "--ident-table", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {path}.{where}: empty {what}" in captured.err
+
+
 @pytest.mark.parametrize(
     "table, rows",
     [

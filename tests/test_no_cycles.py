@@ -130,6 +130,8 @@ def write_inputs(tmp) -> dict:
     for name, classes in bad_classes.items():
         write(name, json.dumps({"name": "t", "manifest": {}, "classes": classes}))
     write("mistyped-name", json.dumps({"name": 1, "manifest": {}, "classes": []}))
+    # an empty prefix would match every class name
+    write("empty-prefix-config", json.dumps({"framework_prefixes": ["android.", ""]}))
     write("invalid-json", "{not json")
     # the fixture corpus with a malformed app sorted into its middle
     corpus = tmp / "malformed-corpus"
@@ -180,6 +182,8 @@ COMMANDS = {
     "spec-merge": ["spec", "merge", "@spec", "@spec", "-o", "@out"],
     "analyze-listener-capped": analyze("@listener", "--max-depth", "3", "--max-paths", "1"),
     "analyze-recursive": analyze("@recursive"),
+    "analyze-prefix-flags": analyze("@threads", "--framework-prefixes", "android.,com.google.",
+                                    "--async-excludes", "java.lang.Thread"),
     "analyze-model-overlay": analyze("@threads", "--overlay", "@library",
                                      "--overlay", "@library-model"),
     **{f"analyze-{app}{seed}-cfa{cfa}": analyze(f"@{app}{seed}", "--cfa", str(cfa))
@@ -193,6 +197,7 @@ MALFORMED = {
                                 "--framework", "@framework"],
     "analyze-two-overlay-bodies": analyze("@threads", "--overlay", "@library",
                                           "--overlay", "@library-model-body"),
+    "analyze-empty-prefix-config": analyze("@threads", "--config", "@empty-prefix-config"),
     "spec-merge-conflict": ["spec", "merge", "@spec", "@conflicting-spec", "-o", "@out"],
     "collect-malformed-spec": ["collect", "@corpus", "--spec", "@invalid-json"],
     "collect-malformed-app": ["collect", "@malformed-corpus", "--spec", "@spec",

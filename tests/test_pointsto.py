@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 from oracles import assert_matches_oracle
 from permplace import pipeline
 from permplace.graph import closure, components
-from permplace.model import SiteId, app_from_dict
+from permplace.hierarchy import ClassHierarchy
+from permplace.model import Invoke, LinkedProgram, SiteId, app_from_dict
 from permplace.pointsto import _Solver, augment_call_graph, solve_0cfa
 from randprog import gen_heap_app
 
@@ -256,3 +259,154 @@ def test_copy_cycle_through_parameter_receiver_and_return(framework):
     assert {t for t, _p in prepared.cg_raw.edges_at(run_site)} == {
         "app.ItemA#run()", "app.Item#run()"
     }
+
+
+# -- work gates ---------------------------------------------------------------
+
+
+def counting(monkeypatch, cls, name, calls):
+    """Record ``(name, *args)`` in ``calls`` on each call of ``cls.name``."""
+    real = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *a: calls.append((name, *a)) or real(self, *a))
+
+
+@pytest.mark.parametrize("instance", [(0, 12, 6), (3, 40, 12)])
+def test_hierarchy_answers_each_dispatch_once(framework, monkeypatch, instance):
+    # a count gate: a solve asks is_subtype and dispatch at most once per
+    # (declared class, invoke signature, runtime type), where it once asked
+    # them per receiver delta (586 and 1,960 calls on these instances)
+    prepared = pipeline.prepare(gen_heap_app(*instance), [framework])
+    calls = []
+    for name in ("dispatch", "is_subtype"):
+        counting(monkeypatch, ClassHierarchy, name, calls)
+    sol, cg = solve_0cfa(prepared.program, prepared.hierarchy)
+    sigs = Counter()  # declared class -> virtual invoke signatures naming it
+    for sig in {
+        stmt.method
+        for m in cg.reachable
+        for stmt in prepared.program.body_of(m) or ()
+        if type(stmt) is Invoke and stmt.kind in ("virtual", "interface")
+    }:
+        sigs[sig.split("#")[0]] += 1
+    dispatched = Counter((rtype, sig) for name, rtype, sig in calls if name == "dispatch")
+    asked = Counter((rtype, cls) for name, rtype, cls in calls if name == "is_subtype")
+    assert dispatched and max(dispatched.values()) == 1
+    assert asked and all(n <= sigs[cls] for (_rtype, cls), n in asked.items())
+    assert len(calls) <= 2 * sum(sigs.values()) * len(set(sol.types))
+
+
+def test_each_reachable_body_is_read_once(framework, monkeypatch):
+    # a count gate: a body is scanned when its method becomes reachable, not
+    # again per call edge into it (49 reads for 21 methods before)
+    prepared = pipeline.prepare(gen_heap_app(0, 12, 6), [framework])
+    calls = []
+    counting(monkeypatch, LinkedProgram, "body_of", calls)
+    _sol, cg = solve_0cfa(prepared.program, prepared.hierarchy)
+    assert Counter(sig for _name, sig in calls) == Counter(cg.reachable)
+
+
+# -- incremental dispatch -------------------------------------------------------
+
+DRAW = "app.Shape#draw()"
+
+
+def wave_app(waves):
+    """``app.U#use()`` calls ``draw()`` on what the static ``app.Hub#S``
+    holds, and ``go()`` on what ``app.Hub#G`` holds. Wave ``i`` allocates
+    its classes into S and an ``app.Step{i}`` into G, whose ``go()`` reaches
+    wave ``i + 1`` only once the solver dispatches it: each wave reaches the
+    draw() site as a later receiver delta. app.Square inherits draw(), and
+    app.Other declares one but is no app.Shape."""
+
+    def method(name, body=(), static=False):
+        return {"name": name, "static": static, "body": list(body)}
+
+    def call(sig, kind="static", receiver=None):
+        stmt = {"op": "invoke", "kind": kind, "method": sig}
+        return stmt if receiver is None else {**stmt, "receiver": receiver}
+
+    classes = [
+        {"name": "app.Hub", "methods": [], "fields": [
+            {"name": "S", "type": "app.Shape", "static": True},
+            {"name": "G", "type": "app.Step", "static": True}]},
+        {"name": "app.Shape", "methods": [method("draw")]},
+        {"name": "app.Circle", "super": "app.Shape", "methods": [method("draw")]},
+        {"name": "app.Square", "super": "app.Shape", "methods": []},
+        {"name": "app.Other", "methods": [method("draw")]},
+        {"name": "app.Step", "methods": [method("go")]},
+        {"name": "app.U", "methods": [method("use", [
+            {"op": "load_static", "target": "r", "field": "app.Hub#S"},
+            call(DRAW, "virtual", "r"),
+            {"op": "load_static", "target": "g", "field": "app.Hub#G"},
+            call("app.Step#go()", "virtual", "g"),
+        ], static=True)]},
+        # use() is queued last, so it is processed before wave 0
+        {"name": "app.Main", "super": "android.app.Activity", "methods": [
+            method("onCreate", [call("app.W0#run()"), call("app.U#use()")])]},
+    ]
+    for i, wave in enumerate(waves):
+        # the step is stored first: the worklist is a stack, so the draw()
+        # site takes this wave before the step reaches the next one
+        body = []
+        for j, type_ in enumerate([f"app.Step{i}", *wave]):
+            field = "app.Hub#S" if j else "app.Hub#G"
+            body += [{"op": "new", "target": f"x{j}", "type": type_},
+                     {"op": "store_static", "field": field, "source": f"x{j}"}]
+        classes += [
+            {"name": f"app.W{i}", "methods": [method("run", body, static=True)]},
+            {"name": f"app.Step{i}", "super": "app.Step",
+             "methods": [method("go", [call(f"app.W{i + 1}#run()")] if i + 1 < len(waves) else [])]},
+        ]
+    return app_from_dict({"name": "waves", "manifest": {}, "classes": classes})
+
+
+def draw_deltas(framework, monkeypatch, waves):
+    """Solve ``wave_app(waves)`` against the oracle and return, per receiver
+    delta at the draw() site, (its runtime types, whether by_runtime_type
+    splits it per type), with the site's call targets."""
+    deltas = []
+    dispatch = _Solver.dispatch_call
+
+    def recording(self, call, bits):
+        if call[0].method == "app.U#use()" and bits and self.program.stmt_at(call[0]).method == DRAW:
+            types = [self.alloc_type[a] for a in range(bits.bit_length()) if bits >> a & 1]
+            deltas.append((types, bits.bit_count() > len(self.type_allocs)))
+        return dispatch(self, call, bits)
+
+    monkeypatch.setattr(_Solver, "dispatch_call", recording)
+    prepared = pipeline.prepare(wave_app(waves), [framework])
+    assert_matches_oracle(prepared)
+    targets = {t for t, _p in prepared.cg_raw.edges_at(SiteId("app.U#use()", 1))}
+    return deltas, targets
+
+
+def test_new_runtime_type_after_dispatch(framework, monkeypatch):
+    deltas, targets = draw_deltas(framework, monkeypatch, [["app.Circle"], ["app.Square"]])
+    assert deltas == [(["app.Circle"], False), (["app.Square"], False)]
+    assert targets == {"app.Circle#draw()", "app.Shape#draw()"}
+
+
+def test_more_allocs_of_a_classified_type(framework, monkeypatch):
+    waves = [["app.Circle"], ["app.Circle", "app.Circle"], ["app.Square", "app.Circle"]]
+    deltas, targets = draw_deltas(framework, monkeypatch, waves)
+    assert [types for types, _split in deltas] == waves
+    assert targets == {"app.Circle#draw()", "app.Shape#draw()"}
+
+
+def test_nonconforming_type_after_classification_never_dispatches(framework, monkeypatch):
+    waves = [["app.Circle"], ["app.Other"], ["app.Other", "app.Square"]]
+    deltas, targets = draw_deltas(framework, monkeypatch, waves)
+    assert [types for types, _split in deltas] == waves
+    assert targets == {"app.Circle#draw()", "app.Shape#draw()"}
+
+
+@pytest.mark.parametrize("waves", [
+    [["app.Circle"], ["app.Circle", "app.Square"] * 4],
+    [["app.Square", "app.Circle"] * 4, ["app.Other"], ["app.Circle"]],
+], ids=["per-alloc-then-per-type", "per-type-then-per-alloc"])
+def test_receiver_set_crosses_the_split_switch(framework, monkeypatch, waves):
+    deltas, targets = draw_deltas(framework, monkeypatch, waves)
+    assert [sorted(types) for types, _split in deltas] == [sorted(w) for w in waves]
+    splits = [split for _types, split in deltas]
+    assert splits == ([False, True] if len(waves) == 2 else [True, False, False])
+    assert targets == {"app.Circle#draw()", "app.Shape#draw()"}

@@ -28,6 +28,8 @@ SPLIT_SEEDS = range(20)
 # (seed, workers, allocations per worker): 74 to 386 allocation sites
 HEAP_INSTANCES = [(0, 12, 6), (1, 12, 6), (2, 12, 6), (0, 24, 6), (1, 24, 6), (0, 48, 8)]
 LARGEST_HEAP = (0, 96, 8)  # 770 allocation sites
+# solved against the oracle only: 322 to 482 allocation sites, more workers
+MORE_HEAP = [(3, 40, 12), (4, 64, 6), (5, 32, 10)]
 # (maxDepth, maxPathsPerSensitive): neither cap, the depth cap, the path
 # cap, and both
 BINDING_CAPS = [(50, 100), (3, 100), (50, 1), (4, 2)]
@@ -65,7 +67,7 @@ def test_points_to_matches_oracle(seed, framework, spec):
     assert_matches_oracle(gen_and_prepare(seed, framework, spec))
 
 
-@pytest.mark.parametrize("seed,workers,allocs", HEAP_INSTANCES)
+@pytest.mark.parametrize("seed,workers,allocs", HEAP_INSTANCES + MORE_HEAP)
 def test_heap_points_to_matches_oracle(seed, workers, allocs, framework, spec):
     prepared = pipeline.prepare(gen_heap_app(seed, workers, allocs), [framework], spec=spec)
     assert len(prepared.sol.sites) > 64
