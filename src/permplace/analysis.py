@@ -13,7 +13,7 @@ from .errors import InconsistentInput
 from .graph import closure, components
 from .hierarchy import ClassHierarchy
 from .intraflow import intraproc_values
-from .model import Invoke, LinkedProgram, SiteId, parse_method_sig
+from .model import LinkedProgram, SiteId, parse_method_sig
 from .permspec import PermissionSpec
 
 
@@ -59,11 +59,8 @@ def find_sensitive_sites(
     include a protected field (by id, or a string literal equal to a field
     entry's URI value). A site may yield both kinds."""
     out = []
-    for decl, m, sig in program.iter_app_bodies():
-        for i, stmt in enumerate(m.body):
-            if not isinstance(stmt, Invoke):
-                continue
-            site = SiteId(sig, i)
+    for _decl, _m, sig in program.iter_app_bodies():
+        for site, stmt in program.call_sites(sig):
             visible = hierarchy.resolve_declaration(stmt)
             if visible is None:
                 continue
@@ -160,8 +157,8 @@ def traverse(prepared, mode: str = "cfa1", limits: Limits = Limits()) -> Analysi
     callbacks = []
     total_paths = 0
     flagged = set()
-    # (method, entering site's method, stmt) -> the state's report node,
-    # shared by every path through the state; it keeps the node's id valid
+    # (method, entering site) -> the state's report node, shared by every
+    # path through the state; it keeps the node's id valid
     nodes = {}
     # id(state node) -> [(callee, its node, the site entering it, ambiguous,
     # its reach, its height, its sensitives)] in visit order, bodyless
@@ -171,10 +168,7 @@ def traverse(prepared, mode: str = "cfa1", limits: Limits = Limits()) -> Analysi
 
     def successors_of(node, method, entered_at):
         out = successors[id(node)] = []
-        for i, stmt in enumerate(program.body_of(method) or ()):
-            if not isinstance(stmt, Invoke):
-                continue
-            site = SiteId(method, i)
+        for site, _stmt in program.call_sites(method):
             edges = cg.edges_at(site)
             if not edges:
                 continue
@@ -184,7 +178,7 @@ def traverse(prepared, mode: str = "cfa1", limits: Limits = Limits()) -> Analysi
                 surviving, amb = edges, len(edges) > 1
             for target, _prov in sorted(surviving):
                 if program.body_of(target) is not None:
-                    key = (target, method, i)
+                    key = (target, site)
                     callee = nodes.get(key)
                     if callee is None:
                         callee = nodes[key] = {"method": target, "entry": str(site)}
@@ -215,7 +209,7 @@ def traverse(prepared, mode: str = "cfa1", limits: Limits = Limits()) -> Analysi
         # iterator, whether its path is ambiguous and its method. The bottom
         # frame lists the callback alone, as a callee no check skips.
         root = {"method": cb_sig, "entry": str(entry_site)}
-        nodes[cb_sig, entry_site.method, entry_site.stmt] = root
+        nodes[cb_sig, entry_site] = root
         callees = iter([(cb_sig, root, entry_site, False, -1, 0, sens_by_method.get(cb_sig, ()))])
         ambiguous, method = False, None
         frames = []  # the frames below the top one
@@ -329,12 +323,7 @@ def cha_reachable_methods(program: LinkedProgram, hierarchy: ClassHierarchy):
     call site expands to all its bodied CHA targets."""
 
     def callees(m):
-        return [
-            target
-            for stmt in program.body_of(m) or ()
-            if isinstance(stmt, Invoke)
-            for target in hierarchy.cha_targets(stmt)
-        ]
+        return [t for _site, stmt in program.call_sites(m) for t in hierarchy.cha_targets(stmt)]
 
     main = program.entry_main_sig
     return closure([main] if main else (), callees)

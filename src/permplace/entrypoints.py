@@ -40,11 +40,9 @@ def _excluded_anchors(program: LinkedProgram, hierarchy: ClassHierarchy):
 def _registered(program, hierarchy, host: str, anchors) -> bool:
     """Whether some invoke passes an object of type ``host`` at a parameter
     position whose declared type is one of ``anchors``."""
-    for _decl, m, sig in program.iter_app_bodies():
+    for _decl, _m, sig in program.iter_app_bodies():
         types_cache = {}
-        for stmt in m.body:
-            if not isinstance(stmt, Invoke):
-                continue
+        for _site, stmt in program.call_sites(sig):
             _, _, params = parse_method_sig(stmt.method)
             for pos, ptype in enumerate(params):
                 if ptype not in anchors or pos >= len(stmt.args):

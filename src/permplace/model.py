@@ -56,12 +56,15 @@ def parse_field_id(fid: str):
     return cls, name
 
 
-def check_id(parse, text: str, where: str) -> None:
-    """Raise :class:`ValidationError` at ``where`` unless ``parse`` accepts ``text``."""
+def check_id(parse, text: str, where: str, parts=None) -> None:
+    """Raise :class:`ValidationError` at ``where`` unless ``parse`` accepts
+    ``text`` and, given ``parts``, reads it back as ``parts``."""
     try:
-        parse(text)
+        parsed = parse(text)
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}")
+    if parts is not None and parsed != parts:
+        raise ValidationError(f"{where}: {text!r} reads back as {parsed!r}, not {parts!r}")
 
 
 def param_local(i: int) -> str:
@@ -410,6 +413,11 @@ class ClassDecl(NamedTuple):
         dup = _duplicate(m.key for m in self.methods)
         if dup is not None:
             raise ValidationError(f"{where}: duplicate method {method_sig(self.name, *dup)}")
+        # every id made from a declaration names it: none is ambiguous
+        for m in self.methods:
+            check_id(parse_method_sig, m.sig(self.name), where, (self.name, m.name, m.params))
+        for f in self.fields:
+            check_id(parse_field_id, field_id(self.name, f.name), where, (self.name, f.name))
 
 
 class Manifest(NamedTuple):
@@ -476,9 +484,10 @@ class LinkConfig(NamedTuple):
 class LinkedProgram:
     """One merged class table plus analysis configuration.
 
-    Immutable apart from the :meth:`lookup_method` and :meth:`defs_index`
-    caches; the entry class and its callback call sites are filled in by
-    the entrypoints module via :func:`with_entry`, which starts fresh caches.
+    Immutable apart from the :meth:`lookup_method`, :meth:`defs_index` and
+    :meth:`call_sites` caches; the entry class and its callback call sites
+    are filled in by the entrypoints module via :func:`with_entry`, which
+    starts fresh caches.
     """
 
     def __init__(self, name: str, manifest: Manifest, classes: dict, config: LinkConfig,
@@ -490,6 +499,7 @@ class LinkedProgram:
         self.entry_class = entry_class
         self.entry_sites = entry_sites  # SiteIds of callback invocations in the dummy main
         self._defs = {}
+        self._sites = {}
         self._methods = {}
 
     # -- lookups ------------------------------------------------------------
@@ -510,18 +520,12 @@ class LinkedProgram:
     def lookup_field(self, fid: str):
         cls, name = parse_field_id(fid)
         decl = self.classes.get(cls)
-        if decl is None:
-            return None
-        f = decl.field_by_name(name)
-        if f is None:
-            return None
-        return decl, f
+        f = None if decl is None else decl.field_by_name(name)
+        return None if f is None else (decl, f)
 
     def body_of(self, sig: str):
         found = self.lookup_method(sig)
-        if found is None:
-            return None
-        return found[1].body
+        return None if found is None else found[1].body
 
     def stmt_at(self, site: SiteId):
         body = self.body_of(site.method)
@@ -533,15 +537,6 @@ class LinkedProgram:
         if decl.origin == "framework":
             return True
         return any(decl.name.startswith(p) for p in self.config.framework_prefixes)
-
-    def iter_methods(self, origins=None):
-        """Yield (ClassDecl, MethodDecl, sig) sorted by class then signature."""
-        for cname in sorted(self.classes):
-            decl = self.classes[cname]
-            if origins is not None and decl.origin not in origins:
-                continue
-            for m in sorted(decl.methods, key=lambda m: (m.name, m.params)):
-                yield decl, m, m.sig(cname)
 
     def defs_index(self, sig: str) -> Optional[dict]:
         """Local name -> [(stmt index, stmt), ...] in body order, for every
@@ -557,11 +552,26 @@ class LinkedProgram:
             self._defs[sig] = index
         return self._defs[sig]
 
+    def call_sites(self, sig: str) -> tuple:
+        """(SiteId, Invoke) for each invoke of the method, in body order; ()
+        for a missing or stub method. Built once per method and cached on
+        this program."""
+        if sig not in self._sites:
+            body = self.body_of(sig) or ()
+            self._sites[sig] = tuple(
+                (SiteId(sig, i), stmt) for i, stmt in enumerate(body) if type(stmt) is Invoke
+            )
+        return self._sites[sig]
+
     def iter_app_bodies(self):
-        """Bodied methods of app/library classes (the analyzed code)."""
-        for decl, m, sig in self.iter_methods(origins=("app", "library")):
-            if decl.name != self.entry_class and m.body is not None:
-                yield decl, m, sig
+        """(ClassDecl, MethodDecl, sig) of each bodied method of app/library
+        classes (the analyzed code), by class, then method name and params."""
+        for cname in sorted(self.classes):
+            decl = self.classes[cname]
+            if decl.origin != "framework" and cname != self.entry_class:
+                for m in sorted(decl.methods, key=lambda m: m.key):
+                    if m.body is not None:
+                        yield decl, m, m.sig(cname)
 
     @property
     def entry_main_sig(self) -> Optional[str]:

@@ -319,10 +319,7 @@ def augment_call_graph(
 
     def callees(m):
         out = []
-        for i, stmt in enumerate(program.body_of(m) or ()):
-            if not isinstance(stmt, Invoke):
-                continue
-            site = SiteId(m, i)
+        for site, stmt in program.call_sites(m):
             targets = edges.get(site)
             if not targets:
                 cha = hierarchy.cha_targets(stmt)

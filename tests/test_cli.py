@@ -12,7 +12,7 @@ import pytest
 from permplace import cli
 from permplace.cli import _load_config, build_parser, run
 from permplace.model import LinkConfig
-from test_model import MALFORMED_SIGS
+from test_model import MALFORMED_NAMES, MALFORMED_SIGS
 
 FIXED_ARGS = None  # populated per-test via helpers
 
@@ -170,6 +170,18 @@ def test_malformed_signature_is_input_error(tmp_path, paths, capsys, sig):
     assert run(["spec", "validate", str(spec)]) == 1
     err = capsys.readouterr().err
     assert f"{spec}[0]: malformed method signature" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "cha-reach", "collect"])
+@pytest.mark.parametrize("cls", MALFORMED_NAMES.values(), ids=MALFORMED_NAMES)
+def test_malformed_name_is_input_error(tmp_path, paths, capsys, command, cls):
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "t", "manifest": {}, "classes": [cls]}))
+    inputs = ["--spec", paths["spec"], "--framework", paths["framework"]]
+    assert run([command, str(tmp_path if command == "collect" else app), *inputs]) == 1
+    err = capsys.readouterr().err
+    assert f"{app}.classes.{cls['name']}: " in err
     assert "Traceback" not in err
 
 

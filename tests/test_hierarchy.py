@@ -93,7 +93,8 @@ def test_dispatch_matches_superclass_walk(framework, threads, viewstub, parametr
         h = build_hierarchy(program)
         sigs = {
             stmt.method
-            for _decl, m, _sig in program.iter_methods()
+            for decl in program.classes.values()
+            for m in decl.methods
             for stmt in m.body or ()
             if isinstance(stmt, Invoke)
         }
@@ -257,8 +258,8 @@ def test_resolve_declaration_matches_uncached_walk(framework, threads, viewstub,
     checked = 0
     for program in programs:
         h = build_hierarchy(program)
-        for _decl, m, _sig in program.iter_methods():
-            for stmt in m.body or ():
+        for decl in program.classes.values():
+            for stmt in (s for m in decl.methods for s in m.body or ()):
                 if not isinstance(stmt, Invoke):
                     continue
                 cls, name, params = parse_method_sig(stmt.method)

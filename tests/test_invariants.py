@@ -156,7 +156,7 @@ def test_sites_without_a_choice_hold_one_edge(threads, viewstub, parametric, fra
 
 def test_detected_within_cha_within_all(subjects):
     for prepared in subjects:
-        all_methods = {sig for _d, _m, sig in prepared.program.iter_methods()}
+        all_methods = {m.sig(d.name) for d in prepared.program.classes.values() for m in d.methods}
         cha = cha_reachable_methods(prepared.program, prepared.hierarchy)
         assert cha <= all_methods
         for mode in ("cfa0", "cfa1"):

@@ -156,6 +156,49 @@ def test_malformed_invoke_signature_fails_load_at_its_statement(tmp_path, sig):
     assert f"{path}.classes.A.f0[1]: malformed method signature" in str(exc.value)
 
 
+SINK = [  # a parametric sink fed a protected literal
+    {"op": "const_str", "target": "s", "value": "content://sensitive"},
+    {"op": "new", "target": "i", "type": "android.content.Intent"},
+    {"op": "invoke", "kind": "special", "receiver": "i", "args": ["s"],
+     "method": "android.content.Intent#<init>(java.lang.String)"},
+]
+CAMERA = [{"op": "invoke", "kind": "static", "method": "android.hardware.Camera#open()"}]
+
+# declarations whose method signature or field id would not read back as the
+# class, name and parameters it was built from; each is one class
+MALFORMED_NAMES = {
+    "hash-in-class": {"name": "app#A", "super": "android.app.Activity",
+                      "methods": [{"name": "onCreate", "body": CAMERA}]},
+    "paren-in-class": {"name": "app(A", "super": "android.app.Activity",
+                       "methods": [{"name": "onCreate", "body": CAMERA}]},
+    "paren-in-method": {"name": "app.A", "super": "android.app.Activity",
+                        "methods": [{"name": "onCreate", "body": CAMERA},
+                                    {"name": "r(un", "body": SINK}]},
+    "paren-in-unused-method": {"name": "app.A", "methods": [
+        {"name": "r(un", "body": [{"op": "return"}]}]},
+    "hash-in-method": {"name": "app.A", "methods": [{"name": "a#b", "body": []}]},
+    "comma-in-param": {"name": "app.A", "methods": [
+        {"name": "f", "params": ["a,b"], "body": []}]},
+    "empty-param": {"name": "app.A", "methods": [{"name": "f", "params": [""], "body": []}]},
+    "hash-in-field-class": {"name": "app#B", "fields": [{"name": "x", "type": "int"}]},
+}
+
+
+@pytest.mark.parametrize("cls", MALFORMED_NAMES.values(), ids=MALFORMED_NAMES)
+def test_malformed_name_fails_load_at_its_class(cls):
+    with pytest.raises(ValidationError) as exc:
+        make_app([cls])
+    assert str(exc.value).startswith(f"<app>.classes.{cls['name']}: ")
+
+
+def test_ids_of_declarations_read_back():
+    # names the check accepts: dots, '$', '<init>', and '#' in a field name
+    # (a field id splits at its first '#')
+    app = make_app([{"name": "a.B$C", "fields": [{"name": "x#y", "type": "int"}], "methods": [
+        {"name": "<init>", "params": ["java.lang.String", "a.B$C"], "body": []}]}])
+    assert app.classes[0].methods[0].sig("a.B$C") == "a.B$C#<init>(java.lang.String,a.B$C)"
+
+
 def test_site_id_string_round_trip():
     s = SiteId("a.B#f()", 3)
     assert str(s) == "a.B#f()/3"

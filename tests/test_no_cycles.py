@@ -19,6 +19,7 @@ import pytest
 import permplace
 from permplace.cli import run
 from randprog import app_json, gen_app, gen_heap_app
+from test_model import MALFORMED_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -127,6 +128,7 @@ def write_inputs(tmp) -> dict:
                                {"op": "invoke", "kind": "static",
                                 "method": "android.hardware.Camera#open()"}]}]}],
     }
+    bad_classes.update((name, [cls]) for name, cls in MALFORMED_NAMES.items())
     for name, classes in bad_classes.items():
         write(name, json.dumps({"name": "t", "manifest": {}, "classes": classes}))
     write("mistyped-name", json.dumps({"name": 1, "manifest": {}, "classes": []}))
@@ -140,6 +142,11 @@ def write_inputs(tmp) -> dict:
         shutil.copy(app, corpus)
     shutil.copy(paths["unresolved-type"], corpus / "corrupt.json")
     paths["malformed-corpus"] = str(corpus)
+    for name in MALFORMED_NAMES:  # a corpus of the one app
+        corpus = tmp / f"{name}-corpus"
+        corpus.mkdir()
+        shutil.copy(paths[name], corpus)
+        paths[f"{name}-corpus"] = str(corpus)
     return paths
 
 
@@ -203,6 +210,14 @@ MALFORMED = {
     "collect-malformed-app": ["collect", "@malformed-corpus", "--spec", "@spec",
                               "--framework", "@framework", "--summary", "@out"],
     "spec-validate-malformed": ["spec", "validate", "@unknown-key"],
+    **{f"{command}-{name}": argv
+       for name in MALFORMED_NAMES
+       for command, argv in (
+           ("analyze", analyze(f"@{name}")),
+           ("cha-reach", ["cha-reach", f"@{name}", "--spec", "@spec", "--framework", "@framework"]),
+           ("collect", ["collect", f"@{name}-corpus", "--spec", "@spec",
+                        "--framework", "@framework"]),
+       )},
 }
 
 

@@ -350,7 +350,7 @@ def test_augmentation_queries_each_site_once(prepared_programs, viewstub, monkey
     # sites: an object is queried at most once per scanned site holding it
     queries = Counter()
     scanned = set()
-    real_query, real_body = ClassHierarchy.cha_targets, LinkedProgram.body_of
+    real_query, real_sites = ClassHierarchy.cha_targets, LinkedProgram.call_sites
 
     def counting(self, invoke):
         queries[id(invoke)] += 1
@@ -358,16 +358,16 @@ def test_augmentation_queries_each_site_once(prepared_programs, viewstub, monkey
 
     def scanning(self, sig):
         scanned.add(sig)
-        return real_body(self, sig)
+        return real_sites(self, sig)
 
     monkeypatch.setattr(ClassHierarchy, "cha_targets", counting)
-    monkeypatch.setattr(LinkedProgram, "body_of", scanning)
+    monkeypatch.setattr(LinkedProgram, "call_sites", scanning)
     for prepared in [viewstub, *prepared_programs]:
         queries.clear()
         scanned.clear()
         cg = augment_call_graph(prepared.cg_raw, prepared.program, prepared.hierarchy)
         holders = Counter(
-            id(stmt) for sig in scanned for stmt in real_body(prepared.program, sig) or ()
+            id(stmt) for sig in scanned for _site, stmt in real_sites(prepared.program, sig)
         )
         assert all(n <= holders[i] for i, n in queries.items()), prepared.program.name
         assert cg == prepared.cg
