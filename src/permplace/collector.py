@@ -47,20 +47,22 @@ def collect_usage(
     const_class = program.config.permission_constant_class
 
     code_sites = defaultdict(list)
-    for decl, m, sig in program.iter_app_bodies():
-        for i, stmt in enumerate(m.body):
-            if isinstance(stmt, ConstStr) and stmt.value in known:
-                code_sites[stmt.value].append(f"{SiteId(sig, i)} (literal)")
-            elif isinstance(stmt, LoadStatic):
-                cls, fname = parse_field_id(stmt.field)
-                if cls != const_class:
-                    continue
-                found = program.lookup_field(stmt.field)
-                if found is not None and found[1].constValue:
-                    perm = found[1].constValue
-                else:
-                    perm = f"android.permission.{fname}"
-                code_sites[perm].append(f"{SiteId(sig, i)} (constant)")
+    for _decl, _m, sig in program.iter_app_bodies():
+        # both kinds of constant assign a local: they are among its definitions
+        for defs in program.defs_index(sig).values():
+            for i, stmt in defs:
+                if isinstance(stmt, ConstStr) and stmt.value in known:
+                    code_sites[stmt.value].append(f"{SiteId(sig, i)} (literal)")
+                elif isinstance(stmt, LoadStatic):
+                    cls, fname = parse_field_id(stmt.field)
+                    if cls != const_class:
+                        continue
+                    found = program.lookup_field(stmt.field)
+                    if found is not None and found[1].constValue:
+                        perm = found[1].constValue
+                    else:
+                        perm = f"android.permission.{fname}"
+                    code_sites[perm].append(f"{SiteId(sig, i)} (constant)")
 
     sensitive_sites = defaultdict(list)
     for s in find_sensitive_sites(program, hierarchy, spec):

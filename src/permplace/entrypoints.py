@@ -17,6 +17,7 @@ from .model import (
     SiteId,
     method_sig,
     parse_method_sig,
+    sig_in,
 )
 
 ENTRY_CLASS = "synthetic.Main"
@@ -75,7 +76,7 @@ def detect_callbacks(program: LinkedProgram, hierarchy: ClassHierarchy):
             sup.name != decl.name
             and sup.name not in excluded
             and program.is_framework(sup)
-            and sup.method_by_key(m.name, m.params)
+            and sig_in(sup.name, sig) in program.methods
             for sup in hierarchy.superclass_chain(decl.name)
         ):
             out.append(CallbackRef(hostClass=decl.name, sig=sig))
@@ -87,8 +88,7 @@ def detect_callbacks(program: LinkedProgram, hierarchy: ClassHierarchy):
                 continue
             # every supertype of an interface is an interface (link_program)
             if iname not in excluded and any(
-                program.classes[s].method_by_key(m.name, m.params)
-                for s in hierarchy.supertypes(iname)
+                sig_in(s, sig) in program.methods for s in hierarchy.supertypes(iname)
             ):
                 anchors.add(iname)
         if anchors and _registered(program, hierarchy, decl.name, anchors):

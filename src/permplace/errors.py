@@ -26,12 +26,10 @@ class CycleError(PermplaceError):
 
 
 class ConflictError(PermplaceError):
-    """Two specs map the same key to different permission sets."""
+    """Two specs give one key entries that differ in permissions, anyOf or constValue."""
 
     def __init__(self, conflicts):
-        super().__init__(
-            "conflicting permission sets for: " + ", ".join(str(k) for k in conflicts)
-        )
+        super().__init__("conflicting entries for: " + ", ".join(str(k) for k in conflicts))
 
 
 class InconsistentInput(PermplaceError):

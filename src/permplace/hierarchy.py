@@ -6,7 +6,7 @@ from typing import Optional
 
 from .errors import CycleError
 from .graph import closure, components
-from .model import Invoke, LinkedProgram, parse_method_sig
+from .model import Invoke, LinkedProgram, parse_method_sig, sig_in
 
 
 class ClassHierarchy:
@@ -51,14 +51,14 @@ class ClassHierarchy:
         name dispatches nowhere. Cached per pair."""
         key = (runtime_type, sig)
         if key not in self._dispatch_cache:
-            _, name, params = parse_method_sig(sig)
             target = None
             runtime = self.program.get_class(runtime_type)
             if runtime is not None and runtime.kind == "class":
                 for decl in self.superclass_chain(runtime_type):
-                    m = decl.method_by_key(name, params)
-                    if m is not None and not m.abstract:
-                        target = m.sig(decl.name)
+                    declared = sig_in(decl.name, sig)
+                    entry = self.program.methods.get(declared)
+                    if entry is not None and not entry.method.abstract:
+                        target = declared
                         break
             self._dispatch_cache[key] = target
         return self._dispatch_cache[key]
@@ -95,13 +95,12 @@ class ClassHierarchy:
         """
         sig = invoke.method
         if sig not in self._declarations:
-            cls, name, params = parse_method_sig(sig)
-            self._declarations[sig] = self._visible_declaration(cls, name, params)
+            self._declarations[sig] = self._visible_declaration(sig)
         return self._declarations[sig]
 
-    def _visible_declaration(self, cls: str, name: str, params) -> Optional[str]:
+    def _visible_declaration(self, sig: str) -> Optional[str]:
         seen = set()
-        queue = [cls]
+        queue = [parse_method_sig(sig)[0]]
         while queue:
             current = queue.pop(0)
             if current in seen:
@@ -110,9 +109,9 @@ class ClassHierarchy:
             decl = self.program.get_class(current)
             if decl is None:
                 continue
-            m = decl.method_by_key(name, params)
-            if m is not None:
-                return m.sig(current)
+            declared = sig_in(current, sig)
+            if declared in self.program.methods:
+                return declared
             if decl.super is not None:
                 queue.append(decl.super)
             queue.extend(decl.interfaces)

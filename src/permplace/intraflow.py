@@ -2,8 +2,8 @@
 
 Two views over the same def-chase: the evidence sensitive matching reads
 (string literals and static-field ids), and possible runtime types for
-callback-registration evidence. Both walk the method's definition index
-(:meth:`LinkedProgram.defs_index`) with a worklist.
+callback-registration evidence. Both walk the method's definitions in the
+program's method table (:attr:`MethodEntry.defs`) with a worklist.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .model import (
     LoadStatic,
     New,
     param_index,
-    parse_method_sig,
 )
 
 
@@ -54,24 +53,22 @@ def intraproc_values(program: LinkedProgram, sig: str, var: str):
 
 
 def possible_types(program: LinkedProgram, sig: str, var: str):
-    """Possible runtime types of a local, as (type name, exact) pairs.
+    """Possible runtime types of a local of the declared method ``sig``, as
+    (type name, exact) pairs.
 
     ``exact`` types come from allocation sites; inexact ones are declared
     types of opaque defs (call returns, parameters, static-field loads),
     meaning any subtype is possible.
     """
-    index = program.defs_index(sig)
-    if index is None:
-        return set()
-    cls, _, params = parse_method_sig(sig)
+    entry = program.lookup_method(sig)
     out = set()
-    for v, stmt in _reaching_defs(index, var):
+    for v, stmt in _reaching_defs(entry.defs, var):
         if stmt is None:
             i = param_index(v)
             if v == "this":
-                out.add((cls, False))
-            elif i is not None and i < len(params):
-                out.add((params[i], False))
+                out.add((entry.decl.name, False))
+            elif i is not None and i < len(entry.method.params):
+                out.add((entry.method.params[i], False))
         elif isinstance(stmt, New):
             out.add((stmt.type, True))
         elif isinstance(stmt, ConstStr):
@@ -79,7 +76,7 @@ def possible_types(program: LinkedProgram, sig: str, var: str):
         elif isinstance(stmt, Invoke):
             found = program.lookup_method(stmt.method)
             if found is not None:
-                out.add((found[1].returnType, False))
+                out.add((found.method.returnType, False))
         elif isinstance(stmt, LoadStatic):
             found = program.lookup_field(stmt.field)
             if found is not None:

@@ -31,6 +31,11 @@ def method_sig(cls: str, name: str, params) -> str:
     return f"{cls}#{name}({','.join(params)})"
 
 
+def sig_in(cls: str, sig: str) -> str:
+    """The signature of ``sig``'s name and parameters declared in ``cls``."""
+    return cls + sig[sig.index("#"):]
+
+
 _METHOD_SIG = re.compile(r"([^#()]+)#([^#()]+)\(([^#()]*)\)")
 
 
@@ -390,18 +395,6 @@ class ClassDecl(NamedTuple):
         """Direct supertypes: the interfaces, then the superclass."""
         return self.interfaces if self.super is None else (*self.interfaces, self.super)
 
-    def field_by_name(self, name: str) -> Optional[FieldDecl]:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
-
-    def method_by_key(self, name: str, params) -> Optional[MethodDecl]:
-        for m in self.methods:
-            if m.name == name and m.params == tuple(params):
-                return m
-        return None
-
     def _check(self, where: str) -> None:
         if self.kind not in ("class", "interface"):
             raise ValidationError(f"{where}: bad class kind {self.kind!r}")
@@ -481,51 +474,75 @@ class LinkConfig(NamedTuple):
                 raise ValidationError(f"{where}: empty name in {key}")
 
 
-class LinkedProgram:
-    """One merged class table plus analysis configuration.
+class MethodEntry(NamedTuple):
+    """A declared method, with the views of its body (empty for a stub)."""
 
-    Immutable apart from the :meth:`lookup_method`, :meth:`defs_index` and
-    :meth:`call_sites` caches; the entry class and its callback call sites
-    are filled in by the entrypoints module via :func:`with_entry`, which
-    starts fresh caches.
+    decl: ClassDecl
+    method: MethodDecl
+    defs: dict  # local -> [(stmt index, stmt)] of the statements assigning it, in body order
+    sites: tuple  # (SiteId, Invoke) of each invoke, in body order
+    returns: tuple  # the locals its returns return, in body order
+
+
+def _index_class(decl: ClassDecl, methods: dict, fields: dict) -> None:
+    """Add the table entries of ``decl`` to ``methods`` (signature ->
+    :class:`MethodEntry`, by method name and params) and ``fields`` (field
+    id -> (ClassDecl, FieldDecl)), with one pass over each body."""
+    for f in decl.fields:
+        fields[field_id(decl.name, f.name)] = (decl, f)
+    for m in sorted(decl.methods, key=lambda m: m.key):
+        sig = m.sig(decl.name)
+        defs, sites, returns = {}, [], []
+        for i, stmt in enumerate(m.body or ()):
+            kind, target = type(stmt), getattr(stmt, "target", None)
+            if target is not None:
+                defs.setdefault(target, []).append((i, stmt))
+            if kind is Invoke:
+                sites.append((SiteId(sig, i), stmt))
+            elif kind is Return and stmt.value is not None:
+                returns.append(stmt.value)
+        methods[sig] = MethodEntry(decl, m, defs, tuple(sites), tuple(returns))
+
+
+class LinkedProgram:
+    """One merged class table plus analysis configuration, immutable.
+
+    The constructor indexes every declared method and field once: ``methods``
+    maps a signature to its :class:`MethodEntry`, by class name, then method
+    name and params, and ``fields`` a field id to (ClassDecl, FieldDecl).
+    The entry class and its callback call sites are filled in by the
+    entrypoints module via :func:`with_entry`.
     """
 
     def __init__(self, name: str, manifest: Manifest, classes: dict, config: LinkConfig,
-                 entry_class: Optional[str] = None, entry_sites: tuple = ()):
+                 entry_class: Optional[str] = None, entry_sites: tuple = (), tables=None):
         self.name = name
         self.manifest = manifest
         self.classes = classes  # name -> ClassDecl
         self.config = config
         self.entry_class = entry_class
         self.entry_sites = entry_sites  # SiteIds of callback invocations in the dummy main
-        self._defs = {}
-        self._sites = {}
-        self._methods = {}
+        if tables is None:
+            tables = {}, {}
+            for cname in sorted(classes):
+                _index_class(classes[cname], *tables)
+        self.methods, self.fields = tables
 
     # -- lookups ------------------------------------------------------------
 
     def get_class(self, name: str) -> Optional[ClassDecl]:
         return self.classes.get(name)
 
-    def lookup_method(self, sig: str):
-        """Exact declaration lookup; returns (ClassDecl, MethodDecl) or None.
-        Each signature is parsed once and its answer cached on this program."""
-        if sig not in self._methods:
-            cls, name, params = parse_method_sig(sig)
-            decl = self.classes.get(cls)
-            m = None if decl is None else decl.method_by_key(name, params)
-            self._methods[sig] = None if m is None else (decl, m)
-        return self._methods[sig]
+    def lookup_method(self, sig: str) -> Optional[MethodEntry]:
+        """The method's :class:`MethodEntry`; None for an undeclared signature."""
+        return self.methods.get(sig)
 
     def lookup_field(self, fid: str):
-        cls, name = parse_field_id(fid)
-        decl = self.classes.get(cls)
-        f = None if decl is None else decl.field_by_name(name)
-        return None if f is None else (decl, f)
+        return self.fields.get(fid)
 
     def body_of(self, sig: str):
-        found = self.lookup_method(sig)
-        return None if found is None else found[1].body
+        entry = self.methods.get(sig)
+        return None if entry is None else entry.method.body
 
     def stmt_at(self, site: SiteId):
         body = self.body_of(site.method)
@@ -539,39 +556,24 @@ class LinkedProgram:
         return any(decl.name.startswith(p) for p in self.config.framework_prefixes)
 
     def defs_index(self, sig: str) -> Optional[dict]:
-        """Local name -> [(stmt index, stmt), ...] in body order, for every
-        statement that assigns a local; None for a missing or stub method.
-        Built once per method and cached on this program."""
-        if sig not in self._defs:
-            body = self.body_of(sig)
-            index = None if body is None else {}
-            for i, stmt in enumerate(body or ()):
-                target = getattr(stmt, "target", None)
-                if target is not None:
-                    index.setdefault(target, []).append((i, stmt))
-            self._defs[sig] = index
-        return self._defs[sig]
+        """The method's :attr:`MethodEntry.defs`, empty for a stub; None for
+        an undeclared method."""
+        entry = self.methods.get(sig)
+        return None if entry is None else entry.defs
 
     def call_sites(self, sig: str) -> tuple:
         """(SiteId, Invoke) for each invoke of the method, in body order; ()
-        for a missing or stub method. Built once per method and cached on
-        this program."""
-        if sig not in self._sites:
-            body = self.body_of(sig) or ()
-            self._sites[sig] = tuple(
-                (SiteId(sig, i), stmt) for i, stmt in enumerate(body) if type(stmt) is Invoke
-            )
-        return self._sites[sig]
+        for a stub or an undeclared method."""
+        entry = self.methods.get(sig)
+        return () if entry is None else entry.sites
 
     def iter_app_bodies(self):
         """(ClassDecl, MethodDecl, sig) of each bodied method of app/library
         classes (the analyzed code), by class, then method name and params."""
-        for cname in sorted(self.classes):
-            decl = self.classes[cname]
-            if decl.origin != "framework" and cname != self.entry_class:
-                for m in sorted(decl.methods, key=lambda m: m.key):
-                    if m.body is not None:
-                        yield decl, m, m.sig(cname)
+        for sig, entry in self.methods.items():
+            decl, m = entry.decl, entry.method
+            if m.body is not None and decl.origin != "framework" and decl.name != self.entry_class:
+                yield decl, m, sig
 
     @property
     def entry_main_sig(self) -> Optional[str]:
@@ -580,11 +582,12 @@ class LinkedProgram:
         return method_sig(self.entry_class, "main", ())
 
     def with_entry(self, entry_decl: ClassDecl, entry_sites) -> "LinkedProgram":
-        classes = dict(self.classes)
-        classes[entry_decl.name] = entry_decl
-        return LinkedProgram(
-            self.name, self.manifest, classes, self.config, entry_decl.name, tuple(entry_sites)
-        )
+        """This program plus the entry class, sharing every other table entry."""
+        tables = dict(self.methods), dict(self.fields)
+        _index_class(entry_decl, *tables)
+        classes = {**self.classes, entry_decl.name: entry_decl}
+        return LinkedProgram(self.name, self.manifest, classes, self.config, entry_decl.name,
+                             tuple(entry_sites), tables)
 
 
 def _merge_class(name: str, decls) -> ClassDecl:

@@ -115,6 +115,18 @@ def _entry_from_dict(d, where: str) -> Optional[SpecEntry]:
     return from_dict(SpecEntry, d, where)
 
 
+def _merged(a: SpecEntry, b: SpecEntry) -> Optional[SpecEntry]:
+    """One entry for two of one key, whatever their order: None when they
+    differ in permissions, anyOf or constValue; else the first source in
+    ``ENTRY_SOURCES``, deprecated if either is."""
+    if (a.permissions, a.anyOf, a.constValue) != (b.permissions, b.anyOf, b.constValue):
+        return None
+    return a._replace(
+        deprecated=a.deprecated or b.deprecated,
+        source=min(a.source, b.source, key=ENTRY_SOURCES.index),
+    )
+
+
 def spec_from_list(items, where: str = "<spec>") -> PermissionSpec:
     entries = {}
     for i, raw in enumerate(items):
@@ -123,11 +135,10 @@ def spec_from_list(items, where: str = "<spec>") -> PermissionSpec:
             continue
         prev = entries.get(entry.entry_key)
         if prev is not None:
-            if prev.permissions != entry.permissions:
-                raise ValidationError(
-                    f"{where}[{i}]: duplicate key {entry.key} with different permissions"
-                )
-            continue  # identical duplicates collapse
+            entry = _merged(prev, entry)
+            if entry is None:
+                raise ValidationError(f"{where}[{i}]: duplicate key {prev.key} with other "
+                                      "permissions, anyOf or constValue")
         entries[entry.entry_key] = entry
     return PermissionSpec(entries=entries)
 
@@ -158,18 +169,14 @@ def spec_to_list(spec: PermissionSpec):
 
 
 def merge_specs(a: PermissionSpec, b: PermissionSpec):
-    """Union two specs. Keys present in both with different permission
-    sets raise :class:`ConflictError`."""
-    conflicts = []
+    """Union two specs; a key present in both gets the :func:`_merged`
+    entry, and keys whose entries conflict raise :class:`ConflictError`."""
     merged = dict(a.entries)
     for key, eb in b.entries.items():
-        ea = merged.get(key)
-        if ea is None:
-            merged[key] = eb
-        elif ea.permissions != eb.permissions:
-            conflicts.append(key)
+        merged[key] = _merged(merged[key], eb) if key in merged else eb
+    conflicts = sorted(key for key, e in merged.items() if e is None)
     if conflicts:
-        raise ConflictError(sorted(conflicts))
+        raise ConflictError(conflicts)
     return PermissionSpec(entries=merged)
 
 

@@ -23,7 +23,6 @@ from .model import (
     LoadField,
     LoadStatic,
     New,
-    Return,
     SiteId,
     StoreField,
     StoreStatic,
@@ -100,7 +99,6 @@ class _Solver:
         self.store_deps = defaultdict(list)  # base node -> [(field, source node)]
         self.call_deps = defaultdict(list)  # receiver node -> [(site, stmt, targets linked)]
         self.classified = {}  # invoke sig -> [allocs seen, {type: target}, {target: allocs}, cls]
-        self.returns = {}  # reachable method sig -> the locals it returns
         self.sites = []  # alloc -> SiteId
         self.alloc_type = []  # alloc -> class name
         self.type_allocs = defaultdict(int)  # class name -> bitset of its allocs
@@ -139,7 +137,7 @@ class _Solver:
         self.make_reachable(target)
         for i, arg in enumerate(stmt.args):
             self.add_edge(self.var(caller, arg), self.var(target, param_local(i)))
-        for ret in self.returns[target] if stmt.target is not None else ():
+        for ret in self.program.methods[target].returns if stmt.target is not None else ():
             self.add_edge(self.var(target, ret), self.var(caller, stmt.target))
 
     def dispatch_call(self, call, bits):
@@ -173,24 +171,25 @@ class _Solver:
                     self.pts[n] = old | recv
 
     def make_reachable(self, sig: str):
-        """Queue a method new to the reachable set and scan its body once."""
+        """Queue a method new to the reachable set, reading its entry in the
+        program's table."""
         if sig in self.reachable:
             return
         self.reachable.add(sig)
-        body = self.program.body_of(sig) or ()
-        copies, returns = {}, []
-        for stmt in body:
-            if type(stmt) is Assign:
-                copies.setdefault(stmt.source, []).append(stmt.target)
-            elif type(stmt) is Return and stmt.value is not None:
-                returns.append(stmt.value)
-        self.returns[sig] = returns
-        if body:
-            self.pending.append((sig, body))
+        entry = self.program.lookup_method(sig)
+        if entry.method.body:
+            self.pending.append((sig, entry.method.body))
         # off-line variable substitution: the locals of a copy cycle end with
-        # one set, so they share one node; a cycle needs a local copied both ways
-        if any(t in copies for targets in copies.values() for t in targets):
-            for comp in components(copies, copies):
+        # one set, so they share one node. The assigns among a local's
+        # definitions give its sources: the copy graph reversed, with the
+        # same cycles; a cycle needs a local copied both ways
+        sources = {}
+        for local, defs in entry.defs.items():
+            for _i, stmt in defs:
+                if type(stmt) is Assign:
+                    sources.setdefault(local, []).append(stmt.source)
+        if any(s in sources for ss in sources.values() for s in ss):
+            for comp in components(sources, sources):
                 for local in comp[1:]:
                     self.vars[sig, local] = self.var(sig, comp[0])
 

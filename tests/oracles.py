@@ -48,6 +48,11 @@ def _naive_subtype(program, sub, sup):
     return False
 
 
+def _declared(decl, name, params):
+    """The method of ``decl`` with this name and parameters, by a linear scan."""
+    return next((m for m in decl.methods if m.name == name and m.params == tuple(params)), None)
+
+
 def _naive_dispatch(program, rtype, name, params):
     """Walk the superclass chain for the nearest concrete declaration; a
     runtime type that is not a class dispatches nowhere."""
@@ -59,7 +64,7 @@ def _naive_dispatch(program, rtype, name, params):
         decl = program.get_class(cur)
         if decl is None:
             return None
-        m = decl.method_by_key(name, tuple(params))
+        m = _declared(decl, name, params)
         if m is not None and not m.abstract:
             return m.sig(cur)
         cur = decl.super
@@ -78,7 +83,7 @@ def _naive_resolve(program, cls, name, params):
         decl = program.get_class(cur)
         if decl is None:
             continue
-        m = decl.method_by_key(name, tuple(params))
+        m = _declared(decl, name, params)
         if m is not None:
             return m.sig(cur)
         if decl.super is not None:

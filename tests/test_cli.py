@@ -663,6 +663,38 @@ def test_spec_merge_conflict_is_input_error(tmp_path, capsys):
     assert run(["spec", "merge", str(a), str(b)]) == 1
 
 
+LM_KEY = "android.location.LocationManager#getLastKnownLocation(java.lang.String)"
+
+
+def test_spec_merge_does_not_depend_on_argument_order(paths, tmp_path, capsys):
+    def spec_file(name, **extra):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps([{"kind": "method", "key": LM_KEY,
+                                     "permissions": ["android.permission.ACCESS_FINE_LOCATION"],
+                                     **extra}]))
+        return str(path)
+
+    any_of = spec_file("any", anyOf=True, source="annotation")
+    all_of = spec_file("all", source="javadoc")
+    for pair in ((any_of, all_of), (all_of, any_of)):
+        assert run(["spec", "merge", *pair, "-o", str(tmp_path / "out.json")]) == 1
+        assert LM_KEY in capsys.readouterr().err
+        repeated = [f"--spec={p}" for p in pair]
+        assert run(["analyze", paths["threads"], "--framework", paths["framework"], *repeated]) == 1
+        assert LM_KEY in capsys.readouterr().err
+    old = spec_file("old", source="javadoc", deprecated=True)
+    annotated = spec_file("annotated", source="annotation")
+    outputs = []
+    for pair in ((old, annotated), (annotated, old)):
+        out = tmp_path / f"merged{len(outputs)}.json"
+        assert run(["spec", "merge", *pair, "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert [(e["source"], e.get("deprecated")) for e in json.loads(outputs[0])] == [
+        ("annotation", True)
+    ]
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

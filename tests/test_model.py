@@ -312,14 +312,14 @@ def test_lookup_cache_is_per_program(fixtures_dir, framework):
     start = "java.lang.Thread#start()"
     assert linked.lookup_method(main) is None and linked.body_of(main) is None
     assert linked.body_of(start) is linked.lookup_method(start)[1].body
-    warm = dict(linked._methods)
-    assert warm.keys() == {main, start}
+    table = dict(linked.methods)
     callbacks = entrypoints.detect_callbacks(linked, build_hierarchy(linked))
     program = entrypoints.generate_dummy_main(linked, callbacks)
     assert program.entry_main_sig == main
     assert program.lookup_method(main)[0].name == "synthetic.Main"
     assert len(program.body_of(main)) > len(callbacks)
-    assert linked.lookup_method(main) is None and linked._methods == warm
+    assert linked.lookup_method(main) is None and linked.methods == table
+    assert program.methods.keys() == table.keys() | {main}
 
 
 # -- statement interning ----------------------------------------------------

@@ -1,10 +1,14 @@
 import json
 import random
+import re
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from permplace import permspec
 from permplace.errors import ConflictError, ValidationError
+from permplace.analysis import write_json
 from permplace.model import link_program, load_app
 from permplace.permspec import (
     filter_dangerous,
@@ -89,6 +93,83 @@ def test_merge_commutative_without_conflicts():
     ab = merge_specs(a, b)
     ba = merge_specs(b, a)
     assert ab.entries == ba.entries
+
+
+def lm_entry(**extra):
+    return {"kind": "method", "key": LM_KEY, "permissions": [FINE], **extra}
+
+
+def merged_bytes(a, b) -> bytes:
+    return write_json(permspec.spec_to_list(merge_specs(a, b)))
+
+
+def test_merge_anyof_difference_conflicts_in_both_orders():
+    a = spec_from_list([lm_entry(anyOf=True, source="annotation")])
+    b = spec_from_list([lm_entry(source="javadoc")])
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ConflictError, match=re.escape(LM_KEY)):
+            merge_specs(x, y)
+
+
+@pytest.mark.parametrize("plain, other", [
+    (lm_entry(), lm_entry(anyOf=True)),
+    (lm_entry(), lm_entry(permissions=[FINE, CAMERA])),
+    ({"kind": "field", "key": "a.C#F", "permissions": [FINE]},
+     {"kind": "field", "key": "a.C#F", "permissions": [FINE], "constValue": "v"}),
+])
+def test_duplicate_in_one_spec_conflicts_in_both_orders(plain, other):
+    for items in ([plain, other], [other, plain]):
+        with pytest.raises(ValidationError, match=re.escape(f"[1]: duplicate key {plain['key']}")):
+            spec_from_list(items)
+
+
+def test_agreeing_entries_merge_whatever_the_order():
+    deprecated = lm_entry(source="javadoc", deprecated=True)
+    annotated = lm_entry(source="annotation")
+    a, b = spec_from_list([deprecated]), spec_from_list([annotated])
+    assert merged_bytes(a, b) == merged_bytes(b, a)
+    entry = merge_specs(a, b).method_entry(LM_KEY)
+    assert (entry.source, entry.deprecated) == ("annotation", True)
+    # duplicates inside one spec merge by the same rule
+    for items in ([deprecated, annotated], [annotated, deprecated]):
+        assert spec_from_list(items).method_entry(LM_KEY) == entry
+
+
+# entries over two keys, so that the specs of a pair share some
+_ENTRIES = st.builds(
+    lambda kind, key, perms, const, any_of, deprecated, source: {
+        "kind": kind, "key": f"a.C#{key}" if kind == "field" else f"a.C#{key}()",
+        "permissions": sorted(perms), "anyOf": any_of, "deprecated": deprecated,
+        "source": source, **({"constValue": const} if kind == "field" and const else {}),
+    },
+    st.sampled_from(["method", "field"]), st.sampled_from(["f", "g"]),
+    st.sets(st.sampled_from([FINE, CAMERA]), min_size=1), st.sampled_from([None, "u", "v"]),
+    st.booleans(), st.booleans(), st.sampled_from(permspec.ENTRY_SOURCES),
+)
+
+
+def _spec_or_none(items):
+    try:
+        return spec_from_list(items)
+    except ValidationError:
+        return None
+
+
+@given(st.lists(_ENTRIES, max_size=4), st.lists(_ENTRIES, max_size=4))
+def test_merge_does_not_depend_on_order(items_a, items_b):
+    a, b = _spec_or_none(items_a), _spec_or_none(items_b)
+    # one spec's duplicates merge by the same rule, in any order
+    backwards = _spec_or_none(items_a[::-1])
+    assert (a is None) == (backwards is None)
+    assert a is None or a.entries == backwards.entries
+    assume(a is not None and b is not None)
+    outcomes = []
+    for x, y in ((a, b), (b, a)):
+        try:
+            outcomes.append(merged_bytes(x, y))
+        except ConflictError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_filter_dangerous_drops_normal_entry(groups):

@@ -296,13 +296,20 @@ def test_hierarchy_answers_each_dispatch_once(framework, monkeypatch, instance):
 
 
 def test_each_reachable_body_is_read_once(framework, monkeypatch):
-    # a count gate: a body is scanned when its method becomes reachable, not
-    # again per call edge into it (49 reads for 21 methods before)
+    # a count gate: the solver reads a method's table entry when the method
+    # becomes reachable, not again per call edge into it (49 body reads for
+    # 21 methods before), and scans each reachable body once
     prepared = pipeline.prepare(gen_heap_app(0, 12, 6), [framework])
     calls = []
-    counting(monkeypatch, LinkedProgram, "body_of", calls)
+    for cls, name in ((LinkedProgram, "body_of"), (LinkedProgram, "lookup_method"),
+                      (_Solver, "process_body")):
+        counting(monkeypatch, cls, name, calls)
     _sol, cg = solve_0cfa(prepared.program, prepared.hierarchy)
-    assert Counter(sig for _name, sig in calls) == Counter(cg.reachable)
+    read = Counter(args[0] for name, *args in calls if name == "lookup_method")
+    scanned = Counter(args[0] for name, *args in calls if name == "process_body")
+    assert read == Counter(cg.reachable)
+    assert scanned == Counter(m for m in cg.reachable if prepared.program.methods[m].method.body)
+    assert all(name != "body_of" for name, *_args in calls)
 
 
 # -- incremental dispatch -------------------------------------------------------
