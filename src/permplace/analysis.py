@@ -11,7 +11,6 @@ from typing import NamedTuple
 from .cfa1 import filter_edges
 from .errors import InconsistentInput
 from .graph import closure, components
-from .hierarchy import ClassHierarchy
 from .intraflow import intraproc_values
 from .model import LinkedProgram, SiteId, parse_method_sig
 from .permspec import PermissionSpec
@@ -49,9 +48,7 @@ class ReportPaths(list):
 # sensitive detection
 
 
-def find_sensitive_sites(
-    program: LinkedProgram, hierarchy: ClassHierarchy, spec: PermissionSpec
-):
+def find_sensitive_sites(program: LinkedProgram, spec: PermissionSpec):
     """Scan every invoke in app/library bodies against the spec.
 
     Method entries match the declaration visible at the site; parametric
@@ -61,7 +58,7 @@ def find_sensitive_sites(
     out = []
     for _decl, _m, sig in program.iter_app_bodies():
         for site, stmt in program.call_sites(sig):
-            visible = hierarchy.resolve_declaration(stmt)
+            visible = program.hierarchy.resolve_declaration(stmt)
             if visible is None:
                 continue
             entry = spec.method_entry(visible)
@@ -121,7 +118,7 @@ def traverse(prepared, mode: str = "cfa1", limits: Limits = Limits()) -> Analysi
     it: callers must not mutate the nodes of a report, whose writer renders
     each node once."""
     assert mode in ("cfa0", "cfa1")
-    program, cg, sol, hierarchy = prepared.program, prepared.cg, prepared.sol, prepared.hierarchy
+    program, cg, sol = prepared.program, prepared.cg, prepared.sol
     sensitives = prepared.sensitives
     max_depth, max_paths = limits.maxDepth, limits.maxPathsPerSensitive
     bit_of = {s: 1 << i for i, s in enumerate(sensitives)}
@@ -173,7 +170,7 @@ def traverse(prepared, mode: str = "cfa1", limits: Limits = Limits()) -> Analysi
             if not edges:
                 continue
             if mode == "cfa1":
-                surviving, amb = filter_edges(cg, sol, program, hierarchy, site, entered_at)
+                surviving, amb = filter_edges(cg, sol, program, program.hierarchy, site, entered_at)
             else:
                 surviving, amb = edges, len(edges) > 1
             for target, _prov in sorted(surviving):
@@ -318,9 +315,10 @@ def detected_sensitives(report: AnalysisReport):
 # CHA-reachability partition
 
 
-def cha_reachable_methods(program: LinkedProgram, hierarchy: ClassHierarchy):
+def cha_reachable_methods(program: LinkedProgram):
     """Closure from the dummy main using class hierarchy data alone: every
     call site expands to all its bodied CHA targets."""
+    hierarchy = program.hierarchy
 
     def callees(m):
         return [t for _site, stmt in program.call_sites(m) for t in hierarchy.cha_targets(stmt)]
@@ -333,7 +331,7 @@ def cha_reach_partition(prepared, detected):
     """Partition the sensitives of ``prepared`` into unreachable /
     cha_reachable_undetected / detected. ``detected`` is the site-id string
     set from a traverse run on the same program."""
-    reachable = cha_reachable_methods(prepared.program, prepared.hierarchy)
+    reachable = cha_reachable_methods(prepared.program)
     partition = {"unreachable": [], "cha_reachable_undetected": [], "detected": []}
     for s in sorted(prepared.sensitives):
         sid = str(s.site)

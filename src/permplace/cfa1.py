@@ -113,6 +113,8 @@ def filter_edges(
     entry_site: SiteId,
 ):
     """Context-filter the edges at a call site; returns (edges, ambiguous).
+    The one function with a ``hierarchy`` parameter (``program.hierarchy``):
+    the benchmark's tracer reads the site and the context at positions 4, 5.
 
     A site with fewer than two edges has no choice and passes unchanged:
     static and special sites link one target, and augmentation adds one

@@ -20,8 +20,7 @@ from .analysis import (
     Limits, cha_reach_partition, detected_sensitives, traverse, write_json, write_report,
 )
 from .errors import PermplaceError
-from .hierarchy import build_hierarchy
-from .model import LinkConfig, from_dict, link_program, load_app, read_json
+from .model import LinkConfig, first_duplicate, from_dict, link_program, load_app, read_json
 
 
 def _load_config(args) -> LinkConfig:
@@ -154,7 +153,7 @@ def _cpu_count() -> int:
 
 
 def _corpus_map(args, config: LinkConfig, per_app) -> list:
-    """``per_app(program, hierarchy)`` for each app of the corpus, linked
+    """``per_app(program)`` for each app of the corpus, linked
     with the overlays, in sorted path order.
 
     The apps are dealt into one strided share per CPU. Shares past the
@@ -178,7 +177,7 @@ def _corpus_map(args, config: LinkConfig, per_app) -> list:
         for i in range(k, len(paths), n):
             try:
                 program = link_program(load_app(paths[i], interned), overlays, config)
-                done.append((i, per_app(program, build_hierarchy(program)), None))
+                done.append((i, per_app(program), None))
             except (PermplaceError, OSError) as exc:
                 done.append((i, None, str(exc)))
                 break
@@ -268,8 +267,11 @@ def _cmd_collect(args) -> int:
     groups = permspec.load_groups(args.groups) if args.groups else None
     corpus = _corpus_map(
         args, config,
-        lambda program, hierarchy: collector.collect_usage(program, spec, hierarchy, groups),
+        lambda program: collector.collect_usage(program, spec, groups),
     )
+    dup = first_duplicate(usage.app for usage in corpus)
+    if dup is not None:
+        raise PermplaceError(f"{args.corpus}: two app files declare the app name {dup!r}")
     _emit(collector.usage_csv(corpus, groups).encode("utf-8"), args.output)
     if args.summary:
         summary = collector.corpus_summary(corpus, groups)
@@ -297,8 +299,8 @@ def _cmd_compare_specs(args) -> int:
     spec_a = permspec.load_spec(args.spec_a)
     spec_b = permspec.load_spec(args.spec_b)
     groups = permspec.load_groups(args.groups) if args.groups else None
-    label_pairs = _corpus_map(args, config, lambda program, hierarchy: tuple(
-        collector.collect_usage(program, spec, hierarchy, groups).labels
+    label_pairs = _corpus_map(args, config, lambda program: tuple(
+        collector.collect_usage(program, spec, groups).labels
         for spec in (spec_a, spec_b)
     ))
     result = collector.compare_specs(label_pairs, spec_a, spec_b)

@@ -10,7 +10,6 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from .analysis import find_sensitive_sites
-from .hierarchy import ClassHierarchy
 from .model import ConstStr, LinkedProgram, LoadStatic, SiteId, parse_field_id
 from .permspec import GroupTable, PermissionSpec
 
@@ -34,7 +33,6 @@ class PermissionUsage(NamedTuple):
 def collect_usage(
     program: LinkedProgram,
     spec: PermissionSpec,
-    hierarchy: ClassHierarchy,
     groups: GroupTable | None = None,
 ) -> PermissionUsage:
     """Label each permission by its manifest (M), code-reference (C) and
@@ -65,7 +63,7 @@ def collect_usage(
                     code_sites[perm].append(f"{SiteId(sig, i)} (constant)")
 
     sensitive_sites = defaultdict(list)
-    for s in find_sensitive_sites(program, hierarchy, spec):
+    for s in find_sensitive_sites(program, spec):
         for perm in s.permissions:
             sensitive_sites[perm].append(str(s.site))
 

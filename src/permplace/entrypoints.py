@@ -6,7 +6,6 @@ import itertools
 from typing import NamedTuple
 
 from .errors import LinkError
-from .hierarchy import ClassHierarchy
 from .intraflow import possible_types
 from .model import (
     ClassDecl,
@@ -28,17 +27,17 @@ class CallbackRef(NamedTuple):
     sig: str
 
 
-def _excluded_anchors(program: LinkedProgram, hierarchy: ClassHierarchy):
+def _excluded_anchors(program: LinkedProgram):
     """Async-construct classes plus their framework supertypes."""
     excluded = set(program.config.async_excludes)
     for name in program.config.async_excludes:
-        for sup in hierarchy.supertypes(name):
+        for sup in program.hierarchy.supertypes(name):
             if program.is_framework(program.classes[sup]):
                 excluded.add(sup)
     return excluded
 
 
-def _registered(program, hierarchy, host: str, anchors) -> bool:
+def _registered(program, host: str, anchors) -> bool:
     """Whether some invoke passes an object of type ``host`` at a parameter
     position whose declared type is one of ``anchors``."""
     for _decl, _m, sig in program.iter_app_bodies():
@@ -52,12 +51,12 @@ def _registered(program, hierarchy, host: str, anchors) -> bool:
                 if arg not in types_cache:
                     types_cache[arg] = possible_types(program, sig, arg)
                 for tname, exact in types_cache[arg]:
-                    if (tname == host) if exact else hierarchy.is_subtype(host, tname):
+                    if (tname == host) if exact else program.hierarchy.is_subtype(host, tname):
                         return True
     return False
 
 
-def detect_callbacks(program: LinkedProgram, hierarchy: ClassHierarchy):
+def detect_callbacks(program: LinkedProgram):
     """Find app/library methods invoked by the framework.
 
     A bodied instance method C.f of a class C (never of an interface, which
@@ -67,7 +66,7 @@ def detect_callbacks(program: LinkedProgram, hierarchy: ClassHierarchy):
     being passed at a parameter position of that interface type. Async
     constructs (Thread, Runnable, ...) never anchor a callback.
     """
-    excluded = _excluded_anchors(program, hierarchy)
+    excluded = _excluded_anchors(program)
     out = []
     for decl, m, sig in program.iter_app_bodies():
         if m.static or decl.kind != "class":
@@ -77,21 +76,21 @@ def detect_callbacks(program: LinkedProgram, hierarchy: ClassHierarchy):
             and sup.name not in excluded
             and program.is_framework(sup)
             and sig_in(sup.name, sig) in program.methods
-            for sup in hierarchy.superclass_chain(decl.name)
+            for sup in program.hierarchy.superclass_chain(decl.name)
         ):
             out.append(CallbackRef(hostClass=decl.name, sig=sig))
             continue
         anchors = set()
-        for iname in hierarchy.supertypes(decl.name):
+        for iname in program.hierarchy.supertypes(decl.name):
             idecl = program.classes[iname]
             if idecl.kind != "interface" or not program.is_framework(idecl):
                 continue
-            # every supertype of an interface is an interface (link_program)
+            # every supertype of an interface is an interface (build_hierarchy)
             if iname not in excluded and any(
-                sig_in(s, sig) in program.methods for s in hierarchy.supertypes(iname)
+                sig_in(s, sig) in program.methods for s in program.hierarchy.supertypes(iname)
             ):
                 anchors.add(iname)
-        if anchors and _registered(program, hierarchy, decl.name, anchors):
+        if anchors and _registered(program, decl.name, anchors):
             out.append(CallbackRef(hostClass=decl.name, sig=sig))
     return sorted(out)
 

@@ -1,18 +1,18 @@
-"""Class-hierarchy index: subtype queries, dispatch, CHA target sets."""
+"""Class-hierarchy index: type-graph checks, subtype queries, dispatch, CHA target sets."""
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .errors import CycleError
+from .errors import CycleError, LinkError
 from .graph import closure, components
-from .model import Invoke, LinkedProgram, parse_method_sig, sig_in
+from .model import Invoke, parse_method_sig, sig_in
 
 
 class ClassHierarchy:
-    def __init__(self, program: LinkedProgram, parents: dict, children: dict):
-        self.program = program
-        self.parents = parents  # name -> direct supertypes
+    def __init__(self, classes: dict, methods: dict, children: dict):
+        self.classes = classes  # name -> ClassDecl, as linked: no synthetic entry
+        self.methods = methods  # signature -> MethodEntry, as linked
         self.children = children  # name -> direct subtypes
         self._dispatch_cache = {}  # (runtime type, invoke sig) -> target
         self._declarations = {}  # invoke signature -> visible declaration
@@ -23,7 +23,7 @@ class ClassHierarchy:
     def supertypes(self, name: str) -> set:
         """``name`` and every type it extends or implements, transitively;
         empty for an unknown name."""
-        return closure([name] if name in self.parents else (), self.parents.__getitem__)
+        return closure([name] if name in self.classes else (), lambda n: self.classes[n].parents)
 
     def subtypes(self, name: str) -> set:
         """``name`` and every type that extends or implements it,
@@ -38,10 +38,10 @@ class ClassHierarchy:
 
     def superclass_chain(self, name: str):
         """The class itself followed by its transitive superclasses."""
-        decl = self.program.get_class(name)
+        decl = self.classes.get(name)
         while decl is not None:
             yield decl
-            decl = self.program.get_class(decl.super) if decl.super else None
+            decl = self.classes.get(decl.super) if decl.super else None
 
     def dispatch(self, runtime_type: str, sig: str) -> Optional[str]:
         """Signature of the method that the invoke signature ``sig`` runs on
@@ -52,11 +52,11 @@ class ClassHierarchy:
         key = (runtime_type, sig)
         if key not in self._dispatch_cache:
             target = None
-            runtime = self.program.get_class(runtime_type)
+            runtime = self.classes.get(runtime_type)
             if runtime is not None and runtime.kind == "class":
                 for decl in self.superclass_chain(runtime_type):
                     declared = sig_in(decl.name, sig)
-                    entry = self.program.methods.get(declared)
+                    entry = self.methods.get(declared)
                     if entry is not None and not entry.method.abstract:
                         target = declared
                         break
@@ -75,13 +75,13 @@ class ClassHierarchy:
         """
         if invoke.kind in ("static", "special"):
             direct = self.resolve_declaration(invoke)
-            if direct is None or self.program.body_of(direct) is None:
+            if direct is None or self.methods[direct].method.body is None:
                 return set()
             return {direct}
         targets = set()
         for sub in self.subtypes(parse_method_sig(invoke.method)[0]):
             target = self.dispatch(sub, invoke.method)
-            if target is not None and self.program.body_of(target) is not None:
+            if target is not None and self.methods[target].method.body is not None:
                 targets.add(target)
         return targets
 
@@ -106,11 +106,11 @@ class ClassHierarchy:
             if current in seen:
                 continue
             seen.add(current)
-            decl = self.program.get_class(current)
+            decl = self.classes.get(current)
             if decl is None:
                 continue
             declared = sig_in(current, sig)
-            if declared in self.program.methods:
+            if declared in self.methods:
                 return declared
             if decl.super is not None:
                 queue.append(decl.super)
@@ -118,13 +118,27 @@ class ClassHierarchy:
         return None
 
 
-def build_hierarchy(program: LinkedProgram) -> ClassHierarchy:
-    """Index direct subtypes; raises CycleError on an inheritance cycle."""
-    parents = {name: decl.parents for name, decl in program.classes.items()}
+def build_hierarchy(classes: dict, methods: dict) -> ClassHierarchy:
+    """Index direct subtypes. Raises LinkError on the first kind error by
+    class name, else on unresolved parents, and CycleError on a cycle."""
+    parents = {name: decl.parents for name, decl in classes.items()}
     children = {name: [] for name in parents}
-    for name, ps in parents.items():
-        for p in ps:
-            children[p].append(name)
+    unresolved = []
+    for name, decl in classes.items():
+        for p in parents[name]:
+            if p in children:
+                children[p].append(name)
+            else:
+                unresolved.append(f"{name} -> {p}")
+        if decl.super is not None and decl.super in classes:
+            sup = classes[decl.super]
+            if decl.kind == "interface" and sup.kind == "class":
+                raise LinkError(f"interface {name} extends class {decl.super}")
+        for iname in decl.interfaces:
+            if iname in classes and classes[iname].kind != "interface":
+                raise LinkError(f"{name} implements non-interface {iname}")
+    if unresolved:
+        raise LinkError("unresolved type references: " + ", ".join(sorted(unresolved)))
     # a type on a cycle has a parent and a child on it
     inner = sorted(name for name, ps in parents.items() if ps and children[name])
     for comp in components(inner, parents):
@@ -138,4 +152,4 @@ def build_hierarchy(program: LinkedProgram) -> ClassHierarchy:
                 path.append(name)
                 name = next(p for p in parents[name] if p in members)
             raise CycleError(" -> ".join(path[at[name]:] + [name]))
-    return ClassHierarchy(program=program, parents=parents, children=children)
+    return ClassHierarchy(classes, methods, children)

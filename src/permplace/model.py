@@ -18,6 +18,7 @@ import functools
 import json
 import re
 import reprlib
+import sys
 from types import UnionType
 from typing import NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -234,7 +235,7 @@ def from_dict(cls, d, where: str):
     return _reader(cls)(d, where, {})
 
 
-def _duplicate(keys):
+def first_duplicate(keys):
     """The first key seen twice, or None."""
     seen = set()
     for k in keys:
@@ -245,12 +246,19 @@ def _duplicate(keys):
 
 
 def read_json(path):
-    """The JSON value in the file at ``path``; :class:`ParseError` names the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ParseError(f"invalid JSON: {exc}", str(path))
+    """The JSON value in the file at ``path``; :class:`ParseError` names the
+    file, and a string holding a lone UTF-16 surrogate, which no output encodes."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        value = json.loads(text)
+        if re.search(r"\\u[dD][89a-fA-F]", text):  # either half; a pair is one code point
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError("lone UTF-16 surrogate escape in a string", str(path))
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}", str(path))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +408,10 @@ class ClassDecl(NamedTuple):
             raise ValidationError(f"{where}: bad class kind {self.kind!r}")
         if self.origin not in ("app", "library", "framework"):
             raise ValidationError(f"{where}: bad origin {self.origin!r}")
-        dup = _duplicate(f.name for f in self.fields)
+        dup = first_duplicate(f.name for f in self.fields)
         if dup is not None:
             raise ValidationError(f"{where}: duplicate field {dup}")
-        dup = _duplicate(m.key for m in self.methods)
+        dup = first_duplicate(m.key for m in self.methods)
         if dup is not None:
             raise ValidationError(f"{where}: duplicate method {method_sig(self.name, *dup)}")
         # every id made from a declaration names it: none is ambiguous
@@ -431,7 +439,7 @@ class AppModel(NamedTuple):
     _where = {"classes": ".classes"}
 
     def _check(self, where: str) -> None:
-        dup = _duplicate(c.name for c in self.classes)
+        dup = first_duplicate(c.name for c in self.classes)
         if dup is not None:
             raise ValidationError(f"{where}: duplicate class {dup}")
 
@@ -507,31 +515,26 @@ def _index_class(decl: ClassDecl, methods: dict, fields: dict) -> None:
 class LinkedProgram:
     """One merged class table plus analysis configuration, immutable.
 
-    The constructor indexes every declared method and field once: ``methods``
-    maps a signature to its :class:`MethodEntry`, by class name, then method
-    name and params, and ``fields`` a field id to (ClassDecl, FieldDecl).
-    The entry class and its callback call sites are filled in by the
-    entrypoints module via :func:`with_entry`.
+    ``methods`` maps a signature to its :class:`MethodEntry`, by class name,
+    then method name and params, ``fields`` a field id to (ClassDecl,
+    FieldDecl), and ``hierarchy`` (``type_graph``) is the type graph: all are
+    built once by :func:`link_program`. The entry class and its callback call
+    sites are filled in by the entrypoints module via :func:`with_entry`.
     """
 
     def __init__(self, name: str, manifest: Manifest, classes: dict, config: LinkConfig,
-                 entry_class: Optional[str] = None, entry_sites: tuple = (), tables=None):
+                 tables: tuple, type_graph, entry_class: Optional[str] = None,
+                 entry_sites: tuple = ()):
         self.name = name
         self.manifest = manifest
         self.classes = classes  # name -> ClassDecl
         self.config = config
+        self.methods, self.fields = tables
+        self.hierarchy = type_graph
         self.entry_class = entry_class
         self.entry_sites = entry_sites  # SiteIds of callback invocations in the dummy main
-        if tables is None:
-            tables = {}, {}
-            for cname in sorted(classes):
-                _index_class(classes[cname], *tables)
-        self.methods, self.fields = tables
 
     # -- lookups ------------------------------------------------------------
-
-    def get_class(self, name: str) -> Optional[ClassDecl]:
-        return self.classes.get(name)
 
     def lookup_method(self, sig: str) -> Optional[MethodEntry]:
         """The method's :class:`MethodEntry`; None for an undeclared signature."""
@@ -551,9 +554,7 @@ class LinkedProgram:
         return body[site.stmt]
 
     def is_framework(self, decl: ClassDecl) -> bool:
-        if decl.origin == "framework":
-            return True
-        return any(decl.name.startswith(p) for p in self.config.framework_prefixes)
+        return decl.origin == "framework" or decl.name.startswith(self.config.framework_prefixes)
 
     def defs_index(self, sig: str) -> Optional[dict]:
         """The method's :attr:`MethodEntry.defs`, empty for a stub; None for
@@ -582,12 +583,14 @@ class LinkedProgram:
         return method_sig(self.entry_class, "main", ())
 
     def with_entry(self, entry_decl: ClassDecl, entry_sites) -> "LinkedProgram":
-        """This program plus the entry class, sharing every other table entry."""
+        """This program plus the entry class, sharing every other table entry
+        and the hierarchy: no hierarchy query names the entry class, which
+        has no parents or children and which nothing calls or allocates."""
         tables = dict(self.methods), dict(self.fields)
         _index_class(entry_decl, *tables)
         classes = {**self.classes, entry_decl.name: entry_decl}
-        return LinkedProgram(self.name, self.manifest, classes, self.config, entry_decl.name,
-                             tuple(entry_sites), tables)
+        return LinkedProgram(self.name, self.manifest, classes, self.config, tables,
+                             self.hierarchy, entry_decl.name, tuple(entry_sites))
 
 
 def _merge_class(name: str, decls) -> ClassDecl:
@@ -635,28 +638,18 @@ def _merge_class(name: str, decls) -> ClassDecl:
 
 
 def link_program(app: AppModel, overlays=(), config: Optional[LinkConfig] = None) -> LinkedProgram:
-    """Merge app + library + framework overlays into one class table."""
+    """Merge app + library + framework overlays into one indexed class table and its hierarchy."""
     config = config or LinkConfig()
     by_name = {}
     for model in (app, *overlays):
         for c in model.classes:
             by_name.setdefault(c.name, []).append(c)
     classes = {}
+    tables = {}, {}
     for name in sorted(by_name):
         decls = by_name[name]
         classes[name] = decls[0] if len(decls) == 1 else _merge_class(name, decls)
-    unresolved = []
-    for name, decl in classes.items():
-        for ref in decl.parents:
-            if ref not in classes:
-                unresolved.append(f"{name} -> {ref}")
-        if decl.super is not None and decl.super in classes:
-            sup = classes[decl.super]
-            if decl.kind == "interface" and sup.kind == "class":
-                raise LinkError(f"interface {name} extends class {decl.super}")
-        for iname in decl.interfaces:
-            if iname in classes and classes[iname].kind != "interface":
-                raise LinkError(f"{name} implements non-interface {iname}")
-    if unresolved:
-        raise LinkError("unresolved type references: " + ", ".join(sorted(unresolved)))
-    return LinkedProgram(name=app.name, manifest=app.manifest, classes=classes, config=config)
+        _index_class(classes[name], *tables)
+    # looked up, not imported: hierarchy imports this module (the package imports both)
+    hierarchy = sys.modules[f"{__package__}.hierarchy"].build_hierarchy(classes, tables[0])
+    return LinkedProgram(app.name, app.manifest, classes, config, tables, hierarchy)

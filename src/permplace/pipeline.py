@@ -6,7 +6,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import analysis, entrypoints, pointsto
-from .hierarchy import ClassHierarchy, build_hierarchy
 from .model import AppModel, LinkConfig, LinkedProgram, link_program, load_app
 from .permspec import PermissionSpec
 
@@ -15,7 +14,6 @@ class Prepared(NamedTuple):
     """Everything downstream analyses need about one app."""
 
     program: LinkedProgram  # with synthetic entry
-    hierarchy: ClassHierarchy
     sol: pointsto.PointsToSolution
     cg: pointsto.CallGraph  # possibly augmented
     cg_raw: pointsto.CallGraph  # before augmentation
@@ -31,18 +29,13 @@ def prepare(
     augment: bool = True,
 ) -> Prepared:
     linked = link_program(app, overlays, config)
-    hierarchy = build_hierarchy(linked)
-    callbacks = entrypoints.detect_callbacks(linked, hierarchy)
-    # reused: no hierarchy query names synthetic.Main (no parents, children, calls or allocations)
+    callbacks = entrypoints.detect_callbacks(linked)
     program = entrypoints.generate_dummy_main(linked, callbacks)
-    sol, cg_raw = pointsto.solve_0cfa(program, hierarchy)
-    cg = pointsto.augment_call_graph(cg_raw, program, hierarchy) if augment else cg_raw
-    sensitives = (
-        analysis.find_sensitive_sites(program, hierarchy, spec) if spec is not None else []
-    )
+    sol, cg_raw = pointsto.solve_0cfa(program)
+    cg = pointsto.augment_call_graph(cg_raw, program) if augment else cg_raw
+    sensitives = analysis.find_sensitive_sites(program, spec) if spec is not None else []
     return Prepared(
         program=program,
-        hierarchy=hierarchy,
         sol=sol,
         cg=cg,
         cg_raw=cg_raw,

@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .graph import closure, components
-from .hierarchy import ClassHierarchy
 from .model import (
     Assign,
     ConstStr,
@@ -86,8 +85,8 @@ class _Solver:
     classified once per invoke signature; the hot loops keep the tables in
     locals and inline the bit update."""
 
-    def __init__(self, program: LinkedProgram, hierarchy: ClassHierarchy):
-        self.program, self.hierarchy, self.main = program, hierarchy, program.entry_main_sig
+    def __init__(self, program: LinkedProgram):
+        self.program, self.hierarchy, self.main = program, program.hierarchy, program.entry_main_sig
         self.vars = {}  # (method sig, local) -> node
         self.fields = {}  # (alloc, field name) -> node
         self.statics = {}  # static field id -> node
@@ -284,10 +283,10 @@ def by_runtime_type(bits: int, type_allocs: dict, alloc_type) -> list:
     return [(alloc_type[a], 1 << a) for a in members(bits)]
 
 
-def solve_0cfa(program: LinkedProgram, hierarchy: ClassHierarchy):
+def solve_0cfa(program: LinkedProgram):
     """Worklist fixpoint from the synthetic entry. Returns
     (PointsToSolution, CallGraph)."""
-    solver = _Solver(program, hierarchy)
+    solver = _Solver(program)
     solver.run()
     pts = solver.pts
     sol = PointsToSolution(
@@ -306,9 +305,7 @@ def solve_0cfa(program: LinkedProgram, hierarchy: ClassHierarchy):
     return sol, cg
 
 
-def augment_call_graph(
-    cg: CallGraph, program: LinkedProgram, hierarchy: ClassHierarchy
-) -> CallGraph:
+def augment_call_graph(cg: CallGraph, program: LinkedProgram) -> CallGraph:
     """Add a safe edge at every reachable call site that has no edge and
     whose CHA target set is a single bodied method. One reachability walk
     from the synthetic entry does it: scanning a method augments its
@@ -321,7 +318,7 @@ def augment_call_graph(
         for site, stmt in program.call_sites(m):
             targets = edges.get(site)
             if not targets:
-                cha = hierarchy.cha_targets(stmt)
+                cha = program.hierarchy.cha_targets(stmt)
                 if len(cha) != 1:
                     continue
                 targets = edges[site] = frozenset({(*cha, "augmented")})

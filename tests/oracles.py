@@ -39,7 +39,7 @@ def _naive_subtype(program, sub, sup):
         if cur in seen:
             continue
         seen.add(cur)
-        decl = program.get_class(cur)
+        decl = program.classes.get(cur)
         if decl is None:
             continue
         if decl.super is not None:
@@ -56,12 +56,12 @@ def _declared(decl, name, params):
 def _naive_dispatch(program, rtype, name, params):
     """Walk the superclass chain for the nearest concrete declaration; a
     runtime type that is not a class dispatches nowhere."""
-    decl = program.get_class(rtype)
+    decl = program.classes.get(rtype)
     if decl is None or decl.kind != "class":
         return None
     cur = rtype
     while cur is not None:
-        decl = program.get_class(cur)
+        decl = program.classes.get(cur)
         if decl is None:
             return None
         m = _declared(decl, name, params)
@@ -80,7 +80,7 @@ def _naive_resolve(program, cls, name, params):
         if cur in seen:
             continue
         seen.add(cur)
-        decl = program.get_class(cur)
+        decl = program.classes.get(cur)
         if decl is None:
             continue
         m = _declared(decl, name, params)

@@ -19,7 +19,6 @@ from oracles import andersen_oracle, detected_oracle
 from permplace import collector, pipeline
 from permplace.analysis import cha_reach_partition, detected_sensitives, traverse
 from permplace.collector import coverage_from_counts
-from permplace.hierarchy import build_hierarchy
 from permplace.model import link_program, load_app
 from randprog import gen_app
 
@@ -134,7 +133,7 @@ def test_criterion_7_collector(fixtures_dir, framework, spec, groups):
     corpus = []
     for path in sorted((fixtures_dir / "corpus").glob("*.json")):
         program = link_program(load_app(path), [framework])
-        corpus.append(collector.collect_usage(program, spec, build_hierarchy(program), groups))
+        corpus.append(collector.collect_usage(program, spec, groups))
     labels = {u.app: u.labels for u in corpus}
 
     fine = "android.permission.ACCESS_FINE_LOCATION"

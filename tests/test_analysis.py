@@ -59,7 +59,7 @@ def test_parametric_sensitive(parametric):
 def test_empty_spec_no_sensitives(threads):
     from permplace.permspec import PermissionSpec
 
-    assert find_sensitive_sites(threads.program, threads.hierarchy, PermissionSpec(entries={})) == []
+    assert find_sensitive_sites(threads.program, PermissionSpec(entries={})) == []
 
 
 # -- traversal: precision story --------------------------------------------
@@ -212,7 +212,7 @@ def test_detected_matches_enumeration_oracle(threads, viewstub, parametric):
 
 def test_cha_reachable_superset_of_detected(threads, viewstub, parametric):
     for prepared in (threads, viewstub, parametric):
-        reachable = cha_reachable_methods(prepared.program, prepared.hierarchy)
+        reachable = cha_reachable_methods(prepared.program)
         detected = detected_sensitives(traverse(prepared, "cfa1"))
         for sid in detected:
             method = sid.rsplit("/", 1)[0]

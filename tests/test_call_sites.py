@@ -10,7 +10,9 @@ import pytest
 
 import permplace
 from permplace import pipeline
-from permplace.model import Invoke, Return, SiteId, app_from_dict, load_app
+from permplace.model import (
+    AppModel, Invoke, Return, SiteId, app_from_dict, link_program, load_app,
+)
 from randprog import gen_app
 
 # (module, qualified function name) of the code allowed to iterate a method
@@ -130,8 +132,11 @@ def test_call_sites_cached_per_program(threads):
     assert program.call_sites("app.Missing#f()") == ()
     entry_decl = program.classes["synthetic.Main"]
     rest = {name: decl for name, decl in program.classes.items() if name != entry_decl.name}
-    linked = type(program)(program.name, program.manifest, rest, program.config)
+    linked = link_program(AppModel(program.name, program.manifest, tuple(rest.values())),
+                          (), program.config)
+    assert linked.classes == rest
     again = linked.with_entry(entry_decl, program.entry_sites)
+    assert again.hierarchy is linked.hierarchy
     assert again.methods.keys() == linked.methods.keys() | {main}
     assert all(again.methods[sig] is entry for sig, entry in linked.methods.items())
     assert again.fields == linked.fields

@@ -39,7 +39,7 @@ def test_refine_new_is_own_site(threads):
 def test_refine_subset_of_insensitive(threads, viewstub, parametric):
     for prepared in (threads, viewstub, parametric):
         program = prepared.program
-        for cb in detect_callbacks(program, prepared.hierarchy):
+        for cb in detect_callbacks(program):
             ctx = entry_ctx(prepared, cb.sig)
             body = program.body_of(cb.sig) or ()
             vars_seen = {getattr(s, "target", None) for s in body} - {None}
@@ -78,7 +78,7 @@ def test_filter_edges_run_site(threads):
     for cb, expect in ((CB1, "app.Host$Run1#run()"), (CB2, "app.Host$Run2#run()")):
         ctx = start_site(threads, cb)
         surviving, ambiguous = filter_edges(
-            threads.cg, threads.sol, threads.program, threads.hierarchy, run_site, ctx
+            threads.cg, threads.sol, threads.program, threads.program.hierarchy, run_site, ctx
         )
         assert {t for t, _p in surviving} == {expect}
         assert not ambiguous
@@ -98,7 +98,7 @@ def test_filter_edges_augmented_passthrough(viewstub):
     site = SiteId("app.MyActivity#onCreate()", 2)
     ctx = entry_ctx(viewstub, "app.MyActivity#onCreate()")
     surviving, ambiguous = filter_edges(
-        viewstub.cg, viewstub.sol, viewstub.program, viewstub.hierarchy, site, ctx
+        viewstub.cg, viewstub.sol, viewstub.program, viewstub.program.hierarchy, site, ctx
     )
     assert surviving == viewstub.cg.edges_at(site)
     assert not ambiguous
@@ -115,7 +115,7 @@ def test_filter_edges_static_site_passthrough(threads):
     )
     ctx = SiteId(START, run_idx)
     surviving, ambiguous = filter_edges(
-        threads.cg, threads.sol, threads.program, threads.hierarchy, site, ctx
+        threads.cg, threads.sol, threads.program, threads.program.hierarchy, site, ctx
     )
     assert surviving == threads.cg.edges_at(site)
     assert not ambiguous
@@ -124,7 +124,7 @@ def test_filter_edges_static_site_passthrough(threads):
 def test_filter_edges_never_empties_a_live_site(threads, viewstub, parametric):
     """An edge-bearing site always keeps at least one edge after filtering."""
     for prepared in (threads, viewstub, parametric):
-        for cb in detect_callbacks(prepared.program, prepared.hierarchy):
+        for cb in detect_callbacks(prepared.program):
             ctx = entry_ctx(prepared, cb.sig)
             body = prepared.program.body_of(cb.sig) or ()
             for i, stmt in enumerate(body):
@@ -132,7 +132,8 @@ def test_filter_edges_never_empties_a_live_site(threads, viewstub, parametric):
                 if not prepared.cg.edges_at(site):
                     continue
                 surviving, _amb = filter_edges(
-                    prepared.cg, prepared.sol, prepared.program, prepared.hierarchy, site, ctx
+                    prepared.cg, prepared.sol, prepared.program, prepared.program.hierarchy,
+                    site, ctx,
                 )
                 assert surviving
                 assert surviving <= prepared.cg.edges_at(site)
@@ -155,7 +156,8 @@ def test_single_edge_virtual_site_is_not_refined(threads, viewstub, parametric, 
                 continue
             for ctx in entering.get(site.method, ()):
                 got = filter_edges(
-                    prepared.cg, prepared.sol, prepared.program, prepared.hierarchy, site, ctx
+                    prepared.cg, prepared.sol, prepared.program, prepared.program.hierarchy,
+                    site, ctx,
                 )
                 assert got == (edges, False), site
                 checked += 1

@@ -594,6 +594,64 @@ def test_mine_doc(paths, tmp_path):
     assert "android.location.LocationManager#getLastKnownLocation" in text
 
 
+def test_mine_doc_rejects_inheritance_cycle(paths, tmp_path, capsys):
+    """Linking builds the hierarchy, so every command that links rejects a
+    cycle, mine-doc too."""
+    framework = json.loads(Path(paths["framework"]).read_text(encoding="utf-8"))
+    framework["classes"] += [
+        {"name": "android.X", "origin": "framework", "super": "android.Y"},
+        {"name": "android.Y", "origin": "framework", "super": "android.X"},
+    ]
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(framework), encoding="utf-8")
+    assert run(["mine-doc", str(path), "--ident-table", paths["ident"]]) == 1
+    assert capsys.readouterr().err == "permplace: error: android.X -> android.Y -> android.X\n"
+
+
+def surrogate_command(paths, tmp_path, command, text) -> tuple:
+    """The argv of ``command`` on an input whose one string, app name or
+    doc, is ``text``, and the path of that input."""
+    if command == "mine-doc":
+        framework = json.loads(Path(paths["framework"]).read_text(encoding="utf-8"))
+        framework["classes"][0]["doc"] = text
+        path = tmp_path / "framework.json"
+        path.write_text(json.dumps(framework), encoding="utf-8")
+        return ["mine-doc", str(path), "--ident-table", paths["ident"]], path
+    app = json.loads(Path(paths["threads"]).read_text(encoding="utf-8"))
+    app["name"] = text
+    path = tmp_path / "corpus" / "app.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(app), encoding="utf-8")  # escapes every surrogate
+    common = ["--spec", paths["spec"], "--framework", paths["framework"]]
+    if command == "collect":
+        return ["collect", str(path.parent), *common], path
+    return ["analyze", str(path), *common, "--format", "text"], path
+
+
+@pytest.mark.parametrize("command", ["analyze", "collect", "mine-doc"])
+@pytest.mark.parametrize("text", ["th\ud800", "th\udfff", "\udbff\udbff"],
+                         ids=["high", "low", "two-highs"])
+def test_lone_surrogate_escape_is_input_error(paths, tmp_path, capsys, command, text):
+    """A lone half of a surrogate pair decodes to a string no output can
+    encode: the file is rejected as it loads."""
+    argv, path = surrogate_command(paths, tmp_path, command, text)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"permplace: error: {path}: lone UTF-16 surrogate escape in a string\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["analyze", "collect", "mine-doc"])
+def test_surrogate_pair_escape_loads(paths, tmp_path, capsys, command):
+    argv, path = surrogate_command(paths, tmp_path, command, "th\U0001f600")
+    assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert command == "mine-doc" or "th\U0001f600" in out
+
+
 def test_spec_validate_ok(paths, capsys):
     assert run(["spec", "validate", paths["spec"]]) == 0
     assert "7 entries, OK" in capsys.readouterr().err
@@ -883,7 +941,8 @@ def corpora(fixtures_dir, workloads, tmp_path_factory):
         "fixtures": str(fixtures_dir / "corpus"),
         "corpus-audit-0": write_corpus(root, "corpus-audit-0", {
             f"{a['name']}.json": a for a in workloads.instance("corpus-audit/0").apps}),
-        # files 1 and 2 carry one app name: outputs sort by name, ties in file order
+        # files 1 and 2 carry one app name: collect, whose rows and summary are
+        # keyed by name, rejects it; compare-specs reads the labels alone
         "same-name": write_corpus(root, "same-name", {
             **fixtures, "bravo2.json": {**charlie, "name": "bravo"}}),
         "bad-first": write_corpus(root, "bad-first", {**fixtures, **first}),
@@ -913,11 +972,18 @@ def corpus_run(paths, tmp_path, capsys, command, corpus, spec_b=None) -> tuple:
     return code, err, [p.read_bytes() if p.exists() else None for p in outputs]
 
 
-@pytest.mark.parametrize("command", ["collect", "compare-specs"])
-@pytest.mark.parametrize("name, error", [
-    ("fixtures", None), ("corpus-audit-0", None), ("same-name", None),
+CORPUS_CASES = [
+    ("fixtures", None), ("corpus-audit-0", None),
     ("bad-first", "missing.First"), ("bad-middle", "corrupt.json"), ("bad-last", "missing.Last"),
     ("bad-middle-and-last", "corrupt.json"),
+]
+
+
+@pytest.mark.parametrize("name, error, command", [
+    *((name, error, command) for command in ("collect", "compare-specs")
+      for name, error in CORPUS_CASES),
+    ("same-name", "app name 'bravo'", "collect"),
+    ("same-name", None, "compare-specs"),
 ])
 def test_corpus_output_does_not_depend_on_share_count(
     paths, corpora, tmp_path, capsys, monkeypatch, command, name, error
@@ -946,10 +1012,10 @@ def test_crashing_share_fails_the_run_and_leaves_no_child(
     closed would hang."""
     collect_usage = cli.collector.collect_usage
 
-    def crash_on_bad(program, spec, hierarchy, groups=None):
+    def crash_on_bad(program, spec, groups=None):
         if program.name == bad:
             raise RuntimeError(f"boom in {bad}")
-        usage = collect_usage(program, spec, hierarchy, groups)
+        usage = collect_usage(program, spec, groups)
         return usage._replace(sites={**usage.sites, "padding": "x" * 200_000})
 
     monkeypatch.setattr(cli.collector, "collect_usage", crash_on_bad)

@@ -9,7 +9,6 @@ from permplace.collector import (
     overprivilege_report,
     usage_csv,
 )
-from permplace.hierarchy import build_hierarchy
 from permplace.model import link_program, load_app
 
 FINE = "android.permission.ACCESS_FINE_LOCATION"
@@ -35,7 +34,7 @@ def programs(fixtures_dir, framework):
 @pytest.fixture(scope="module")
 def corpus(programs, spec, groups):
     return [
-        collect_usage(program, spec, build_hierarchy(program), groups)
+        collect_usage(program, spec, groups)
         for program in programs.values()
     ]
 
@@ -67,7 +66,7 @@ def test_flags_back_labels(programs, corpus, spec):
     for usage in corpus:
         program = programs[usage.app]
         sensitive = {}
-        for s in find_sensitive_sites(program, build_hierarchy(program), spec):
+        for s in find_sensitive_sites(program, spec):
             for perm in s.permissions:
                 sensitive.setdefault(perm, set()).add(str(s.site))
         assert set(usage.labels) == set(usage.sites) >= set(sensitive)
@@ -94,7 +93,7 @@ def test_framework_bodies_never_counted(framework, spec, groups):
         {"name": "bare", "manifest": {"targetApi": 23, "permissions": []}, "classes": []}
     )
     program = link_program(bare, [framework])
-    usage = collect_usage(program, spec, build_hierarchy(program), groups)
+    usage = collect_usage(program, spec, groups)
     assert usage.labels == usage.sites == {}
 
 
@@ -157,9 +156,8 @@ def test_compare_specs_prefers_richer_spec(fixtures_dir, framework, spec, groups
     label_pairs = []
     for path in sorted((fixtures_dir / "corpus").glob("*.json")):
         program = link_program(load_app(path), [framework])
-        hierarchy = build_hierarchy(program)
         label_pairs.append(tuple(
-            collector.collect_usage(program, s, hierarchy, groups).labels
+            collector.collect_usage(program, s, groups).labels
             for s in (spec, small)
         ))
     result = collector.compare_specs(label_pairs, spec, small)

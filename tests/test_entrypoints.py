@@ -1,7 +1,6 @@
 import pytest
 
 from permplace.entrypoints import ENTRY_CLASS, CallbackRef, detect_callbacks, generate_dummy_main
-from permplace.hierarchy import build_hierarchy
 from permplace.model import Invoke, New, app_from_dict, link_program, load_app
 
 
@@ -9,12 +8,11 @@ def prep(classes, overlays=()):
     app = app_from_dict(
         {"name": "t", "manifest": {"targetApi": 23, "permissions": []}, "classes": classes}
     )
-    program = link_program(app, list(overlays))
-    return program, build_hierarchy(program)
+    return link_program(app, list(overlays))
 
 
 def test_threads_callbacks(threads):
-    by_sig = {cb.sig: cb for cb in detect_callbacks(threads.program, threads.hierarchy)}
+    by_sig = {cb.sig: cb for cb in detect_callbacks(threads.program)}
     assert set(by_sig) == {
         "app.Host#callback1()",
         "app.Host#callback2()",
@@ -24,12 +22,12 @@ def test_threads_callbacks(threads):
 
 def test_runnable_run_is_not_a_callback(threads):
     """Runnable is an async construct; its run() never anchors a callback."""
-    sigs = {cb.sig for cb in detect_callbacks(threads.program, threads.hierarchy)}
+    sigs = {cb.sig for cb in detect_callbacks(threads.program)}
     assert not any("run()" in s for s in sigs)
 
 
 def test_interface_registration_basis(framework):
-    program, hierarchy = prep(
+    program = prep(
         [
             {
                 "name": "app.L",
@@ -58,13 +56,13 @@ def test_interface_registration_basis(framework):
         ],
         [framework],
     )
-    cbs = detect_callbacks(program, hierarchy)
+    cbs = detect_callbacks(program)
     listener = CallbackRef("app.L", "app.L#onLocationChanged(android.location.Location)")
     assert [cb for cb in cbs if cb.hostClass == "app.L"] == [listener]
 
 
 def test_unregistered_listener_is_not_a_callback(framework):
-    program, hierarchy = prep(
+    program = prep(
         [
             {
                 "name": "app.L",
@@ -74,11 +72,11 @@ def test_unregistered_listener_is_not_a_callback(framework):
         ],
         [framework],
     )
-    assert detect_callbacks(program, hierarchy) == []
+    assert detect_callbacks(program) == []
 
 
 def test_static_methods_never_callbacks(framework):
-    program, hierarchy = prep(
+    program = prep(
         [
             {
                 "name": "app.Host",
@@ -88,11 +86,11 @@ def test_static_methods_never_callbacks(framework):
         ],
         [framework],
     )
-    assert detect_callbacks(program, hierarchy) == []
+    assert detect_callbacks(program) == []
 
 
 def test_bodyless_overrides_never_callbacks(framework):
-    program, hierarchy = prep(
+    program = prep(
         [
             {
                 "name": "app.Host",
@@ -103,26 +101,26 @@ def test_bodyless_overrides_never_callbacks(framework):
         ],
         [framework],
     )
-    assert detect_callbacks(program, hierarchy) == []
+    assert detect_callbacks(program) == []
 
 
 def test_app_superclass_does_not_anchor(framework):
     """Only framework declarations anchor the override basis."""
-    program, hierarchy = prep(
+    program = prep(
         [
             {"name": "app.Base", "methods": [{"name": "handle", "body": []}]},
             {"name": "app.Sub", "super": "app.Base", "methods": [{"name": "handle", "body": []}]},
         ],
         [framework],
     )
-    assert detect_callbacks(program, hierarchy) == []
+    assert detect_callbacks(program) == []
 
 
 def test_class_is_never_an_interface_anchor(framework):
     """A library class under a framework prefix passed at a parameter of
     its own type is no registration: only interfaces anchor that basis."""
     frag = "android.support.Frag"
-    program, hierarchy = prep(
+    program = prep(
         [
             {"name": frag, "origin": "library", "methods": [{"name": "onA", "body": []}]},
             {
@@ -139,7 +137,7 @@ def test_class_is_never_an_interface_anchor(framework):
         ],
         [framework],
     )
-    assert detect_callbacks(program, hierarchy) == []
+    assert detect_callbacks(program) == []
 
 
 def test_dummy_main_shape(threads):
@@ -161,7 +159,7 @@ def test_dummy_main_shape(threads):
 
 
 def test_dummy_main_fresh_param_allocations(framework):
-    program, hierarchy = prep(
+    program = prep(
         [
             {
                 "name": "app.L",
@@ -192,7 +190,7 @@ def test_dummy_main_fresh_param_allocations(framework):
         ],
         [framework],
     )
-    cbs = detect_callbacks(program, hierarchy)
+    cbs = detect_callbacks(program)
     entry = generate_dummy_main(program, cbs)
     body = entry.body_of(entry.entry_main_sig)
     alloc_types = [s.type for s in body if isinstance(s, New)]
@@ -204,8 +202,8 @@ def test_dummy_main_fresh_param_allocations(framework):
 
 
 def test_empty_callbacks_yields_empty_main(framework):
-    program, hierarchy = prep([{"name": "app.Plain", "methods": []}], [framework])
-    entry = generate_dummy_main(program, detect_callbacks(program, hierarchy))
+    program = prep([{"name": "app.Plain", "methods": []}], [framework])
+    entry = generate_dummy_main(program, detect_callbacks(program))
     assert entry.body_of(entry.entry_main_sig) == ()
     assert entry.entry_sites == ()
 

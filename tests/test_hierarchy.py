@@ -1,28 +1,38 @@
+import ast
 import random
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from oracles import _naive_dispatch, _naive_resolve, cha_oracle, supertype_oracle
-from permplace.errors import CycleError
-from permplace.hierarchy import build_hierarchy
-from permplace.model import Invoke, app_from_dict, link_program, parse_method_sig
+from permplace import pipeline
+from permplace.entrypoints import ENTRY_CLASS
+from permplace.errors import CycleError, LinkError
+from permplace.model import Invoke, app_from_dict, link_program, load_app, parse_method_sig
 from randprog import gen_app
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "permplace"
+FIXTURE_APPS = ("threads", "viewstub", "parametric")
+
+
+def app_of(classes):
+    return app_from_dict(
+        {"name": "t", "manifest": {"targetApi": 23, "permissions": []}, "classes": classes}
+    )
 
 
 def linked(classes):
-    app = app_from_dict(
-        {"name": "t", "manifest": {"targetApi": 23, "permissions": []}, "classes": classes}
-    )
-    return link_program(app, [])
+    return link_program(app_of(classes), [])
 
 
 @pytest.fixture(scope="module")
 def threads_hier(threads):
-    return threads.hierarchy
+    return threads.program.hierarchy
 
 
 def test_subtype_reflexive(threads_hier):
-    for name in threads_hier.program.classes:
+    for name in threads_hier.classes:
         assert threads_hier.is_subtype(name, name)
 
 
@@ -36,7 +46,7 @@ def test_subtype_through_superclass(threads_hier):
 
 
 def test_supertypes_and_subtypes_are_inverse(threads_hier):
-    for name in threads_hier.program.classes:
+    for name in threads_hier.classes:
         for s in threads_hier.supertypes(name):
             assert name in threads_hier.subtypes(s)
         for s in threads_hier.subtypes(name):
@@ -45,38 +55,32 @@ def test_supertypes_and_subtypes_are_inverse(threads_hier):
 
 
 def test_dispatch_inherited_method():
-    h = build_hierarchy(
-        linked(
-            [
-                {"name": "A", "methods": [{"name": "f", "body": []}]},
-                {"name": "B", "super": "A", "methods": []},
-            ]
-        )
-    )
+    h = linked(
+        [
+            {"name": "A", "methods": [{"name": "f", "body": []}]},
+            {"name": "B", "super": "A", "methods": []},
+        ]
+    ).hierarchy
     assert h.dispatch("B", "B#f()") == "A#f()"
 
 
 def test_dispatch_override_wins():
-    h = build_hierarchy(
-        linked(
-            [
-                {"name": "A", "methods": [{"name": "f", "body": []}]},
-                {"name": "B", "super": "A", "methods": [{"name": "f", "body": []}]},
-            ]
-        )
-    )
+    h = linked(
+        [
+            {"name": "A", "methods": [{"name": "f", "body": []}]},
+            {"name": "B", "super": "A", "methods": [{"name": "f", "body": []}]},
+        ]
+    ).hierarchy
     assert h.dispatch("B", "A#f()") == "B#f()"
 
 
 def test_dispatch_skips_abstract():
-    h = build_hierarchy(
-        linked(
-            [
-                {"name": "A", "methods": [{"name": "f", "body": []}]},
-                {"name": "B", "super": "A", "methods": [{"name": "f", "abstract": True}]},
-            ]
-        )
-    )
+    h = linked(
+        [
+            {"name": "A", "methods": [{"name": "f", "body": []}]},
+            {"name": "B", "super": "A", "methods": [{"name": "f", "abstract": True}]},
+        ]
+    ).hierarchy
     assert h.dispatch("B", "B#f()") == "A#f()"
 
 
@@ -84,13 +88,16 @@ def test_dispatch_miss_is_none(threads_hier):
     assert threads_hier.dispatch("app.Host", "app.Host#nonexistent()") is None
 
 
-def test_dispatch_matches_superclass_walk(framework, threads, viewstub, parametric):
+def test_dispatch_matches_superclass_walk(framework, fixtures_dir):
     """Every class against every invoke signature of its program."""
     programs = [link_program(gen_app(seed), [framework]) for seed in range(20)]
-    programs += [p.hierarchy.program for p in (threads, viewstub, parametric)]
+    programs += [
+        link_program(load_app(fixtures_dir / f"{name}.app.json"), [framework])
+        for name in FIXTURE_APPS
+    ]
     found = 0  # pairs that dispatch to a method
     for program in programs:
-        h = build_hierarchy(program)
+        h = program.hierarchy
         sigs = {
             stmt.method
             for decl in program.classes.values()
@@ -129,7 +136,7 @@ def test_cha_targets_unknown_declared_type(threads_hier):
 
 def test_cha_targets_subset_of_subtype_dispatch(viewstub):
     """Every CHA target is the dispatch result of some concrete subtype."""
-    h = viewstub.hierarchy
+    h = viewstub.program.hierarchy
     for _decl, m, _sig in viewstub.program.iter_app_bodies():
         for stmt in m.body:
             if not isinstance(stmt, Invoke) or stmt.kind not in ("virtual", "interface"):
@@ -140,28 +147,24 @@ def test_cha_targets_subset_of_subtype_dispatch(viewstub):
 
 
 def test_resolve_declaration_walks_to_interface():
-    h = build_hierarchy(
-        linked(
-            [
-                {"name": "I", "kind": "interface", "methods": [{"name": "f", "abstract": True}]},
-                {"name": "A", "interfaces": ["I"], "methods": []},
-            ]
-        )
-    )
+    h = linked(
+        [
+            {"name": "I", "kind": "interface", "methods": [{"name": "f", "abstract": True}]},
+            {"name": "A", "interfaces": ["I"], "methods": []},
+        ]
+    ).hierarchy
     site = Invoke(kind="virtual", method="A#f()", receiver="x")
     assert h.resolve_declaration(site) == "I#f()"
 
 
 def test_resolve_declaration_prefers_superclass():
-    h = build_hierarchy(
-        linked(
-            [
-                {"name": "I", "kind": "interface", "methods": [{"name": "f", "abstract": True}]},
-                {"name": "S", "methods": [{"name": "f", "body": []}]},
-                {"name": "A", "super": "S", "interfaces": ["I"], "methods": []},
-            ]
-        )
-    )
+    h = linked(
+        [
+            {"name": "I", "kind": "interface", "methods": [{"name": "f", "abstract": True}]},
+            {"name": "S", "methods": [{"name": "f", "body": []}]},
+            {"name": "A", "super": "S", "interfaces": ["I"], "methods": []},
+        ]
+    ).hierarchy
     site = Invoke(kind="virtual", method="A#f()", receiver="x")
     assert h.resolve_declaration(site) == "S#f()"
 
@@ -177,9 +180,8 @@ def test_cycle_detection():
             ],
         }
     )
-    prog = link_program(app, [])
-    with pytest.raises(CycleError):
-        build_hierarchy(prog)
+    with pytest.raises(CycleError, match=r"^A -> B -> A$"):
+        link_program(app, [])
 
 
 def random_class_table(rng):
@@ -223,23 +225,27 @@ def random_class_table(rng):
 
 def test_random_hierarchies_match_oracle():
     for seed in range(300):
-        program = linked(random_class_table(random.Random(seed)))
-        sups = supertype_oracle(program)
+        app = app_of(random_class_table(random.Random(seed)))
+        # the table as declared: one app links to the same classes
+        table = SimpleNamespace(classes={c.name: c for c in app.classes})
+        sups = supertype_oracle(table)
         cyclic = any(
             p == name or name in sups[p]
-            for name, decl in program.classes.items()
+            for name, decl in table.classes.items()
             for p in decl.parents
         )
         if cyclic:
             with pytest.raises(CycleError) as err:
-                build_hierarchy(program)
+                link_program(app, [])
             # the message names a real cycle: each name's next one is a parent
             names = str(err.value).split(" -> ")
             assert len(names) >= 2 and names[0] == names[-1]
             for a, b in zip(names, names[1:]):
-                assert b in program.classes[a].parents
+                assert b in table.classes[a].parents
             continue
-        h = build_hierarchy(program)
+        program = link_program(app, [])
+        assert program.classes == table.classes
+        h = program.hierarchy
         for a in program.classes:
             assert h.supertypes(a) == sups[a]
             assert h.subtypes(a) == {b for b in program.classes if a in sups[b]}
@@ -252,12 +258,15 @@ def test_random_hierarchies_match_oracle():
                     assert h.cha_targets(site) == cha_oracle(program, site)
 
 
-def test_resolve_declaration_matches_uncached_walk(framework, threads, viewstub, parametric):
+def test_resolve_declaration_matches_uncached_walk(framework, fixtures_dir):
     programs = [link_program(gen_app(seed), [framework]) for seed in range(60)]
-    programs += [p.hierarchy.program for p in (threads, viewstub, parametric)]
+    programs += [
+        link_program(load_app(fixtures_dir / f"{name}.app.json"), [framework])
+        for name in FIXTURE_APPS
+    ]
     checked = 0
     for program in programs:
-        h = build_hierarchy(program)
+        h = program.hierarchy
         for decl in program.classes.values():
             for stmt in (s for m in decl.methods for s in m.body or ()):
                 if not isinstance(stmt, Invoke):
@@ -275,7 +284,98 @@ def test_resolve_declaration_matches_uncached_walk(framework, threads, viewstub,
 
 
 def test_unknown_receiver_class_resolves_to_none_on_every_call():
-    h = build_hierarchy(linked([{"name": "A", "methods": []}]))
+    h = linked([{"name": "A", "methods": []}]).hierarchy
     site = Invoke(kind="static", method="missing.B#f()")
     for _ in range(2):
         assert h.resolve_declaration(site) is None
+
+
+def test_prepared_program_shares_the_linked_hierarchy(framework, fixtures_dir, monkeypatch):
+    """``with_entry`` hands the linked program's hierarchy on: its tables
+    are the linked ones, without the synthetic entry."""
+    linked_programs = []
+
+    def linking(*args, **kwargs):
+        linked_programs.append(link_program(*args, **kwargs))
+        return linked_programs[-1]
+
+    monkeypatch.setattr(pipeline, "link_program", linking)
+    prepared = pipeline.prepare(load_app(fixtures_dir / "threads.app.json"), [framework])
+    (linked_program,) = linked_programs
+    h = prepared.program.hierarchy
+    assert h is linked_program.hierarchy
+    assert h.classes is linked_program.classes and h.methods is linked_program.methods
+    assert ENTRY_CLASS in prepared.program.classes and ENTRY_CLASS not in h.classes
+    assert prepared.program.entry_main_sig in prepared.program.methods
+    assert not any(sig.startswith(ENTRY_CLASS + "#") for sig in h.methods)
+    assert "hierarchy" not in pipeline.Prepared._fields
+    assert not hasattr(h, "program")
+
+
+@pytest.mark.parametrize("classes, message", [
+    # a kind error is reported ahead of an unresolved parent, wherever each sorts
+    ([{"name": "A", "super": "Missing"}, {"name": "B"}, {"name": "Z", "interfaces": ["B"]}],
+     "Z implements non-interface B"),
+    ([{"name": "A", "super": "Missing"}, {"name": "B"},
+      {"name": "Z", "kind": "interface", "super": "B"}],
+     "interface Z extends class B"),
+    # the first kind error by class name
+    ([{"name": "B"}, {"name": "Y", "interfaces": ["B"]},
+      {"name": "Z", "kind": "interface", "super": "B"}],
+     "Y implements non-interface B"),
+    # an unresolved parent is reported ahead of a cycle, every one listed
+    ([{"name": "A", "super": "B"}, {"name": "B", "super": "A"},
+      {"name": "C", "super": "Missing"}, {"name": "D", "interfaces": ["Gone"]}],
+     "unresolved type references: C -> Missing, D -> Gone"),
+])
+def test_type_graph_error_precedence(classes, message):
+    with pytest.raises(LinkError) as err:
+        linked(classes)
+    assert type(err.value) is LinkError and str(err.value) == message
+
+
+def hierarchy_params(tree) -> list:
+    """``function:line`` of each function taking a parameter named
+    ``hierarchy``."""
+    return [
+        f"{getattr(node, 'name', '<lambda>')}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                    node.args.vararg, node.args.kwarg)
+        if arg is not None and arg.arg == "hierarchy"
+    ]
+
+
+def test_analyses_take_the_program_alone():
+    """Every analysis reads ``program.hierarchy``; only ``filter_edges``,
+    whose positional parameters the benchmark's tracer reads, takes it as a
+    parameter of its own."""
+    found = {
+        path.name: hierarchy_params(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    found = {name: funcs for name, funcs in found.items() if funcs}
+    assert [f.split(":")[0] for f in found.pop("cfa1.py", [])] == ["filter_edges"]
+    assert found == {}
+
+
+def test_only_the_link_path_builds_the_hierarchy():
+    calls = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "build_hierarchy"
+    ]
+    assert calls == ["model.py"]
+
+
+def test_detects_hierarchy_params():
+    tree = ast.parse(
+        "def f(program, hierarchy): pass\n"
+        "def g(*, hierarchy=None): pass\n"
+        "h = lambda hierarchy: 0\n"
+        "def k(program, hier): pass\n"
+    )
+    assert hierarchy_params(tree) == ["f:1", "g:2", "<lambda>:3"]

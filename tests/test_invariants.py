@@ -101,7 +101,8 @@ def test_filtering_never_empties_or_widens(subjects):
                 if not edges:
                     continue
                 surviving, ambiguous = filter_edges(
-                    prepared.cg, prepared.sol, prepared.program, prepared.hierarchy, site, ctx
+                    prepared.cg, prepared.sol, prepared.program, prepared.program.hierarchy,
+                    site, ctx,
                 )
                 assert surviving
                 assert surviving <= edges
@@ -157,7 +158,7 @@ def test_sites_without_a_choice_hold_one_edge(threads, viewstub, parametric, fra
 def test_detected_within_cha_within_all(subjects):
     for prepared in subjects:
         all_methods = {m.sig(d.name) for d in prepared.program.classes.values() for m in d.methods}
-        cha = cha_reachable_methods(prepared.program, prepared.hierarchy)
+        cha = cha_reachable_methods(prepared.program)
         assert cha <= all_methods
         for mode in ("cfa0", "cfa1"):
             detected = detected_sensitives(traverse(prepared, mode=mode))
@@ -191,7 +192,7 @@ def test_reported_paths_replay(subjects):
                                         prepared.cg,
                                         prepared.sol,
                                         prepared.program,
-                                        prepared.hierarchy,
+                                        prepared.program.hierarchy,
                                         site,
                                         site_id(prev["entry"]),
                                     )

@@ -6,7 +6,6 @@ import pytest
 
 from permplace import entrypoints
 from permplace.errors import LinkError, ParseError, ValidationError
-from permplace.hierarchy import build_hierarchy
 from permplace.model import (
     AppModel,
     Assign,
@@ -19,6 +18,7 @@ from permplace.model import (
     link_program,
     load_app,
     parse_method_sig,
+    read_json,
 )
 from randprog import app_json, gen_app
 
@@ -313,7 +313,7 @@ def test_lookup_cache_is_per_program(fixtures_dir, framework):
     assert linked.lookup_method(main) is None and linked.body_of(main) is None
     assert linked.body_of(start) is linked.lookup_method(start)[1].body
     table = dict(linked.methods)
-    callbacks = entrypoints.detect_callbacks(linked, build_hierarchy(linked))
+    callbacks = entrypoints.detect_callbacks(linked)
     program = entrypoints.generate_dummy_main(linked, callbacks)
     assert program.entry_main_sig == main
     assert program.lookup_method(main)[0].name == "synthetic.Main"
@@ -412,3 +412,27 @@ def test_records_of_two_kinds_with_equal_fields_stay_two():
     index = link_program(app).defs_index("A#f0()")
     assert [(i, type(s)) for i, s in index["a"]] == [(0, New), (1, ConstStr)]
     assert [(i, type(s)) for i, s in index["X#f"]] == [(2, Assign)]
+
+
+@pytest.mark.parametrize("text, value", [
+    (r'"\ud83d\ude00"', "\U0001f600"),
+    (r'"\uD83D\uDE00"', "\U0001f600"),
+    (r'["\\ud800", "\\\\ud800"]', ["\\ud800", "\\\\ud800"]),  # escaped backslashes
+    (r'"\u00d8\u0d80"', "\u00d8\u0d80"),
+    (r'"\ud800"', None),
+    (r'{"k": ["\\", "\udfff"]}', None),
+    (r'{"\udc00": 1}', None),
+    (r'"\ud83d\ud83d\ude00"', None),
+    (r'"\ude00\ud83d"', None),
+])
+def test_read_json_rejects_lone_surrogate_escapes(tmp_path, text, value):
+    """Every input file is read here: apps, specs, groups, the identifier
+    table and config files."""
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    if value is not None:
+        assert read_json(path) == value
+        return
+    with pytest.raises(ParseError) as err:
+        read_json(path)
+    assert str(err.value) == f"{path}: lone UTF-16 surrogate escape in a string"

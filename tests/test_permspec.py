@@ -255,7 +255,7 @@ def test_candidate_elements_resolve(fw_program, fixtures_dir):
         elif "#" in c.element:
             assert fw_program.lookup_field(c.element) is not None
         else:
-            assert fw_program.get_class(c.element) is not None
+            assert fw_program.classes.get(c.element) is not None
         assert c.permission in {p for p, _ in table.values()}
 
 

@@ -110,7 +110,7 @@ def test_augmentation_superset(threads, viewstub, parametric):
 
 
 def test_augmentation_idempotent(viewstub):
-    again = augment_call_graph(viewstub.cg, viewstub.program, viewstub.hierarchy)
+    again = augment_call_graph(viewstub.cg, viewstub.program)
     assert again.edges == viewstub.cg.edges
     assert again.reachable == viewstub.cg.reachable
 
@@ -121,18 +121,17 @@ def test_augmentation_skips_ambiguous_sites(threads):
         for target, prov in targets:
             if prov == "augmented":
                 stmt = threads.program.stmt_at(site)
-                assert len(threads.hierarchy.cha_targets(stmt)) == 1
+                assert len(threads.program.hierarchy.cha_targets(stmt)) == 1
 
 
 def test_solver_requires_entry(threads, framework):
-    from permplace.hierarchy import build_hierarchy
     from permplace.model import link_program, load_app
     import pathlib
 
     app = load_app(pathlib.Path(__file__).parent / "fixtures" / "threads.app.json")
     program = link_program(app, [framework])
     with pytest.raises(ValueError):
-        solve_0cfa(program, build_hierarchy(program))
+        solve_0cfa(program)
 
 
 # -- copy cycles -------------------------------------------------------------
@@ -182,7 +181,7 @@ def test_components_match_mutual_reachability(succ, roots):
 
 
 def solved(prepared):
-    solver = _Solver(prepared.program, prepared.hierarchy)
+    solver = _Solver(prepared.program)
     solver.run()
     return solver
 
@@ -279,7 +278,7 @@ def test_hierarchy_answers_each_dispatch_once(framework, monkeypatch, instance):
     calls = []
     for name in ("dispatch", "is_subtype"):
         counting(monkeypatch, ClassHierarchy, name, calls)
-    sol, cg = solve_0cfa(prepared.program, prepared.hierarchy)
+    sol, cg = solve_0cfa(prepared.program)
     sigs = Counter()  # declared class -> virtual invoke signatures naming it
     for sig in {
         stmt.method
@@ -304,7 +303,7 @@ def test_each_reachable_body_is_read_once(framework, monkeypatch):
     for cls, name in ((LinkedProgram, "body_of"), (LinkedProgram, "lookup_method"),
                       (_Solver, "process_body")):
         counting(monkeypatch, cls, name, calls)
-    _sol, cg = solve_0cfa(prepared.program, prepared.hierarchy)
+    _sol, cg = solve_0cfa(prepared.program)
     read = Counter(args[0] for name, *args in calls if name == "lookup_method")
     scanned = Counter(args[0] for name, *args in calls if name == "process_body")
     assert read == Counter(cg.reachable)

@@ -86,7 +86,7 @@ def test_heap_solve_memory(framework):
     prepared = pipeline.prepare(gen_heap_app(*LARGEST_HEAP), [framework])
     tracemalloc.start()
     try:
-        solve_0cfa(prepared.program, prepared.hierarchy)
+        solve_0cfa(prepared.program)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -338,9 +338,8 @@ def test_augmentation_matches_per_pass_oracle(
             reachable=frozenset(),
         )
         for raw in (prepared.cg_raw, cut):
-            args = (raw, prepared.program, prepared.hierarchy)
-            cg = augment_call_graph(*args)
-            edges, reachable = augment_oracle(*args)
+            cg = augment_call_graph(raw, prepared.program)
+            edges, reachable = augment_oracle(raw, prepared.program, prepared.program.hierarchy)
             assert cg.edges == edges, prepared.program.name
             assert cg.reachable == reachable, prepared.program.name
 
@@ -365,7 +364,7 @@ def test_augmentation_queries_each_site_once(prepared_programs, viewstub, monkey
     for prepared in [viewstub, *prepared_programs]:
         queries.clear()
         scanned.clear()
-        cg = augment_call_graph(prepared.cg_raw, prepared.program, prepared.hierarchy)
+        cg = augment_call_graph(prepared.cg_raw, prepared.program)
         holders = Counter(
             id(stmt) for sig in scanned for _site, stmt in real_sites(prepared.program, sig)
         )
